@@ -15,10 +15,7 @@ import numpy as np
 
 from .density import DensityOperator
 from .errors import ShapeError, ValidationError
-from .linalg import as_ket, as_square, hermitian_eig
-
-KET_NORM_ATOL = 1e-12
-BASIS_ATOL = 1e-10
+from .linalg import as_ket, as_square, hermitian_eig, require_basis, require_unit_ket
 
 # Singular values below this count as zero when deciding Schmidt rank;
 # separates genuine rank from eigensolver noise at this scale.
@@ -52,10 +49,7 @@ class BipartiteKet:
         amps = as_ket(amplitudes)
         if amps.size != space.dim:
             raise ShapeError(f"expected {space.dim} amplitudes, got {amps.size}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > KET_NORM_ATOL:
-            raise ValidationError(f"bipartite ket not normalized: |psi| = {norm!r}")
-        amps = amps.copy()
+        amps = require_unit_ket(amps, "bipartite ket").copy()
         amps.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", amps)
@@ -73,12 +67,8 @@ class BipartiteKet:
 
 def product_state(a_ket, b_ket) -> BipartiteKet:
     """The product state with coefficients C[m, n] = A_m B_n."""
-    a = as_ket(a_ket)
-    b = as_ket(b_ket)
-    for name, k in (("a", a), ("b", b)):
-        norm = float(np.linalg.norm(k))
-        if abs(norm - 1.0) > KET_NORM_ATOL:
-            raise ValidationError(f"factor ket {name} not normalized: |k| = {norm!r}")
+    a = require_unit_ket(a_ket, "factor ket a")
+    b = require_unit_ket(b_ket, "factor ket b")
     return BipartiteKet(BipartiteSpace(a.size, b.size), np.kron(a, b))
 
 
@@ -201,19 +191,6 @@ def overlap_residue(alpha: complex, psi1: BipartiteKet, beta: complex, psi2: Bip
     return closed
 
 
-def _factor_basis(basis, dim: int) -> np.ndarray:
-    kets = [as_ket(k) for k in basis]
-    b = np.column_stack(kets)
-    if b.shape[0] != dim or b.shape[1] != dim:
-        raise ValidationError(
-            f"basis must be complete: got {b.shape[1]} kets of dimension {b.shape[0]}, need {dim}"
-        )
-    dev = float(np.max(np.abs(b.conj().T @ b - np.eye(dim))))
-    if dev > BASIS_ATOL:
-        raise ValidationError(f"factor basis is not orthonormal: max deviation {dev:.3e}")
-    return b
-
-
 def _infer_space(d: DensityOperator, basis_a, basis_b) -> BipartiteSpace:
     if basis_a is not None:
         dim_a = as_ket(basis_a[0]).size
@@ -247,7 +224,7 @@ def local_measurement(d: DensityOperator, basis_a=None, basis_b=None) -> Density
 def _factor_projectors(basis, dim: int) -> list[np.ndarray]:
     if basis is None:
         return [np.eye(dim, dtype=complex)]
-    b = _factor_basis(basis, dim)
+    b = require_basis(basis, dim)
     return [np.outer(b[:, m], b[:, m].conj()) for m in range(dim)]
 
 
@@ -257,8 +234,8 @@ def measurement_probabilities(d: DensityOperator, basis_a, basis_b) -> np.ndarra
     Both bases must be complete, so the probabilities sum to 1.
     """
     space = _infer_space(d, basis_a, basis_b)
-    ba = _factor_basis(basis_a, space.dim_a)
-    bb = _factor_basis(basis_b, space.dim_b)
+    ba = require_basis(basis_a, space.dim_a)
+    bb = require_basis(basis_b, space.dim_b)
     probs = np.empty((space.dim_a, space.dim_b))
     for m in range(space.dim_a):
         for n in range(space.dim_b):

@@ -258,26 +258,28 @@ def evolve_lindblad(
     MIN_EIGENVALUE_TOL raises IntegrationError with the offending time.
     Samples are emitted at step 0, every `sample_every` steps, and at t_end.
     """
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt!r}")
-    if t_end < 0.0:
-        raise ValidationError(f"t_end must be non-negative, got {t_end!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError(f"t_end must be non-negative and finite, got {t_end!r}")
     if sample_every < 1:
         raise ValidationError(f"sample_every must be at least 1, got {sample_every!r}")
     if g.dim != d0.dim:
         raise ShapeError(f"generator dimension {g.dim} != density dimension {d0.dim}")
 
-    n_full = int(math.floor(t_end / dt + 1e-12))
+    ratio = t_end / dt
+    if not ratio < math.inf:
+        raise ValidationError(f"t_end/dt = {ratio!r} is not a finite step count")
+    n_full = int(math.floor(ratio + 1e-12))
     remainder = t_end - n_full * dt
-    steps = [dt] * n_full
-    if remainder > 1e-12 * max(1.0, t_end):
-        steps.append(remainder)
+    n_steps = n_full + (remainder > 1e-12 * max(1.0, t_end))
 
     rho = np.array(d0.matrix, dtype=complex)
     samples = [_emit_sample(0.0, rho, float(np.trace(rho).real))]
     t = 0.0
     cumulative_drift = 0.0
-    for i, step in enumerate(steps, start=1):
+    for i in range(1, n_steps + 1):
+        step = dt if i <= n_full else remainder
         rho = _rk4_step(g, rho, step)
         rho = (rho + rho.conj().T) / 2.0
         raw_trace = float(np.trace(rho).real)
@@ -289,11 +291,11 @@ def evolve_lindblad(
                 f"trace drift {drift:.3e} exceeds {10 * TRACE_DRIFT_TOL:.0e}", t
             )
         rho = rho / raw_trace
-        if i % sample_every == 0 or i == len(steps):
+        if i % sample_every == 0 or i == n_steps:
             samples.append(_emit_sample(t, rho, raw_trace))
     logger.debug(
         "lindblad trajectory: %d steps, cumulative trace correction %.3e",
-        len(steps),
+        n_steps,
         cumulative_drift,
     )
     return samples

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import astuple, dataclass
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -237,23 +238,28 @@ class ScenarioError(ValueError):
 class Scenario:
     """Parsed open-system evolution scenario."""
 
-    dim: int
     rho0: DensityOperator
-    hamiltonian: np.ndarray
-    jump_ops: tuple[np.ndarray, ...]
+    generator: LindbladGenerator
     t_end: float
     dt: float
     sample_every: int
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _finite_number(value, name: str) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _complex_entry(value, where: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ScenarioError(f"{where}: complex entries must be [re, im] pairs, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_finite_number(value[0], where), _finite_number(value[1], where))
 
 
 def _complex_matrix(value, dim: int, where: str) -> np.ndarray:
@@ -295,13 +301,13 @@ def load_scenario(path: str) -> Scenario:
     jump_ops = tuple(
         _complex_matrix(op, dim, f"jump_ops[{k}]") for k, op in enumerate(raw["jump_ops"])
     )
-    t_end = raw["t_end"]
-    dt = raw["dt"]
+    t_end = _finite_number(raw["t_end"], "t_end")
+    dt = _finite_number(raw["dt"], "dt")
     sample_every = raw["sample_every"]
-    if not _is_number(t_end) or t_end < 0:
-        raise ScenarioError(f"t_end must be a non-negative number, got {t_end!r}")
-    if not _is_number(dt) or dt <= 0:
-        raise ScenarioError(f"dt must be a positive number, got {dt!r}")
+    if t_end < 0:
+        raise ScenarioError(f"t_end must be non-negative, got {t_end!r}")
+    if dt <= 0 or not math.isfinite(t_end / dt):
+        raise ScenarioError(f"dt must be positive with a finite t_end/dt, got {dt!r}")
     if not isinstance(sample_every, int) or isinstance(sample_every, bool) or sample_every < 1:
         raise ScenarioError(f"sample_every must be a positive integer, got {sample_every!r}")
 
@@ -310,16 +316,7 @@ def load_scenario(path: str) -> Scenario:
         generator = LindbladGenerator(hamiltonian, jump_ops)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    del generator
-    return Scenario(
-        dim=dim,
-        rho0=rho0,
-        hamiltonian=hamiltonian,
-        jump_ops=jump_ops,
-        t_end=float(t_end),
-        dt=float(dt),
-        sample_every=sample_every,
-    )
+    return Scenario(rho0, generator, t_end, dt, sample_every)
 
 
 @dataclass(frozen=True)
@@ -336,27 +333,39 @@ TRAJECTORY_HEADER = "t,trace_re,purity,entropy_nats,min_eigenvalue,entropy_produ
 
 
 def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:
-    generator = LindbladGenerator(scenario.hamiltonian, scenario.jump_ops)
+    g = scenario.generator
     samples = evolve_lindblad(
-        generator,
-        scenario.rho0,
-        scenario.t_end,
-        scenario.dt,
-        sample_every=scenario.sample_every,
+        g, scenario.rho0, scenario.t_end, scenario.dt, sample_every=scenario.sample_every
     )
-    rows = []
-    for sample in samples:
-        rows.append(
-            TrajectoryRow(
-                t=sample.time,
-                trace_re=sample.raw_trace,
-                purity=purity(sample.state),
-                entropy_nats=von_neumann_entropy(sample.state),
-                min_eigenvalue=sample.min_eigenvalue,
-                entropy_production=jump_entropy_rate(sample.state, scenario.jump_ops),
-            )
+    return [
+        TrajectoryRow(
+            t=sample.time,
+            trace_re=sample.raw_trace,
+            purity=purity(sample.state),
+            entropy_nats=von_neumann_entropy(sample.state),
+            min_eigenvalue=sample.min_eigenvalue,
+            entropy_production=jump_entropy_rate(sample.state, g.jump_ops),
         )
-    return rows
+        for sample in samples
+    ]
+
+
+def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
+    """Run write on a temp file beside path, then rename it over path, so
+    readers never see a partial file.  On failure print one line to stderr
+    and return False."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"output error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    finally:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+    return True
 
 
 def cmd_evolve(scenario_path: str, output_path: str) -> int:
@@ -370,23 +379,14 @@ def cmd_evolve(scenario_path: str, output_path: str) -> int:
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 3
-    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh: TextIO) -> None:
         fh.write(TRAJECTORY_HEADER + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.t,
-                        row.trace_re,
-                        row.purity,
-                        row.entropy_nats,
-                        row.min_eigenvalue,
-                        row.entropy_production,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
+
+    if not _write_output(output_path, write):
+        return 2
     print(f"wrote {len(rows)} samples to {output_path}")
     return 0
 
@@ -417,7 +417,8 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
         return 2
     empirical = empirical_correlation(events)
     analytic = -a.dot(b)
-    with open(output_path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh: TextIO) -> None:
         fh.write(f"# seed={seed} n={n}\n")
         fh.write(EVENT_HEADER + "\n")
         for e in events:
@@ -430,6 +431,9 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
             f"# summary empirical_correlation={_fmt(empirical)} "
             f"analytic_correlation={_fmt(analytic)}\n"
         )
+
+    if not _write_output(output_path, write):
+        return 2
     print(
         f"wrote {n} events to {output_path}; empirical correlation {_fmt(empirical)}, "
         f"analytic {_fmt(analytic)}"

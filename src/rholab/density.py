@@ -26,17 +26,16 @@ from .errors import ShapeError, ValidationError
 from .linalg import (
     HERMITIAN_ATOL,
     apply_matrix_function,
-    as_ket,
     hermitian_eig,
+    require_basis,
     require_hermitian,
+    require_unit_ket,
 )
 
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 WEIGHT_ATOL = 1e-12
-KET_NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
-BASIS_ATOL = 1e-10
 
 # Weights below this are physically vacuous and their kets undefined.
 ZERO_WEIGHT_TOL = 1e-14
@@ -48,8 +47,12 @@ class DensityOperator:
     """A validated density operator.
 
     Construction checks hermiticity, unit trace, and positivity (smallest
-    eigenvalue >= -psd_atol).  The wrapped matrix is read-only.
+    eigenvalue >= -psd_atol).  The spectrum solved for that check is kept,
+    so no consumer solves it again.  The wrapped matrix and its spectrum
+    are read-only.
     """
+
+    __slots__ = ("_matrix", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
         m = require_hermitian(matrix, atol=HERMITIAN_ATOL)
@@ -61,9 +64,11 @@ class DensityOperator:
         min_eig = float(eig.eigenvalues[0])
         if min_eig < -psd_atol:
             raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
-        m.setflags(write=False)
+        for a in (m, eig.eigenvalues, eig.eigenvectors):
+            a.setflags(write=False)
         self._matrix = m
         self._eigenvalues = eig.eigenvalues
+        self._eigenvectors = eig.eigenvectors
 
     @property
     def matrix(self) -> np.ndarray:
@@ -77,6 +82,11 @@ class DensityOperator:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues ascending, as computed during validation."""
         return self._eigenvalues
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvector columns matching `eigenvalues`."""
+        return self._eigenvectors
 
     def is_pure(self) -> bool:
         return purity(self) > PURE_PURITY_THRESHOLD
@@ -104,14 +114,11 @@ class ProperMixture:
         cleaned = []
         dim = None
         for weight, ket in terms:
-            k = as_ket(ket)
+            k = require_unit_ket(ket, "mixture ket")
             if dim is None:
                 dim = k.size
             elif k.size != dim:
                 raise ShapeError("all mixture kets must share one dimension")
-            norm = float(np.linalg.norm(k))
-            if abs(norm - 1.0) > KET_NORM_ATOL:
-                raise ValidationError(f"mixture ket not normalized: |k| = {norm!r}")
             cleaned.append((float(weight), k))
         if not cleaned:
             raise ValidationError("mixture needs at least one term")
@@ -145,22 +152,6 @@ def purity(d: DensityOperator) -> float:
     return float(np.trace(m @ m).real)
 
 
-def _basis_matrix(basis, dim: int | None = None, atol: float = BASIS_ATOL) -> np.ndarray:
-    """Stack basis kets as columns and require an orthonormal complete set."""
-    kets = [as_ket(k) for k in basis]
-    if not kets:
-        raise ValidationError("basis must not be empty")
-    b = np.column_stack(kets)
-    if dim is not None and b.shape[0] != dim:
-        raise ShapeError(f"basis kets have dimension {b.shape[0]}, expected {dim}")
-    if b.shape[0] != b.shape[1]:
-        raise ValidationError(f"basis is incomplete: {b.shape[1]} kets in dimension {b.shape[0]}")
-    dev = float(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))))
-    if dev > atol:
-        raise ValidationError(f"basis is not orthonormal: max deviation {dev:.3e}")
-    return b
-
-
 @dataclass(frozen=True)
 class GramFactor:
     """Scaled coefficient matrix of a proper mixture in an orthonormal basis.
@@ -192,7 +183,7 @@ def gram_factor(m: ProperMixture, basis) -> GramFactor:
 
     coeff[k, m] = sqrt(p_k) <basis_m | ket_k>.
     """
-    b = _basis_matrix(basis, dim=m.dim)
+    b = require_basis(basis, m.dim)
     rows = [np.sqrt(weight) * (b.conj().T @ ket) for weight, ket in m.terms]
     return GramFactor(coeff=np.array(rows), basis=b)
 
@@ -250,7 +241,7 @@ def measurement_channel(d: DensityOperator, basis) -> DensityOperator:
     equal to the pre-measurement outcome probabilities; the trace is
     preserved and the map is not unitary.
     """
-    b = _basis_matrix(basis, dim=d.dim)
+    b = require_basis(basis, d.dim)
     out = np.zeros_like(d.matrix)
     for m in range(b.shape[1]):
         proj = np.outer(b[:, m], b[:, m].conj())

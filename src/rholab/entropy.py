@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import DensityOperator
 from .errors import ValidationError
-from .linalg import hermitian_eig, require_hermitian
+from .linalg import require_hermitian
 
 EIGENVALUE_FLOOR = 1e-14
 
@@ -31,9 +31,9 @@ def von_neumann_entropy(d: DensityOperator) -> float:
 
 
 def _floored_spectrum(d: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (floored for logs) and eigenvector columns of rho."""
-    eig = hermitian_eig(d.matrix)
-    p = np.maximum(eig.eigenvalues, 0.0)
+    """Eigenvalues (floored for logs) and eigenvector columns of rho, as
+    solved when d was validated."""
+    p = np.maximum(d.eigenvalues, 0.0)
     if np.any(p <= EIGENVALUE_FLOOR):
         warnings.warn(
             "density is rank-deficient; eigenvalues floored at "
@@ -42,7 +42,7 @@ def _floored_spectrum(d: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
             stacklevel=3,
         )
         p = np.maximum(p, EIGENVALUE_FLOOR)
-    return p, eig.eigenvectors
+    return p, d.eigenvectors
 
 
 def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError, ShapeError, ValidationError
 
 HERMITIAN_ATOL = 1e-10
+KET_NORM_ATOL = 1e-12
+BASIS_ATOL = 1e-10
 
 # Cyclic Jacobi parameters: off-diagonal Frobenius norm below _JACOBI_OFF_TOL
 # counts as diagonal; matrices here are O(1) and at most 16x16 or so.
@@ -53,6 +55,32 @@ def as_ket(v) -> np.ndarray:
     return k
 
 
+def require_unit_ket(v, what: str = "ket") -> np.ndarray:
+    """Coerce to a ket and require unit norm."""
+    k = as_ket(v)
+    norm = float(np.linalg.norm(k))
+    if abs(norm - 1.0) > KET_NORM_ATOL:
+        raise ValidationError(f"{what} not normalized: |k| = {norm!r}")
+    return k
+
+
+def require_basis(basis, dim: int) -> np.ndarray:
+    """Stack basis kets as columns and require an orthonormal complete set
+    in dimension dim."""
+    kets = [as_ket(k) for k in basis]
+    if not kets:
+        raise ValidationError("basis must not be empty")
+    b = np.column_stack(kets)
+    if b.shape[0] != dim:
+        raise ShapeError(f"basis kets have dimension {b.shape[0]}, expected {dim}")
+    if b.shape[1] != dim:
+        raise ValidationError(f"basis is incomplete: {b.shape[1]} kets in dimension {dim}")
+    dev = float(np.max(np.abs(b.conj().T @ b - np.eye(dim))))
+    if dev > BASIS_ATOL:
+        raise ValidationError(f"basis is not orthonormal: max deviation {dev:.3e}")
+    return b
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product a.b."""
     am, bm = as_matrix(a), as_matrix(b)
@@ -83,10 +111,7 @@ def dyad(psi, phi) -> np.ndarray:
 
 def projector(ket) -> np.ndarray:
     """Projector |k><k| onto a normalized ket."""
-    k = as_ket(ket)
-    norm = np.linalg.norm(k)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValidationError(f"projector requires a normalized ket, |k| = {norm}")
+    k = require_unit_ket(ket, "projector ket")
     return np.outer(k, k.conj())
 
 

@@ -291,6 +291,12 @@ class TestLocalMeasurement:
         assert np.all(probs >= -1e-12)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_wrong_dimension_factor_basis_rejected(self):
+        d = DensityOperator(np.eye(4) / 4)
+        qutrit = list(np.eye(3, dtype=complex))
+        with pytest.raises(ShapeError):
+            measurement_probabilities(d, [KETS.z_plus, KETS.z_minus], qutrit)
+
     def test_incomplete_basis_rejected(self):
         d = DensityOperator(np.eye(4) / 4)
         with pytest.raises(ValidationError):

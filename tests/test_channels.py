@@ -333,6 +333,10 @@ class TestEvolveLindblad:
             evolve_lindblad(g, d0, -1.0, 0.1)
         with pytest.raises(ValidationError):
             evolve_lindblad(g, d0, 1.0, 0.1, sample_every=0)
+        # Non-finite times, and a finite dt whose t_end/dt overflows.
+        for t_end, dt in [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (1.0, 1e-320)]:
+            with pytest.raises(ValidationError):
+                evolve_lindblad(g, d0, t_end, dt)
 
     def test_unstable_step_raises_integration_error(self):
         d0 = DensityOperator(projector(KETS.x_plus))

@@ -1,10 +1,18 @@
 import json
 import math
+import shlex
+import shutil
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rholab.cli import main, load_scenario, ScenarioError
+import rholab.cli
+from rholab import LindbladGenerator
+from rholab.cli import main, load_scenario, trajectory_rows, ScenarioError
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_scenario(path, **overrides):
@@ -158,6 +166,15 @@ class TestEvolve:
         assert main(["evolve", "--scenario", str(bad), "--out", "x"]) == 2
         assert "rho0[0][0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [[10**400, 0.0], [0.5, math.nan], ["0.5", 0.0]])
+    def test_non_finite_complex_entry(self, tmp_path, capsys, entry):
+        payload = json.loads((write_scenario(tmp_path / "ok.json")).read_text())
+        payload["hamiltonian"][1][0] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["evolve", "--scenario", str(bad), "--out", "x"]) == 2
+        assert "hamiltonian[1][0] must be a finite number" in capsys.readouterr().err
+
     def test_invalid_density(self, tmp_path, capsys):
         payload = json.loads((write_scenario(tmp_path / "ok.json")).read_text())
         payload["rho0"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # trace 2
@@ -168,11 +185,62 @@ class TestEvolve:
 
     def test_load_scenario_roundtrip(self, tmp_path):
         scenario = load_scenario(str(write_scenario(tmp_path / "s.json")))
-        assert scenario.dim == 2
+        assert scenario.generator.dim == 2
         assert scenario.sample_every == 10
-        assert np.allclose(scenario.jump_ops[0], np.diag([1.0, -1.0]))
+        assert np.allclose(scenario.generator.jump_ops[0], np.diag([1.0, -1.0]))
         with pytest.raises(ScenarioError):
             load_scenario(str(tmp_path / "missing.json"))
+
+    def test_scenario_holds_validated_generator(self, tmp_path, monkeypatch):
+        scenario = load_scenario(str(write_scenario(tmp_path / "s.json")))
+        assert isinstance(scenario.generator, LindbladGenerator)
+        assert np.array_equal(scenario.generator.hamiltonian, np.zeros((2, 2)))
+        assert len(scenario.generator.jump_ops) == 1
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("trajectory_rows rebuilt the generator")
+
+        monkeypatch.setattr(rholab.cli, "LindbladGenerator", rebuilt)
+        with pytest.warns(RuntimeWarning, match="rank-deficient"):
+            assert len(trajectory_rows(scenario)) == 11
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_end", math.nan),
+            ("t_end", math.inf),
+            ("t_end", 10**400),
+            ("dt", math.nan),
+            ("dt", math.inf),
+            ("dt", 1e-320),  # finite, but t_end/dt overflows
+        ],
+        ids=["t_end-nan", "t_end-inf", "t_end-huge-int", "dt-nan", "dt-inf", "dt-tiny"],
+    )
+    def test_non_finite_schedule_rejected(self, tmp_path, capsys, field, value):
+        scenario = write_scenario(tmp_path / "s.json", **{field: value})
+        out = tmp_path / "t.csv"
+        assert main(["evolve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json")
+        out = tmp_path / "missing" / "t.csv"
+        with pytest.warns(RuntimeWarning):
+            assert main(["evolve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
+
+    def test_output_replaced_without_leftovers(self, tmp_path):
+        scenario = write_scenario(tmp_path / "s.json")
+        out = tmp_path / "t.csv"
+        out.write_text("stale")
+        with pytest.warns(RuntimeWarning):
+            assert main(["evolve", "--scenario", str(scenario), "--out", str(out)]) == 0
+        assert out.read_text().startswith("t,trace_re,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.csv"]
 
 
 class TestSample:
@@ -220,6 +288,14 @@ class TestSample:
         )
         assert code == 2
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["sample", "--a", "0,0,1", "--b", "1,0,0", "--n", "10", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
     def test_summary_matches_analytic(self, tmp_path):
         out = tmp_path / "events.csv"
         n = 100_000
@@ -234,3 +310,21 @@ class TestSample:
         assert analytic == pytest.approx(-math.cos(theta), abs=1e-12)
         sigma = math.sqrt((1 - analytic**2) / n)
         assert abs(empirical - analytic) <= 3 * sigma
+
+
+def readme_cli_lines() -> list[str]:
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("rholab ")]
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    lines = readme_cli_lines()
+    assert len(lines) == 4
+    shutil.copytree(REPO / "scenarios", tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(shlex.split(line)[1:]) == 0, line

@@ -47,6 +47,19 @@ class TestDensityValidation:
         d = DensityOperator(np.eye(3) / 3.0)
         assert d.dim == 3
         assert d.matrix.flags.writeable is False
+        assert not d.eigenvalues.flags.writeable and not d.eigenvectors.flags.writeable
+        assert not hasattr(d, "__dict__")
+
+    def test_keeps_the_spectrum_it_validated(self):
+        rng = np.random.default_rng(20)
+        states = [random_density(rng, n).matrix for n in (2, 4, 8, 16)]
+        states += [projector(random_ket(rng, 4)), np.eye(5) / 5.0]
+        for rho in states:
+            d = DensityOperator(rho)
+            m = np.asarray(rho, dtype=complex)
+            eig = hermitian_eig((m + m.conj().T) / 2.0)
+            assert np.array_equal(d.eigenvectors, eig.eigenvectors)
+            assert np.array_equal(d.eigenvalues, eig.eigenvalues)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import rholab.linalg
 from rholab import (
     DensityOperator,
     LindbladGenerator,
@@ -171,3 +173,32 @@ class TestJumpEntropyRate:
             rate = jump_entropy_rate(d, [jump])
             fd = one_sided_entropy_derivative(generator, d, 3e-5)
             assert abs(rate - fd) < 1e-5
+
+
+def test_rates_reuse_the_validated_spectrum(monkeypatch):
+    """The entropy rates read the spectrum each DensityOperator solved at
+    construction and never call the eigensolver again."""
+    rng = np.random.default_rng(116)
+    d = random_density(rng, 4)
+    h = random_hermitian(rng, 4)
+    hermitian_jumps = [random_hermitian(rng, 4)]
+    general_jumps = [random_complex(rng, (4, 4))]
+
+    calls = []
+    original = rholab.linalg.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rholab" or name.startswith("rholab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    entropy_rate_hamiltonian(d, h)
+    entropy_production(d, hermitian_jumps)
+    jump_entropy_rate(d, general_jumps)
+    assert calls == []
+    random_density(rng, 2)  # the patch does reach the eigensolver
+    assert calls == [1]
