@@ -22,6 +22,10 @@ from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
+# Most events one sample_events call draws.  Every event is held as its own
+# EventRecord, about 140 bytes at peak, so the cap bounds a call near 1.4 GB.
+MAX_EVENTS = 10**7
+
 
 @dataclass(frozen=True)
 class DetectorPair:
@@ -122,9 +126,12 @@ def sample_events(p: DetectorPair, n: int, seed: int) -> list[EventRecord]:
     """Draw n independent coincidences from the exact joint law.
 
     Reproducible per seed; the empirical correlation converges to -a . b.
+    Raises ValidationError unless 1 <= n <= MAX_EVENTS.
     """
     if n < 1:
         raise ValidationError(f"need at least one event, got n={n!r}")
+    if n > MAX_EVENTS:
+        raise ValidationError(f"n={n!r} exceeds the event cap of {MAX_EVENTS}")
     probs = joint_outcome_probabilities(p).reshape(-1)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()

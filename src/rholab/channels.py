@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +49,17 @@ _NEGLIGIBLE_EIGENVALUE = 1e-12
 # exceeding ten times either bound aborts the trajectory.
 TRACE_DRIFT_TOL = 1e-8
 MIN_EIGENVALUE_TOL = 1e-7
+
+# Most integrator steps one trajectory may take.  A finite but huge t_end/dt
+# would otherwise start a run that never finishes and keeps a sample per
+# `sample_every` steps.
+MAX_STEPS = 10**7
+
+# Largest dimension at which the integrator builds the N^2 x N^2 propagator
+# matrix T(dt L).  Above it the same polynomial is applied in operator form:
+# at d = 16, T has 65,536 complex entries (1 MB) and building it peaks near
+# 4.2 MB, about nine times what a whole d = 16 run otherwise holds at once.
+PROPAGATOR_MATRIX_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -181,18 +193,25 @@ def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Generator data: a Hamiltonian and a list of jump operators."""
+    """Generator data: a Hamiltonian and a list of jump operators.
+
+    half_gram = 1/2 sum_k L^k(dag) L^k is derived once here for the
+    anticommutator term of the dissipator.
+    """
 
     hamiltonian: np.ndarray
     jump_ops: tuple[np.ndarray, ...]
+    half_gram: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, hamiltonian, jump_ops=()):
         h = require_hermitian(hamiltonian)
         ops = tuple(as_square(op) for op in jump_ops)
         if any(op.shape != h.shape for op in ops):
             raise ShapeError("jump operators must match the Hamiltonian dimension")
+        half_gram = 0.5 * sum((op.conj().T @ op for op in ops), np.zeros(h.shape, dtype=complex))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jump_ops", ops)
+        object.__setattr__(self, "half_gram", half_gram)
 
     @property
     def dim(self) -> int:
@@ -201,11 +220,9 @@ class LindbladGenerator:
 
 def _apply_generator(g: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
     h = g.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
+    out = -1j * (h @ rho - rho @ h) - (g.half_gram @ rho + rho @ g.half_gram)
     for op in g.jump_ops:
-        op_dag = op.conj().T
-        gram = op_dag @ op
-        out += op @ rho @ op_dag - 0.5 * (gram @ rho + rho @ gram)
+        out += op @ rho @ op.conj().T
     return out
 
 
@@ -235,12 +252,56 @@ class LindbladSample:
     min_eigenvalue: float
 
 
-def _rk4_step(g: LindbladGenerator, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _apply_generator(g, rho)
-    k2 = _apply_generator(g, rho + 0.5 * dt * k1)
-    k3 = _apply_generator(g, rho + 0.5 * dt * k2)
-    k4 = _apply_generator(g, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _taylor_propagator(g: LindbladGenerator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The step rho -> T(dt L) rho with T(A) = I + A + A^2/2 + A^3/6 + A^4/24,
+    evaluated by Horner as I + A(I + A/2 (I + A/3 (I + A/4))).
+
+    For a time-independent generator this is exactly the polynomial one
+    classical RK4 step evaluates.  Up to PROPAGATOR_MATRIX_MAX_DIM the matrix
+    T is built once and each step is one matvec on row-major rho; above it
+    each step applies the generator four times and builds no N^2 x N^2 array.
+    """
+    n = g.dim
+    if n > PROPAGATOR_MATRIX_MAX_DIM:
+
+        def step(rho: np.ndarray) -> np.ndarray:
+            out = rho
+            for k in (4, 3, 2, 1):
+                out = rho + (dt / k) * _apply_generator(g, out)
+            return out
+
+        return step
+
+    a = dt * generator_matrix(g)
+    eye = np.eye(n * n, dtype=complex)
+    t = eye
+    for k in (4, 3, 2, 1):
+        t = eye + (a / k) @ t
+    return lambda rho: (t @ rho.reshape(-1)).reshape(n, n)
+
+
+def step_schedule(t_end: float, dt: float) -> tuple[int, float]:
+    """Split [0, t_end] into full steps of length dt plus a final shorter step.
+
+    Returns (n_full, remainder), where remainder is 0.0 when t_end is a
+    multiple of dt up to rounding.  Raises ValidationError for a dt that is
+    not positive and finite, a t_end that is negative or not finite, or a
+    schedule of more than MAX_STEPS steps.
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValidationError(f"t_end must be non-negative and finite, got {t_end!r}")
+    ratio = t_end / dt
+    if not ratio < math.inf:
+        raise ValidationError(f"t_end/dt = {ratio!r} is not a finite step count")
+    n_full = int(math.floor(ratio + 1e-12))
+    remainder = t_end - n_full * dt
+    if remainder <= 1e-12 * max(1.0, t_end):
+        remainder = 0.0
+    if n_full + (remainder > 0.0) > MAX_STEPS:
+        raise ValidationError(f"t_end/dt = {ratio:.6g} exceeds the cap of {MAX_STEPS} steps")
+    return n_full, remainder
 
 
 def evolve_lindblad(
@@ -250,7 +311,13 @@ def evolve_lindblad(
     dt: float,
     sample_every: int = 1,
 ) -> list[LindbladSample]:
-    """Integrate drho/dt = L rho with fixed-step classical 4th-order steps.
+    """Integrate drho/dt = L rho with a fixed-step degree-4 Taylor propagator.
+
+    Each step multiplies rho by T(dt L) = sum_{k<=4} (dt L)^k / k!, which for
+    this time-independent generator equals one classical RK4 step; a final
+    shorter step reaches t_end when it is not a multiple of dt.  At most
+    MAX_STEPS steps are taken: a longer schedule raises ValidationError
+    before any work starts.
 
     Every step is hermitized ((rho + rho(dag))/2) and trace-renormalized;
     the per-step trace drift and the smallest eigenvalue at each emitted
@@ -258,29 +325,22 @@ def evolve_lindblad(
     MIN_EIGENVALUE_TOL raises IntegrationError with the offending time.
     Samples are emitted at step 0, every `sample_every` steps, and at t_end.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if not 0.0 <= t_end < math.inf:
-        raise ValidationError(f"t_end must be non-negative and finite, got {t_end!r}")
+    n_full, remainder = step_schedule(t_end, dt)
     if sample_every < 1:
         raise ValidationError(f"sample_every must be at least 1, got {sample_every!r}")
     if g.dim != d0.dim:
         raise ShapeError(f"generator dimension {g.dim} != density dimension {d0.dim}")
-
-    ratio = t_end / dt
-    if not ratio < math.inf:
-        raise ValidationError(f"t_end/dt = {ratio!r} is not a finite step count")
-    n_full = int(math.floor(ratio + 1e-12))
-    remainder = t_end - n_full * dt
-    n_steps = n_full + (remainder > 1e-12 * max(1.0, t_end))
+    n_steps = n_full + (remainder > 0.0)
+    full_step = _taylor_propagator(g, dt)
+    last_step = _taylor_propagator(g, remainder) if remainder > 0.0 else full_step
 
     rho = np.array(d0.matrix, dtype=complex)
     samples = [_emit_sample(0.0, rho, float(np.trace(rho).real))]
     t = 0.0
     cumulative_drift = 0.0
     for i in range(1, n_steps + 1):
-        step = dt if i <= n_full else remainder
-        rho = _rk4_step(g, rho, step)
+        step, propagate = (dt, full_step) if i <= n_full else (remainder, last_step)
+        rho = propagate(rho)
         rho = (rho + rho.conj().T) / 2.0
         raw_trace = float(np.trace(rho).real)
         drift = abs(raw_trace - 1.0)
@@ -320,10 +380,9 @@ def generator_matrix(g: LindbladGenerator) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     h = g.hamiltonian
     mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    mat -= np.kron(g.half_gram, eye) + np.kron(eye, g.half_gram.T)
     for op in g.jump_ops:
-        gram = op.conj().T @ op
         mat += np.kron(op, op.conj())
-        mat -= 0.5 * (np.kron(gram, eye) + np.kron(eye, gram.T))
     return mat
 
 

@@ -33,7 +33,7 @@ from .bell import (
     singlet_variance,
 )
 from .bipartite import no_signalling_check, partial_trace_a, singlet
-from .channels import LindbladGenerator, evolve_lindblad
+from .channels import LindbladGenerator, evolve_lindblad, step_schedule
 from .density import (
     DensityOperator,
     ProperMixture,
@@ -304,14 +304,11 @@ def load_scenario(path: str) -> Scenario:
     t_end = _finite_number(raw["t_end"], "t_end")
     dt = _finite_number(raw["dt"], "dt")
     sample_every = raw["sample_every"]
-    if t_end < 0:
-        raise ScenarioError(f"t_end must be non-negative, got {t_end!r}")
-    if dt <= 0 or not math.isfinite(t_end / dt):
-        raise ScenarioError(f"dt must be positive with a finite t_end/dt, got {dt!r}")
     if not isinstance(sample_every, int) or isinstance(sample_every, bool) or sample_every < 1:
         raise ScenarioError(f"sample_every must be a positive integer, got {sample_every!r}")
 
     try:
+        step_schedule(t_end, dt)
         rho0 = DensityOperator(rho0_matrix)
         generator = LindbladGenerator(hamiltonian, jump_ops)
     except ValueError as exc:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 
 from rholab import DensityOperator, KrausChannel, ProperMixture, UnitVector3
@@ -63,3 +66,20 @@ def rotated(rotation: np.ndarray, v: UnitVector3) -> UnitVector3:
     w = rotation @ v.as_array()
     w /= np.linalg.norm(w)
     return UnitVector3(w[0], w[1], w[2])
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block after `seconds` of wall time, so a
+    run that should be refused up front fails instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

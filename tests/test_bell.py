@@ -238,6 +238,9 @@ class TestSampling:
     def test_rejects_bad_n(self):
         with pytest.raises(ValidationError):
             sample_events(DetectorPair(Z_AXIS, X_AXIS), 0, seed=1)
+        # Refused before anything is drawn: 10**15 draws would need petabytes.
+        with pytest.raises(ValidationError, match="cap"):
+            sample_events(DetectorPair(Z_AXIS, X_AXIS), 10**15, seed=1)
 
 
 class TestGhz:

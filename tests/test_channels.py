@@ -27,12 +27,15 @@ from rholab import (
     superop_from_kraus,
     von_neumann_entropy,
 )
+from rholab import channels
+from rholab.channels import MAX_STEPS, step_schedule
 from conftest import (
     random_density,
     random_hermitian,
     random_complex,
     random_kraus_channel,
     random_unitary,
+    time_limit,
 )
 
 KETS = spin_half_basis()
@@ -259,6 +262,43 @@ def dephasing_generator(gamma: float) -> LindbladGenerator:
     return LindbladGenerator(np.zeros((2, 2)), [math.sqrt(gamma) * pauli("z")])
 
 
+def explicit_flow(h, jumps, rho):
+    """-i[H, rho] + sum_k (L rho L(dag) - 1/2 {L(dag) L, rho}), term by term."""
+    out = -1j * (h @ rho - rho @ h)
+    for op in jumps:
+        gram = op.conj().T @ op
+        out = out + op @ rho @ op.conj().T - 0.5 * (gram @ rho + rho @ gram)
+    return out
+
+
+def rk4_step(h, jumps, rho, dt):
+    """Stage-wise classical RK4: the reference for the Taylor propagator."""
+    k1 = explicit_flow(h, jumps, rho)
+    k2 = explicit_flow(h, jumps, rho + 0.5 * dt * k1)
+    k3 = explicit_flow(h, jumps, rho + 0.5 * dt * k2)
+    k4 = explicit_flow(h, jumps, rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_trajectory(h, jumps, rho0, t_end, dt, sample_every):
+    """Emitted (time, matrix) pairs of stage-wise RK4 with the integrator's
+    schedule and its hermitize-and-renormalize after every step."""
+    n_full = int(math.floor(t_end / dt + 1e-12))
+    remainder = t_end - n_full * dt
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-12 else [])
+    rho = np.array(rho0, dtype=complex)
+    out = [(0.0, rho)]
+    t = 0.0
+    for i, step in enumerate(steps, start=1):
+        rho = rk4_step(h, jumps, rho, step)
+        rho = (rho + rho.conj().T) / 2.0
+        rho = rho / np.trace(rho).real
+        t += step
+        if i % sample_every == 0 or i == len(steps):
+            out.append((t, rho))
+    return out
+
+
 class TestEvolveLindblad:
     def test_dephasing_against_closed_form(self):
         gamma = 1.0
@@ -338,6 +378,42 @@ class TestEvolveLindblad:
             with pytest.raises(ValidationError):
                 evolve_lindblad(g, d0, t_end, dt)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_matches_stagewise_rk4(self, dim, monkeypatch):
+        # Both forms of the propagator, on either side of the size threshold,
+        # and a t_end that leaves a shorter final step.
+        rng = np.random.default_rng(150 + dim)
+        scale = 1.0 / math.sqrt(dim)
+        h = scale * random_hermitian(rng, dim)
+        jumps = [scale * random_complex(rng, (dim, dim)) for _ in range(2)]
+        d0 = random_density(rng, dim)
+        built = []
+        real_matrix = channels.generator_matrix
+        monkeypatch.setattr(
+            channels, "generator_matrix", lambda g: built.append(g.dim) or real_matrix(g)
+        )
+        samples = evolve_lindblad(LindbladGenerator(h, jumps), d0, 0.105, 0.01, sample_every=4)
+        # One T per step length up to d = 8; no N^2 x N^2 array at d = 16.
+        assert len(built) == (0 if dim == 16 else 2)
+        expected = rk4_trajectory(h, jumps, d0.matrix, 0.105, 0.01, 4)
+        assert [s.time for s in samples] == pytest.approx([t for t, _ in expected], abs=1e-15)
+        assert samples[-1].time == pytest.approx(0.105, abs=1e-15)
+        for sample, (_, rho) in zip(samples, expected):
+            assert np.max(np.abs(sample.state.matrix - rho)) < 1e-12
+
+    def test_step_cap(self):
+        assert step_schedule(MAX_STEPS * 0.5, 0.5) == (MAX_STEPS, 0.0)
+        with pytest.raises(ValidationError, match="cap"):
+            step_schedule((MAX_STEPS + 1) * 0.5, 0.5)
+        with pytest.raises(ValidationError, match="cap"):
+            step_schedule(MAX_STEPS * 0.5 + 0.25, 0.5)  # the partial step is one too many
+
+    def test_huge_step_count_rejected_before_work(self):
+        d0 = DensityOperator(projector(KETS.x_plus))
+        with time_limit(5.0):
+            with pytest.raises(ValidationError, match="cap"):
+                evolve_lindblad(dephasing_generator(1.0), d0, 1e13, 0.01, sample_every=10**9)
+
     def test_unstable_step_raises_integration_error(self):
         d0 = DensityOperator(projector(KETS.x_plus))
         with pytest.raises(IntegrationError) as info:
@@ -401,10 +477,13 @@ class TestLindbladSpectrum:
             assert np.max(np.abs(rebuilt - samples[-1].state.matrix)) < 1e-6
 
     def test_generator_matrix_consistency(self):
+        # Column (i, j) of the matrix is the flow of the basis matrix E_ij,
+        # written out as commutator plus dissipator.
         rng = np.random.default_rng(145)
-        g = LindbladGenerator(random_hermitian(rng, 3), [random_complex(rng, (3, 3))])
-        mat = generator_matrix(g)
+        h = random_hermitian(rng, 3)
+        jumps = [random_complex(rng, (3, 3)) for _ in range(2)]
+        g = LindbladGenerator(h, jumps)
+        explicit = np.column_stack([explicit_flow(h, jumps, e).reshape(-1) for e in basis_matrices(3)])
+        assert np.max(np.abs(generator_matrix(g) - explicit)) < 1e-12
         d = random_density(rng, 3)
-        direct = lindblad_apply(g, d)
-        via_matrix = (mat @ d.matrix.reshape(-1)).reshape(3, 3)
-        assert np.max(np.abs(direct - via_matrix)) < 1e-12
+        assert np.max(np.abs(lindblad_apply(g, d) - explicit_flow(h, jumps, d.matrix))) < 1e-12

@@ -11,6 +11,7 @@ import pytest
 import rholab.cli
 from rholab import LindbladGenerator
 from rholab.cli import main, load_scenario, trajectory_rows, ScenarioError
+from conftest import time_limit
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -79,13 +80,18 @@ class TestTopLevel:
         assert "demo" in capsys.readouterr().out
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
 
+        # The child imports the same rholab as this process, installed or not.
+        src = str(Path(rholab.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "rholab.cli", "demo", "chsh"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert "overall: PASS" in result.stdout
@@ -225,6 +231,31 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_huge_step_count_rejected(self, tmp_path, capsys):
+        # 1e15 finite steps: refused at load time instead of integrating forever.
+        scenario = write_scenario(tmp_path / "s.json", t_end=1e13, dt=0.01)
+        out = tmp_path / "t.csv"
+        with time_limit(10.0):
+            assert main(["evolve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "cap" in err and err.count("\n") == 1
+        assert not out.exists()
+        with pytest.raises(ScenarioError, match="cap"):
+            load_scenario(str(scenario))
+
+    @pytest.mark.parametrize("name", ["dephasing", "precession", "amplitude_damping"])
+    def test_shipped_trajectory_matches_pinned(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(REPO / "scenarios" / f"{name}.json"),
+                         "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        pinned_header, pinned = read_rows(REPO / "perfbench" / "pinned" / f"{name}.csv")
+        assert header == pinned_header and len(rows) == len(pinned)
+        for column in header:
+            assert max(abs(r[column] - p[column]) for r, p in zip(rows, pinned)) <= 1e-12, column
+
     def test_unwritable_output(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")
         out = tmp_path / "missing" / "t.csv"
@@ -287,6 +318,14 @@ class TestSample:
              str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    def test_absurd_n_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sample", "--a", "0,0,1", "--b", "0,0,1", "--n", str(10**15), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "cap" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
