@@ -22,8 +22,8 @@ from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-# Most events one sample_events call draws.  Every event is held as its own
-# EventRecord, about 140 bytes at peak, so the cap bounds a call near 1.4 GB.
+# Most events one sample_events call draws.  A call peaks near 32 bytes per
+# event (the int64 draws and their temporaries), so the cap bounds it near 320 MB.
 MAX_EVENTS = 10**7
 
 
@@ -33,20 +33,6 @@ class DetectorPair:
 
     a: UnitVector3
     b: UnitVector3
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One tabulated coincidence: both orientations and both outcomes."""
-
-    a: UnitVector3
-    b: UnitVector3
-    outcome_a: int
-    outcome_b: int
-
-    def __post_init__(self):
-        if self.outcome_a not in (-1, 1) or self.outcome_b not in (-1, 1):
-            raise ValidationError("outcomes must be +1 or -1")
 
 
 def pair_operator(p: DetectorPair) -> np.ndarray:
@@ -122,10 +108,12 @@ def joint_outcome_probabilities(p: DetectorPair) -> np.ndarray:
     return probs
 
 
-def sample_events(p: DetectorPair, n: int, seed: int) -> list[EventRecord]:
+def sample_events(p: DetectorPair, n: int, seed: int) -> np.recarray:
     """Draw n independent coincidences from the exact joint law.
 
-    Reproducible per seed; the empirical correlation converges to -a . b.
+    Returns a read-only record array of n rows with int8 columns
+    `outcome_a` and `outcome_b`, each +1 or -1.  Reproducible per seed; the
+    empirical correlation converges to -a . b.
     Raises ValidationError unless 1 <= n <= MAX_EVENTS.
     """
     if n < 1:
@@ -137,20 +125,19 @@ def sample_events(p: DetectorPair, n: int, seed: int) -> list[EventRecord]:
     probs = probs / probs.sum()
     rng = np.random.Generator(np.random.Philox(seed))
     draws = rng.choice(4, size=n, p=probs)
-    outcome_a = 1 - 2 * (draws // 2)
-    outcome_b = 1 - 2 * (draws % 2)
-    return [
-        EventRecord(p.a, p.b, int(oa), int(ob))
-        for oa, ob in zip(outcome_a, outcome_b)
-    ]
+    events = np.rec.fromarrays(
+        [1 - 2 * (draws // 2), 1 - 2 * (draws % 2)],
+        dtype=[("outcome_a", np.int8), ("outcome_b", np.int8)],
+    )
+    events.flags.writeable = False
+    return events
 
 
-def empirical_correlation(events) -> float:
-    """Mean product of the two outcomes over an event list."""
-    events = list(events)
-    if not events:
+def empirical_correlation(events: np.recarray) -> float:
+    """Mean product of the two outcomes over an event table."""
+    if len(events) == 0:
         raise ValidationError("no events to average")
-    return float(np.mean([e.outcome_a * e.outcome_b for e in events]))
+    return float(np.mean(events.outcome_a * events.outcome_b))
 
 
 _GHZ_LABELS = ("xyy", "yxy", "yyx", "xxx")

@@ -406,8 +406,6 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
     try:
         a = _parse_vector(a_text, "--a")
         b = _parse_vector(b_text, "--b")
-        if n < 1:
-            raise ValidationError(f"--n must be at least 1, got {n}")
         events = sample_events(DetectorPair(a, b), n, seed)
     except ValidationError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -415,15 +413,15 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
     empirical = empirical_correlation(events)
     analytic = -a.dot(b)
 
+    orientations = ",".join(_fmt(x) for x in (a.nx, a.ny, a.nz, b.nx, b.ny, b.nz))
+    # The four possible rows, indexed by 2 * (outcome_a < 0) + (outcome_b < 0).
+    rows = [f"{orientations},{oa},{ob}\n" for oa in (1, -1) for ob in (1, -1)]
+
     def write(fh: TextIO) -> None:
         fh.write(f"# seed={seed} n={n}\n")
         fh.write(EVENT_HEADER + "\n")
-        for e in events:
-            fh.write(
-                f"{_fmt(e.a.nx)},{_fmt(e.a.ny)},{_fmt(e.a.nz)},"
-                f"{_fmt(e.b.nx)},{_fmt(e.b.ny)},{_fmt(e.b.nz)},"
-                f"{e.outcome_a},{e.outcome_b}\n"
-            )
+        codes = 2 * (events.outcome_a < 0) + (events.outcome_b < 0)
+        fh.writelines(map(rows.__getitem__, codes.tolist()))
         fh.write(
             f"# summary empirical_correlation={_fmt(empirical)} "
             f"analytic_correlation={_fmt(analytic)}\n"

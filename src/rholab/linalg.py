@@ -115,11 +115,6 @@ def projector(ket) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def is_hermitian(a, atol: float = HERMITIAN_ATOL) -> bool:
-    m = as_square(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
-
-
 def require_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     m = as_square(a)
     dev = float(np.max(np.abs(m - m.conj().T)))

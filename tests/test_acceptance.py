@@ -214,12 +214,10 @@ def test_11_monte_carlo():
     corr = rl.empirical_correlation(events)
     sigma_corr = math.sqrt((1.0 - target**2) / n)
     sigma_marginal = math.sqrt(0.25 / n)
-    freq_a = float(np.mean([e.outcome_a == 1 for e in events]))
-    freq_b = float(np.mean([e.outcome_b == 1 for e in events]))
+    freq_a = float(np.mean(events.outcome_a == 1))
+    freq_b = float(np.mean(events.outcome_b == 1))
     repeat = rl.sample_events(pair, n, seed=42)
-    deterministic = [(e.outcome_a, e.outcome_b) for e in events] == [
-        (e.outcome_a, e.outcome_b) for e in repeat
-    ]
+    deterministic = np.array_equal(events, repeat)
     ok = (
         abs(corr - target) <= 3.0 * sigma_corr
         and abs(freq_a - 0.5) <= 3.0 * sigma_marginal

@@ -189,7 +189,7 @@ class TestChsh:
 class TestSampling:
     def test_aligned_detectors_always_opposite(self):
         events = sample_events(DetectorPair(Z_AXIS, Z_AXIS), 200, seed=5)
-        assert all(e.outcome_a == -e.outcome_b for e in events)
+        assert np.array_equal(events.outcome_a, -events.outcome_b)
 
     def test_joint_law_matches_half_angle(self):
         rng = np.random.default_rng(89)
@@ -215,16 +215,14 @@ class TestSampling:
         assert abs(corr - target) <= 3.0 * sigma_corr
         sigma_marginal = math.sqrt(0.25 / n)
         for side in ("outcome_a", "outcome_b"):
-            frequency = np.mean([getattr(e, side) == 1 for e in events])
+            frequency = np.mean(events[side] == 1)
             assert abs(frequency - 0.5) <= 3.0 * sigma_marginal
 
     def test_seed_determinism(self):
         pair = DetectorPair(Z_AXIS, X_AXIS)
         first = sample_events(pair, 1000, seed=7)
         second = sample_events(pair, 1000, seed=7)
-        assert [(e.outcome_a, e.outcome_b) for e in first] == [
-            (e.outcome_a, e.outcome_b) for e in second
-        ]
+        assert np.array_equal(first, second)
 
     def test_different_seeds_statistically_consistent(self):
         n = 50_000
@@ -234,6 +232,22 @@ class TestSampling:
         target = -pair.a.dot(pair.b)
         sigma = math.sqrt((1.0 - target**2) / n)
         assert abs(c1 - c2) <= 4.0 * sigma * math.sqrt(2.0)
+
+    def test_event_table(self):
+        n = 1000
+        events = sample_events(DetectorPair(Z_AXIS, X_AXIS), n, seed=3)
+        assert len(events) == n
+        for side in ("outcome_a", "outcome_b"):
+            column = events[side]
+            assert column.dtype == np.int8
+            assert set(np.unique(column).tolist()) == {-1, 1}
+        assert not events.flags.writeable
+        with pytest.raises(ValueError):
+            events.outcome_a[0] = 0
+        product = events.outcome_a.astype(float) * events.outcome_b
+        assert empirical_correlation(events) == np.mean(product)
+        with pytest.raises(ValidationError):
+            empirical_correlation(events[:0])
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValidationError):
@@ -314,12 +328,6 @@ class TestFilterInequality:
 
 
 class TestDetectorTypes:
-    def test_event_record_validation(self):
-        from rholab import EventRecord
-
-        with pytest.raises(ValidationError):
-            EventRecord(Z_AXIS, X_AXIS, 0, 1)
-
     def test_sigma_n_consistency(self):
         rng = np.random.default_rng(90)
         a = random_unit_vector(rng)

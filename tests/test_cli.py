@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rholab.cli
-from rholab import LindbladGenerator
+from rholab import DetectorPair, LindbladGenerator, UnitVector3, joint_outcome_probabilities
 from rholab.cli import main, load_scenario, trajectory_rows, ScenarioError
 from conftest import time_limit
 
@@ -31,6 +31,30 @@ def write_scenario(path, **overrides):
     base.update(overrides)
     path.write_text(json.dumps(base))
     return path
+
+
+def reference_event_file(a_text, b_text, n, seed):
+    """The event CSV of `rholab sample`, drawn as the sampler does and written
+    one row at a time with six %.17g orientation formats per row."""
+    a = UnitVector3(*(float(x) for x in a_text.split(",")))
+    b = UnitVector3(*(float(x) for x in b_text.split(",")))
+    probs = np.clip(joint_outcome_probabilities(DetectorPair(a, b)).reshape(-1), 0.0, None)
+    probs = probs / probs.sum()
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.choice(4, size=n, p=probs)
+    outcomes = [(1 - 2 * (d // 2), 1 - 2 * (d % 2)) for d in draws.tolist()]
+    lines = [f"# seed={seed} n={n}\n", "a_x,a_y,a_z,b_x,b_y,b_z,outcome_a,outcome_b\n"]
+    for oa, ob in outcomes:
+        lines.append(
+            f"{a.nx:.17g},{a.ny:.17g},{a.nz:.17g},{b.nx:.17g},{b.ny:.17g},{b.nz:.17g},"
+            f"{oa},{ob}\n"
+        )
+    empirical = float(np.mean([oa * ob for oa, ob in outcomes]))
+    lines.append(
+        f"# summary empirical_correlation={empirical:.17g} "
+        f"analytic_correlation={-a.dot(b):.17g}\n"
+    )
+    return "".join(lines)
 
 
 def read_rows(path):
@@ -326,6 +350,37 @@ class TestSample:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "cap" in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_non_positive_n_rejected(self, tmp_path, capsys, n):
+        out = tmp_path / "x.csv"
+        code = main(["sample", "--a", "0,0,1", "--b", "0,0,1", "--n", str(n), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("0,0,1", "0.6,0,0.8"),
+            ("1,0,0", "0,0,1"),
+            ("-0.48,0.6,0.64", "0.36,-0.8,0.48"),
+        ],
+    )
+    def test_matches_reference_writer(self, tmp_path, seed, a, b):
+        out = tmp_path / "events.csv"
+        n = 2000
+        code = main(["sample", f"--a={a}", f"--b={b}", "--n", str(n), "--seed", str(seed),
+                     "--out", str(out)])
+        assert code == 0
+        # Line by line, so a mismatch reports its line instead of diffing the file.
+        got = out.read_bytes().decode().splitlines(keepends=True)
+        want = reference_event_file(a, b, n, seed).splitlines(keepends=True)
+        assert len(got) == len(want)
+        for number, (line, expected) in enumerate(zip(got, want), 1):
+            assert line == expected, f"line {number}"
 
     def test_unwritable_output(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
