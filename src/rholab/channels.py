@@ -50,15 +50,17 @@ _NEGLIGIBLE_EIGENVALUE = 1e-12
 TRACE_DRIFT_TOL = 1e-8
 MIN_EIGENVALUE_TOL = 1e-7
 
-# Most integrator steps one trajectory may take.  A finite but huge t_end/dt
-# would otherwise start a run that never finishes and keeps a sample per
-# `sample_every` steps.
+# Most integrator steps one trajectory may take, and most samples it may emit.
+# A finite but huge t_end/dt would otherwise start a run that never finishes,
+# and every sample is held until the run ends (about 0.9 KB at d = 2 and
+# 9.1 KB at d = 16, so near 0.9 GB at the sample cap).
 MAX_STEPS = 10**7
+MAX_SAMPLES = 10**5
 
 # Largest dimension at which the integrator builds the N^2 x N^2 propagator
 # matrix T(dt L).  Above it the same polynomial is applied in operator form:
 # at d = 16, T has 65,536 complex entries (1 MB) and building it peaks near
-# 4.2 MB, about nine times what a whole d = 16 run otherwise holds at once.
+# 5.2 MB, about eleven times what a whole d = 16 run otherwise holds at once.
 PROPAGATOR_MATRIX_MAX_DIM = 8
 
 
@@ -122,13 +124,14 @@ class Superoperator:
         n2 = self.dim * self.dim
         return self.tensor.reshape(n2, n2)
 
-    def is_hermiticity_preserving(self, atol: float = HERMITICITY_PRESERVING_ATOL) -> bool:
+    def is_hermiticity_preserving(self) -> bool:
         m = self.as_matrix()
-        return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+        return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_PRESERVING_ATOL)
 
-    def is_trace_preserving(self, atol: float = 1e-10) -> bool:
+    def is_trace_preserving(self) -> bool:
+        # sum_m M[m,k,m,l] = delta_kl is the completeness condition sum K(dag)K = I.
         contracted = np.einsum("mkml->kl", self.tensor)
-        return bool(np.max(np.abs(contracted - np.eye(self.dim))) <= atol)
+        return bool(np.max(np.abs(contracted - np.eye(self.dim))) <= COMPLETENESS_ATOL)
 
 
 def superop_from_kraus(c: KrausChannel) -> Superoperator:
@@ -249,7 +252,17 @@ class LindbladSample:
     time: float
     state: DensityOperator
     raw_trace: float
-    min_eigenvalue: float
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.state.eigenvalues[0])
+
+
+def _map_matrix(flow: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """The N^2 x N^2 matrix over row-major rho of a linear map that accepts a
+    stack of matrices: column (k, l) is the image of the basis matrix E_kl."""
+    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    return flow(basis).reshape(n * n, n * n).T
 
 
 def _taylor_propagator(g: LindbladGenerator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -257,37 +270,34 @@ def _taylor_propagator(g: LindbladGenerator, dt: float) -> Callable[[np.ndarray]
     evaluated by Horner as I + A(I + A/2 (I + A/3 (I + A/4))).
 
     For a time-independent generator this is exactly the polynomial one
-    classical RK4 step evaluates.  Up to PROPAGATOR_MATRIX_MAX_DIM the matrix
-    T is built once and each step is one matvec on row-major rho; above it
-    each step applies the generator four times and builds no N^2 x N^2 array.
+    classical RK4 step evaluates.  A step applies the generator four times; up
+    to PROPAGATOR_MATRIX_MAX_DIM it is tabulated once as the matrix T, and each
+    step is then one matvec on row-major rho.
     """
+
+    def step(rho: np.ndarray) -> np.ndarray:
+        out = rho
+        for k in (4, 3, 2, 1):
+            out = rho + (dt / k) * _apply_generator(g, out)
+        return out
+
     n = g.dim
     if n > PROPAGATOR_MATRIX_MAX_DIM:
-
-        def step(rho: np.ndarray) -> np.ndarray:
-            out = rho
-            for k in (4, 3, 2, 1):
-                out = rho + (dt / k) * _apply_generator(g, out)
-            return out
-
         return step
-
-    a = dt * generator_matrix(g)
-    eye = np.eye(n * n, dtype=complex)
-    t = eye
-    for k in (4, 3, 2, 1):
-        t = eye + (a / k) @ t
+    t = _map_matrix(step, n)
     return lambda rho: (t @ rho.reshape(-1)).reshape(n, n)
 
 
-def step_schedule(t_end: float, dt: float) -> tuple[int, float]:
+def step_schedule(t_end: float, dt: float, sample_every: int) -> tuple[int, float]:
     """Split [0, t_end] into full steps of length dt plus a final shorter step.
 
     Returns (n_full, remainder), where remainder is 0.0 when t_end is a
-    multiple of dt up to rounding.  Raises ValidationError for a dt that is
-    not positive and finite, a t_end that is negative or not finite, or a
-    schedule of more than MAX_STEPS steps.
+    multiple of dt up to rounding.  Raises ValidationError unless dt is
+    positive and finite, t_end non-negative and finite, sample_every at least
+    1, and the schedule within MAX_STEPS steps and MAX_SAMPLES samples.
     """
+    if sample_every < 1:
+        raise ValidationError(f"sample_every must be at least 1, got {sample_every!r}")
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     if not 0.0 <= t_end < math.inf:
@@ -299,8 +309,12 @@ def step_schedule(t_end: float, dt: float) -> tuple[int, float]:
     remainder = t_end - n_full * dt
     if remainder <= 1e-12 * max(1.0, t_end):
         remainder = 0.0
-    if n_full + (remainder > 0.0) > MAX_STEPS:
+    n_steps = n_full + (remainder > 0.0)
+    if n_steps > MAX_STEPS:
         raise ValidationError(f"t_end/dt = {ratio:.6g} exceeds the cap of {MAX_STEPS} steps")
+    n_samples = 1 + -(-n_steps // sample_every)  # step 0, then each emitting step
+    if n_samples > MAX_SAMPLES:
+        raise ValidationError(f"{n_samples} samples exceed the cap of {MAX_SAMPLES} samples")
     return n_full, remainder
 
 
@@ -316,8 +330,8 @@ def evolve_lindblad(
     Each step multiplies rho by T(dt L) = sum_{k<=4} (dt L)^k / k!, which for
     this time-independent generator equals one classical RK4 step; a final
     shorter step reaches t_end when it is not a multiple of dt.  At most
-    MAX_STEPS steps are taken: a longer schedule raises ValidationError
-    before any work starts.
+    MAX_STEPS steps are taken and MAX_SAMPLES samples emitted: a longer
+    schedule raises ValidationError before any work starts.
 
     Every step is hermitized ((rho + rho(dag))/2) and trace-renormalized;
     the per-step trace drift and the smallest eigenvalue at each emitted
@@ -325,9 +339,7 @@ def evolve_lindblad(
     MIN_EIGENVALUE_TOL raises IntegrationError with the offending time.
     Samples are emitted at step 0, every `sample_every` steps, and at t_end.
     """
-    n_full, remainder = step_schedule(t_end, dt)
-    if sample_every < 1:
-        raise ValidationError(f"sample_every must be at least 1, got {sample_every!r}")
+    n_full, remainder = step_schedule(t_end, dt, sample_every)
     if g.dim != d0.dim:
         raise ShapeError(f"generator dimension {g.dim} != density dimension {d0.dim}")
     n_steps = n_full + (remainder > 0.0)
@@ -366,24 +378,12 @@ def _emit_sample(t: float, rho: np.ndarray, raw_trace: float) -> LindbladSample:
         state = DensityOperator(rho, psd_atol=10.0 * MIN_EIGENVALUE_TOL)
     except ValidationError as exc:
         raise IntegrationError(f"emitted state invalid ({exc})", t) from exc
-    return LindbladSample(
-        time=t,
-        state=state,
-        raw_trace=raw_trace,
-        min_eigenvalue=float(state.eigenvalues[0]),
-    )
+    return LindbladSample(time=t, state=state, raw_trace=raw_trace)
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:
-    """The N^2 x N^2 matrix of the generator over row-major flattened rho."""
-    n = g.dim
-    eye = np.eye(n, dtype=complex)
-    h = g.hamiltonian
-    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    mat -= np.kron(g.half_gram, eye) + np.kron(eye, g.half_gram.T)
-    for op in g.jump_ops:
-        mat += np.kron(op, op.conj())
-    return mat
+    """The N^2 x N^2 matrix over row-major rho of the flow `lindblad_apply` evaluates."""
+    return _map_matrix(lambda rho: _apply_generator(g, rho), g.dim)
 
 
 def lindblad_spectrum(g: LindbladGenerator) -> list[tuple[complex, np.ndarray]]:

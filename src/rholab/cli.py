@@ -304,11 +304,11 @@ def load_scenario(path: str) -> Scenario:
     t_end = _finite_number(raw["t_end"], "t_end")
     dt = _finite_number(raw["dt"], "dt")
     sample_every = raw["sample_every"]
-    if not isinstance(sample_every, int) or isinstance(sample_every, bool) or sample_every < 1:
-        raise ScenarioError(f"sample_every must be a positive integer, got {sample_every!r}")
+    if not isinstance(sample_every, int) or isinstance(sample_every, bool):
+        raise ScenarioError(f"sample_every must be an integer, got {sample_every!r}")
 
     try:
-        step_schedule(t_end, dt)
+        step_schedule(t_end, dt, sample_every)
         rho0 = DensityOperator(rho0_matrix)
         generator = LindbladGenerator(hamiltonian, jump_ops)
     except ValueError as exc:

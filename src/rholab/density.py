@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .linalg import (
-    HERMITIAN_ATOL,
     apply_matrix_function,
     hermitian_eig,
     require_basis,
@@ -55,7 +54,7 @@ class DensityOperator:
     __slots__ = ("_matrix", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
-        m = require_hermitian(matrix, atol=HERMITIAN_ATOL)
+        m = require_hermitian(matrix)
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density trace must be 1, got {tr!r}")

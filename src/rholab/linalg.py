@@ -115,10 +115,10 @@ def projector(ket) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def require_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     m = as_square(a)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > atol:
+    if dev > HERMITIAN_ATOL:
         raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
     return m
 
@@ -181,14 +181,14 @@ def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
     vecs[:, q] = s * col_p + c * np.conj(phase) * col_q
 
 
-def hermitian_eig(a, atol: float = HERMITIAN_ATOL) -> HermitianEig:
+def hermitian_eig(a) -> HermitianEig:
     """Eigendecompose a Hermitian matrix by cyclic Jacobi rotations.
 
     Sweeps zero one off-diagonal entry at a time with 2x2 unitary rotations
     until the off-diagonal Frobenius norm drops below 1e-13.  Robust and
     dependency-free at the matrix sizes used here.
     """
-    m = require_hermitian(a, atol=atol)
+    m = require_hermitian(a)
     n = m.shape[0]
     work = (m + m.conj().T) / 2.0
     vecs = np.eye(n, dtype=complex)

@@ -28,7 +28,7 @@ from rholab import (
     von_neumann_entropy,
 )
 from rholab import channels
-from rholab.channels import MAX_STEPS, step_schedule
+from rholab.channels import MAX_SAMPLES, MAX_STEPS, step_schedule
 from conftest import (
     random_density,
     random_hermitian,
@@ -378,23 +378,29 @@ class TestEvolveLindblad:
             with pytest.raises(ValidationError):
                 evolve_lindblad(g, d0, t_end, dt)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
     def test_matches_stagewise_rk4(self, dim, monkeypatch):
-        # Both forms of the propagator, on either side of the size threshold,
-        # and a t_end that leaves a shorter final step.
+        # The step tabulated as T and applied directly, on either side of the
+        # size threshold, and a t_end that leaves a shorter final step.
         rng = np.random.default_rng(150 + dim)
         scale = 1.0 / math.sqrt(dim)
         h = scale * random_hermitian(rng, dim)
         jumps = [scale * random_complex(rng, (dim, dim)) for _ in range(2)]
         d0 = random_density(rng, dim)
-        built = []
-        real_matrix = channels.generator_matrix
+        built, generator_built = [], []
+        real_map_matrix, real_generator_matrix = channels._map_matrix, channels.generator_matrix
         monkeypatch.setattr(
-            channels, "generator_matrix", lambda g: built.append(g.dim) or real_matrix(g)
+            channels, "_map_matrix", lambda flow, n: built.append(n) or real_map_matrix(flow, n)
+        )
+        monkeypatch.setattr(
+            channels,
+            "generator_matrix",
+            lambda g: generator_built.append(g.dim) or real_generator_matrix(g),
         )
         samples = evolve_lindblad(LindbladGenerator(h, jumps), d0, 0.105, 0.01, sample_every=4)
         # One T per step length up to d = 8; no N^2 x N^2 array at d = 16.
-        assert len(built) == (0 if dim == 16 else 2)
+        assert built == ([] if dim == 16 else [dim, dim])
+        assert generator_built == []
         expected = rk4_trajectory(h, jumps, d0.matrix, 0.105, 0.01, 4)
         assert [s.time for s in samples] == pytest.approx([t for t, _ in expected], abs=1e-15)
         assert samples[-1].time == pytest.approx(0.105, abs=1e-15)
@@ -402,11 +408,29 @@ class TestEvolveLindblad:
             assert np.max(np.abs(sample.state.matrix - rho)) < 1e-12
 
     def test_step_cap(self):
-        assert step_schedule(MAX_STEPS * 0.5, 0.5) == (MAX_STEPS, 0.0)
+        assert step_schedule(MAX_STEPS * 0.5, 0.5, MAX_STEPS) == (MAX_STEPS, 0.0)
         with pytest.raises(ValidationError, match="cap"):
-            step_schedule((MAX_STEPS + 1) * 0.5, 0.5)
+            step_schedule((MAX_STEPS + 1) * 0.5, 0.5, MAX_STEPS)
         with pytest.raises(ValidationError, match="cap"):
-            step_schedule(MAX_STEPS * 0.5 + 0.25, 0.5)  # the partial step is one too many
+            step_schedule(MAX_STEPS * 0.5 + 0.25, 0.5, MAX_STEPS)  # the partial step is one too many
+
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_sample_cap(self, sample_every):
+        # Step 0 plus MAX_SAMPLES - 1 emitting steps is exactly the cap; one
+        # more step emits one sample too many (at t_end, if not on the cadence).
+        steps = (MAX_SAMPLES - 1) * sample_every
+        assert step_schedule(steps * 0.5, 0.5, sample_every) == (steps, 0.0)
+        with pytest.raises(ValidationError, match="cap"):
+            step_schedule((steps + 1) * 0.5, 0.5, sample_every)
+        with pytest.raises(ValidationError, match="cap"):
+            step_schedule(steps * 0.5 + 0.25, 0.5, sample_every)
+
+    def test_too_many_samples_rejected_before_work(self):
+        # 10^6 steps, within MAX_STEPS, but each one emits a sample.
+        d0 = DensityOperator(projector(KETS.x_plus))
+        with time_limit(5.0):
+            with pytest.raises(ValidationError, match="cap"):
+                evolve_lindblad(dephasing_generator(1.0), d0, 1e4, 0.01, sample_every=1)
 
     def test_huge_step_count_rejected_before_work(self):
         d0 = DensityOperator(projector(KETS.x_plus))
@@ -476,14 +500,15 @@ class TestLindbladSpectrum:
             samples = evolve_lindblad(g, d0, t, 0.0005, sample_every=10**9)
             assert np.max(np.abs(rebuilt - samples[-1].state.matrix)) < 1e-6
 
-    def test_generator_matrix_consistency(self):
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_generator_matrix_consistency(self, dim):
         # Column (i, j) of the matrix is the flow of the basis matrix E_ij,
         # written out as commutator plus dissipator.
         rng = np.random.default_rng(145)
-        h = random_hermitian(rng, 3)
-        jumps = [random_complex(rng, (3, 3)) for _ in range(2)]
+        h = random_hermitian(rng, dim)
+        jumps = [random_complex(rng, (dim, dim)) for _ in range(2)]
         g = LindbladGenerator(h, jumps)
-        explicit = np.column_stack([explicit_flow(h, jumps, e).reshape(-1) for e in basis_matrices(3)])
+        explicit = np.column_stack([explicit_flow(h, jumps, e).reshape(-1) for e in basis_matrices(dim)])
         assert np.max(np.abs(generator_matrix(g) - explicit)) < 1e-12
-        d = random_density(rng, 3)
+        d = random_density(rng, dim)
         assert np.max(np.abs(lindblad_apply(g, d) - explicit_flow(h, jumps, d.matrix))) < 1e-12

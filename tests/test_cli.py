@@ -267,6 +267,16 @@ class TestEvolve:
         with pytest.raises(ScenarioError, match="cap"):
             load_scenario(str(scenario))
 
+    def test_too_many_samples_rejected(self, tmp_path, capsys):
+        # 10^6 steps is within the step cap, but sampling each one is not.
+        scenario = write_scenario(tmp_path / "s.json", t_end=1e4, dt=0.01, sample_every=1)
+        out = tmp_path / "t.csv"
+        with time_limit(10.0):
+            assert main(["evolve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "cap" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["dephasing", "precession", "amplitude_damping"])
     def test_shipped_trajectory_matches_pinned(self, tmp_path, name):
         out = tmp_path / f"{name}.csv"
