@@ -15,7 +15,7 @@ import numpy as np
 
 from .density import DensityOperator
 from .errors import ShapeError, ValidationError
-from .linalg import as_ket, as_square, hermitian_eig, require_basis, require_unit_ket
+from .linalg import as_ket, as_square, hermitian_eig, in_basis, pinch, require_basis, require_unit_ket
 
 # Singular values below this count as zero when deciding Schmidt rank;
 # separates genuine rank from eigensolver noise at this scale.
@@ -203,6 +203,20 @@ def _infer_space(d: DensityOperator, basis_a, basis_b) -> BipartiteSpace:
     return BipartiteSpace(dim_a, d.dim // dim_a)
 
 
+def _pinch_factors(d: DensityOperator, basis_a, basis_b) -> tuple[BipartiteSpace, np.ndarray]:
+    space = _infer_space(d, basis_a, basis_b)
+    ua, mask_a = _factor_frame(basis_a, space.dim_a)
+    ub, mask_b = _factor_frame(basis_b, space.dim_b)
+    return space, pinch(d.matrix, np.kron(ua, ub), np.kron(mask_a, mask_b))
+
+
+def _factor_frame(basis, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis columns and block mask of one factor; no basis is one block."""
+    if basis is None:
+        return np.eye(dim, dtype=complex), np.ones((dim, dim))
+    return require_basis(basis, dim), np.eye(dim)
+
+
 def local_measurement(d: DensityOperator, basis_a=None, basis_b=None) -> DensityOperator:
     """Projective measurement on one or both factors.
 
@@ -210,22 +224,7 @@ def local_measurement(d: DensityOperator, basis_a=None, basis_b=None) -> Density
     means the identity on that factor.  The output is sum R rho R over the
     joint projector set.
     """
-    space = _infer_space(d, basis_a, basis_b)
-    a_projs = _factor_projectors(basis_a, space.dim_a)
-    b_projs = _factor_projectors(basis_b, space.dim_b)
-    out = np.zeros_like(d.matrix)
-    for pa in a_projs:
-        for pb in b_projs:
-            r = np.kron(pa, pb)
-            out += r @ d.matrix @ r
-    return DensityOperator(out)
-
-
-def _factor_projectors(basis, dim: int) -> list[np.ndarray]:
-    if basis is None:
-        return [np.eye(dim, dtype=complex)]
-    b = require_basis(basis, dim)
-    return [np.outer(b[:, m], b[:, m].conj()) for m in range(dim)]
+    return DensityOperator(_pinch_factors(d, basis_a, basis_b)[1])
 
 
 def measurement_probabilities(d: DensityOperator, basis_a, basis_b) -> np.ndarray:
@@ -234,24 +233,16 @@ def measurement_probabilities(d: DensityOperator, basis_a, basis_b) -> np.ndarra
     Both bases must be complete, so the probabilities sum to 1.
     """
     space = _infer_space(d, basis_a, basis_b)
-    ba = require_basis(basis_a, space.dim_a)
-    bb = require_basis(basis_b, space.dim_b)
-    probs = np.empty((space.dim_a, space.dim_b))
-    for m in range(space.dim_a):
-        for n in range(space.dim_b):
-            joint = np.kron(ba[:, m], bb[:, n])
-            probs[m, n] = float(np.vdot(joint, d.matrix @ joint).real)
-    return probs
+    u = np.kron(require_basis(basis_a, space.dim_a), require_basis(basis_b, space.dim_b))
+    return np.diagonal(in_basis(d.matrix, u)).real.reshape(space.dim_a, space.dim_b)
 
 
 def no_signalling_check(d: DensityOperator, basis_a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced b-side density before and after an a-side measurement.
 
     The two returned matrices are equal (to roundoff): a local measurement
-    on a leaves the b observer's density operator unchanged.
+    on a leaves the b observer's density operator unchanged.  Both are plain
+    matrices; no state is built for the measured intermediate.
     """
-    space = _infer_space(d, basis_a, None)
-    before = partial_trace_a(d.matrix, space)
-    measured = local_measurement(d, basis_a=basis_a)
-    after = partial_trace_a(measured.matrix, space)
-    return before, after
+    space, measured = _pinch_factors(d, basis_a, None)
+    return partial_trace_a(d.matrix, space), partial_trace_a(measured, space)

@@ -335,8 +335,8 @@ def evolve_lindblad(
 
     Every step is hermitized ((rho + rho(dag))/2) and trace-renormalized;
     the per-step trace drift and the smallest eigenvalue at each emitted
-    sample are diagnostics, and exceeding ten times TRACE_DRIFT_TOL or
-    MIN_EIGENVALUE_TOL raises IntegrationError with the offending time.
+    sample are diagnostics, and a NaN drift or exceeding ten times
+    TRACE_DRIFT_TOL or MIN_EIGENVALUE_TOL raises IntegrationError at that time.
     Samples are emitted at step 0, every `sample_every` steps, and at t_end.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
@@ -350,21 +350,22 @@ def evolve_lindblad(
     samples = [_emit_sample(0.0, rho, float(np.trace(rho).real))]
     t = 0.0
     cumulative_drift = 0.0
-    for i in range(1, n_steps + 1):
-        step, propagate = (dt, full_step) if i <= n_full else (remainder, last_step)
-        rho = propagate(rho)
-        rho = (rho + rho.conj().T) / 2.0
-        raw_trace = float(np.trace(rho).real)
-        drift = abs(raw_trace - 1.0)
-        cumulative_drift += drift
-        t += step
-        if drift > 10.0 * TRACE_DRIFT_TOL:
-            raise IntegrationError(
-                f"trace drift {drift:.3e} exceeds {10 * TRACE_DRIFT_TOL:.0e}", t
-            )
-        rho = rho / raw_trace
-        if i % sample_every == 0 or i == n_steps:
-            samples.append(_emit_sample(t, rho, raw_trace))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up ends in the drift check
+        for i in range(1, n_steps + 1):
+            step, propagate = (dt, full_step) if i <= n_full else (remainder, last_step)
+            rho = propagate(rho)
+            rho = (rho + rho.conj().T) / 2.0
+            raw_trace = float(np.trace(rho).real)
+            drift = abs(raw_trace - 1.0)
+            cumulative_drift += drift
+            t += step
+            if not drift <= 10.0 * TRACE_DRIFT_TOL:  # also catches NaN
+                raise IntegrationError(
+                    f"trace drift {drift:.3e} exceeds {10 * TRACE_DRIFT_TOL:.0e}", t
+                )
+            rho = rho / raw_trace
+            if i % sample_every == 0 or i == n_steps:
+                samples.append(_emit_sample(t, rho, raw_trace))
     logger.debug(
         "lindblad trajectory: %d steps, cumulative trace correction %.3e",
         n_steps,

@@ -396,10 +396,9 @@ def _parse_vector(text: str, label: str) -> UnitVector3:
     if len(parts) != 3:
         raise ValidationError(f"{label} must be three comma-separated numbers, got {text!r}")
     try:
-        values = [float(p) for p in parts]
-    except ValueError as exc:
+        return UnitVector3(*(float(p) for p in parts))
+    except ValueError as exc:  # unparsable, or not a finite unit vector
         raise ValidationError(f"{label}: {exc}") from exc
-    return UnitVector3(*values)
 
 
 def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) -> int:

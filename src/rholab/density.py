@@ -25,7 +25,9 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .linalg import (
     apply_matrix_function,
+    as_square,
     hermitian_eig,
+    pinch,
     require_basis,
     require_hermitian,
     require_unit_ket,
@@ -95,10 +97,10 @@ class DensityOperator:
 
 
 def _check_weights(weights: np.ndarray) -> None:
-    if np.any(weights < -WEIGHT_ATOL):
-        raise ValidationError("mixture weights must be non-negative")
+    if not np.all(weights >= -WEIGHT_ATOL):
+        raise ValidationError("mixture weights must be non-negative numbers")
     total = float(weights.sum())
-    if abs(total - 1.0) > WEIGHT_ATOL:
+    if not abs(total - 1.0) <= WEIGHT_ATOL:
         raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
 
 
@@ -194,7 +196,7 @@ def remix(g: GramFactor, u) -> ProperMixture:
     the new weights are the squared row norms of u . coeff and the new kets
     the renormalized rows.  Rows with vanishing weight are dropped.
     """
-    u = np.asarray(u, dtype=complex)
+    u = as_square(u)
     k = g.num_terms
     if u.shape != (k, k):
         raise ShapeError(f"unitary must be {k}x{k} for a {k}-term factor, got {u.shape}")
@@ -240,9 +242,4 @@ def measurement_channel(d: DensityOperator, basis) -> DensityOperator:
     equal to the pre-measurement outcome probabilities; the trace is
     preserved and the map is not unitary.
     """
-    b = require_basis(basis, d.dim)
-    out = np.zeros_like(d.matrix)
-    for m in range(b.shape[1]):
-        proj = np.outer(b[:, m], b[:, m].conj())
-        out += proj @ d.matrix @ proj
-    return DensityOperator(out)
+    return DensityOperator(pinch(d.matrix, require_basis(basis, d.dim), np.eye(d.dim)))

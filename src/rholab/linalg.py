@@ -81,6 +81,17 @@ def require_basis(basis, dim: int) -> np.ndarray:
     return b
 
 
+def in_basis(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The matrix u^dag a u of a in the orthonormal basis of u's columns."""
+    return u.conj().T @ a @ u
+
+
+def pinch(a: np.ndarray, u: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_m R_m a R_m over the projectors R_m onto the blocks of u's orthonormal
+    columns that the 0/1 mask marks: u (blocks * u^dag a u) u^dag."""
+    return u @ (blocks * in_basis(a, u)) @ u.conj().T
+
+
 def matmul(a, b) -> np.ndarray:
     """Matrix product a.b."""
     am, bm = as_matrix(a), as_matrix(b)

@@ -50,7 +50,7 @@ class UnitVector3:
 
     def __post_init__(self):
         norm_sq = self.nx**2 + self.ny**2 + self.nz**2
-        if abs(norm_sq - 1.0) > 2.0 * UNIT_ATOL:
+        if not abs(norm_sq - 1.0) <= 2.0 * UNIT_ATOL:  # also rejects NaN
             raise ValidationError(f"not a unit vector: |n|^2 = {norm_sq!r}")
 
     @classmethod

@@ -444,6 +444,14 @@ class TestEvolveLindblad:
             evolve_lindblad(dephasing_generator(1.0), d0, 50.0, 5.0)
         assert info.value.time > 0.0
 
+    def test_non_finite_step_raises_at_that_step(self):
+        # dt = 5 grows the off-diagonals ~291x per step until the trace turns
+        # NaN at step 127; the run stops there, without numpy warnings.
+        d0 = DensityOperator(projector(KETS.x_plus))
+        with pytest.raises(IntegrationError) as info:
+            evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=1000)
+        assert info.value.time == pytest.approx(635.0)
+
 
 class TestLindbladSpectrum:
     def test_trivial_generator(self):

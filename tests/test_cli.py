@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -57,6 +60,20 @@ def reference_event_file(a_text, b_text, n, seed):
     return "".join(lines)
 
 
+def run_cli_process(args):
+    """Run `python -m rholab.cli args` in a child process, which shows numpy
+    warnings on stderr the way a user's terminal does."""
+    # The child imports the same rholab as this process, installed or not.
+    src = str(Path(rholab.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "rholab.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def read_rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -104,19 +121,7 @@ class TestTopLevel:
         assert "demo" in capsys.readouterr().out
 
     def test_module_entry_point(self):
-        import os
-        import subprocess
-        import sys
-
-        # The child imports the same rholab as this process, installed or not.
-        src = str(Path(rholab.cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-m", "rholab.cli", "demo", "chsh"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        result = run_cli_process(["demo", "chsh"])
         assert result.returncode == 0
         assert "overall: PASS" in result.stdout
 
@@ -169,6 +174,18 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "integration failure" in err
         assert "t=" in err
+
+    def test_non_finite_step_exits_3_naming_it(self, tmp_path):
+        # dt = 5 dephasing overflows; the trace turns NaN at step 127 (t = 635)
+        scenario = write_scenario(tmp_path / "s.json", t_end=5000.0, dt=5.0, sample_every=1000)
+        out = tmp_path / "t.csv"
+        result = run_cli_process(["evolve", "--scenario", str(scenario), "--out", str(out)])
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("integration failure: ")
+        assert lines[0].endswith(" at t=635")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["evolve", "--scenario", str(tmp_path / "nope.json"), "--out", "x"]) == 2
@@ -345,6 +362,15 @@ class TestSample:
         )
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_nan_vector_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sample", "--a", "nan,0,1", "--b", "0,0,1", "--n", "10", "--out", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("input error: --a")
+        assert not out.exists()
 
     def test_bad_vector_format(self, tmp_path, capsys):
         code = main(

@@ -116,6 +116,10 @@ class TestMixtureToDensity:
         with pytest.raises(ValidationError):
             ProperMixture([(0.7, KETS.z_plus), (0.7, KETS.z_minus)])
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValidationError):
+            ProperMixture([(math.nan, KETS.z_plus)])
+
     def test_rejects_unnormalized_ket(self):
         with pytest.raises(ValidationError):
             ProperMixture([(1.0, np.array([1.0, 1.0]))])
@@ -225,6 +229,16 @@ class TestRemix:
         g = gram_factor(ProperMixture([(1.0, KETS.z_plus)]), [KETS.z_plus, KETS.z_minus])
         with pytest.raises(ValidationError):
             remix(g, np.array([[2.0]]))
+
+    def test_rejects_non_finite_unitary_up_front(self):
+        g = gram_factor(
+            ProperMixture([(0.5, KETS.z_plus), (0.5, KETS.z_minus)]),
+            [KETS.z_plus, KETS.z_minus],
+        )
+        u = np.eye(2)
+        u[0, 0] = math.nan
+        with pytest.raises(ValidationError, match="matrix entries must be finite"):
+            remix(g, u)
 
     def test_rejects_wrong_shape(self):
         g = gram_factor(

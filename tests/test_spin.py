@@ -55,6 +55,11 @@ class TestUnitVector:
         with pytest.raises(ValidationError):
             UnitVector3(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("coords", [(math.nan, 0.0, 1.0), (0.0, 0.0, math.nan)])
+    def test_rejects_nan(self, coords):
+        with pytest.raises(ValidationError):
+            UnitVector3(*coords)
+
     def test_spherical(self):
         n = UnitVector3.from_spherical(0.7, 1.3)
         assert n.nz == pytest.approx(math.cos(0.7))
