@@ -191,11 +191,17 @@ def overlap_residue(alpha: complex, psi1: BipartiteKet, beta: complex, psi2: Bip
     return closed
 
 
+def _ket_dim(basis) -> int:
+    if len(basis) == 0:
+        raise ValidationError("basis must not be empty")
+    return as_ket(basis[0]).size
+
+
 def _infer_space(d: DensityOperator, basis_a, basis_b) -> BipartiteSpace:
     if basis_a is not None:
-        dim_a = as_ket(basis_a[0]).size
+        dim_a = _ket_dim(basis_a)
     elif basis_b is not None:
-        dim_a = d.dim // as_ket(basis_b[0]).size
+        dim_a = d.dim // _ket_dim(basis_b)
     else:
         raise ValidationError("at least one factor basis is required")
     if dim_a < 1 or d.dim % dim_a != 0:

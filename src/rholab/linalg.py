@@ -8,6 +8,7 @@ Matrices are plain complex128 numpy arrays; kets are 1-D arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,8 +21,8 @@ HERMITIAN_ATOL = 1e-10
 KET_NORM_ATOL = 1e-12
 BASIS_ATOL = 1e-10
 
-# Cyclic Jacobi parameters: off-diagonal Frobenius norm below _JACOBI_OFF_TOL
-# counts as diagonal; matrices here are O(1) and at most 16x16 or so.
+# Round-robin (Brent-Luk) Jacobi, one dense rotation per round: an off-diagonal
+# Frobenius norm below _JACOBI_OFF_TOL counts as diagonal; matrices here are O(1), at most ~16x16.
 _JACOBI_OFF_TOL = 1e-13
 _MAX_SWEEPS = 100
 
@@ -31,15 +32,15 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     return m
 
 
 def as_square(a) -> np.ndarray:
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise ShapeError(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
 
 
@@ -151,70 +152,71 @@ class HermitianEig:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _off_diagonal_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    """Zero work[p, q] with a two-sided unitary rotation; accumulate into vecs."""
-    apq = work[p, q]
-    r = abs(apq)
-    phase = apq / r
-    app = work[p, p].real
-    aqq = work[q, q].real
-    tau = (aqq - app) / (2.0 * r)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # The rotation is J = identity except J[p,p]=c, J[p,q]=s,
-    # J[q,p]=-s*conj(phase), J[q,q]=c*conj(phase); work <- J^dag work J.
-    col_p = work[:, p].copy()
-    col_q = work[:, q].copy()
-    work[:, p] = c * col_p - s * np.conj(phase) * col_q
-    work[:, q] = s * col_p + c * np.conj(phase) * col_q
-    row_p = work[p, :].copy()
-    row_q = work[q, :].copy()
-    work[p, :] = c * row_p - s * phase * row_q
-    work[q, :] = s * row_p + c * phase * row_q
-    work[p, q] = 0.0
-    work[q, p] = 0.0
-    work[p, p] = work[p, p].real
-    work[q, q] = work[q, q].real
-
-    col_p = vecs[:, p].copy()
-    col_q = vecs[:, q].copy()
-    vecs[:, p] = c * col_p - s * np.conj(phase) * col_q
-    vecs[:, q] = s * col_p + c * np.conj(phase) * col_q
+@functools.cache
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Read-only flat-index tables of a Jacobi sweep in dimension n: per round, a (4, pairs) array
+    of the (p, p), (p, q), (q, p), (q, q) entries of disjoint pairs p < q; the upper triangle; the
+    identity.  Circle method: n - 1 rounds, or n for odd n, where a phantom partner n is a bye."""
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [sorted(pq) for pq in zip(ring[: m // 2], ring[::-1]) if max(pq) < n]
+        p, q = np.array(pairs, dtype=int).reshape(-1, 2).T
+        rounds.append(np.stack([p * n + p, p * n + q, q * n + p, q * n + q]))
+        ring.insert(1, ring.pop())
+    upper = np.flatnonzero(np.triu(np.ones((n, n)), 1))
+    identity = np.eye(n, dtype=complex)
+    for t in (*rounds, upper, identity):
+        t.setflags(write=False)
+    return tuple(rounds), upper, identity
 
 
 def hermitian_eig(a) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecompose a Hermitian matrix by round-robin Jacobi rotations.
 
-    Sweeps zero one off-diagonal entry at a time with 2x2 unitary rotations
-    until the off-diagonal Frobenius norm drops below 1e-13.  Robust and
-    dependency-free at the matrix sizes used here.
+    A sweep visits every (p, q) pair once, in rounds of disjoint pairs (the
+    parallel ordering of Brent and Luk, 1985); the 2x2 rotations of a round
+    act together as one dense unitary J, W <- J^dag W J.  Sweeps stop when
+    the off-diagonal Frobenius norm drops below 1e-13.  Dependency-free at
+    the matrix sizes used here; overflow raises ArithmeticError.
     """
     m = require_hermitian(a)
     n = m.shape[0]
-    work = (m + m.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex)
-    if n > 1:
-        skip = _JACOBI_OFF_TOL / (4.0 * n * n)
+    rounds, upper, identity = _round_robin(n)
+    skip = _JACOBI_OFF_TOL / (4.0 * n * n)
+    # Overflow raises as soon as the working matrix or spectrum is not finite; the squared
+    # off-diagonal norm overflows first (entries above ~1e154), so alone it proves nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = (m + m.conj().T) / 2.0
+        vecs = identity
         for _ in range(_MAX_SWEEPS):
-            if _off_diagonal_norm(work) < _JACOBI_OFF_TOL:
+            off = work.take(upper)
+            off2 = 2.0 * np.vdot(off, off).real
+            if off2 < _JACOBI_OFF_TOL**2:
                 break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    if abs(work[p, q]) > skip:
-                        _jacobi_rotate(work, vecs, p, q)
+            if not math.isfinite(off2) and not np.isfinite(work).all():
+                raise ArithmeticError("Jacobi iteration overflowed: the working matrix is not finite")
+            for idx in rounds:
+                pp, pq, _, qq = work.take(idx)
+                r = np.abs(pq)
+                big = r > skip
+                half = (qq.real - pp.real) / 2.0
+                # tan(theta) = g r: the smallest rotation, |theta| <= pi/4; g = 0 under skip.
+                g = np.divide(np.copysign(1.0, half), np.abs(half) + np.hypot(r, half),
+                              out=np.zeros(r.size), where=big)
+                c = 1.0 / np.hypot(1.0, g * r)
+                se = c * g * pq  # sin(theta) times the phase of work[p, q]
+                j = identity.copy()  # 2x2 blocks [[c, se], [-conj(se), c]] at (p, q)
+                np.put(j, idx, np.concatenate((c, se, -se.conj(), c)))
+                work = j.conj().T @ work @ j
+                work.ravel()[idx[1:3, big]] = 0.0  # a product is C-contiguous
+                vecs = vecs @ j
         else:
             raise ArithmeticError("Jacobi iteration failed to converge")
-    eigvals = np.diag(work).real.copy()
+    eigvals = np.diag(work).real
+    if not np.isfinite(eigvals).all():
+        raise ArithmeticError("Jacobi iteration overflowed: the eigenvalues are not finite")
     order = np.argsort(eigvals, kind="stable")
     return HermitianEig(eigvals[order], vecs[:, order])
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rholab import (
+    DensityOperator,
     DomainError,
     ShapeError,
     ValidationError,
@@ -20,7 +21,36 @@ from rholab import (
     spin_one_set,
     trace,
 )
-from conftest import random_hermitian, random_complex, random_ket, random_unit_vector
+from rholab import linalg
+from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
+
+
+def _eig_cases() -> dict[str, np.ndarray]:
+    """Random Hermitian matrices and degenerate or clustered spectra."""
+    rng = np.random.default_rng(21)
+    cases = {f"random-{n}": random_hermitian(rng, n) for n in (*range(2, 17), 24, 32)}
+    spin = spin_one_set()
+    ghz = np.zeros(8)
+    ghz[[0, 7]] = 1.0 / math.sqrt(2.0)
+    clustered = np.linspace(0.0, 1.0, 16)
+    clustered[1] = clustered[0] + 1e-9
+    clustered[3] = clustered[2] + 1e-12
+    u = random_unitary(rng, 16)
+    cases.update({
+        "identity-16": np.eye(16),
+        "spin-one-sx": spin.sx,
+        "spin-one-sx2": spin.sx2,
+        "xxx": kron(kron(pauli("x"), pauli("x")), pauli("x")),
+        "ghz-projector-x-I2": kron(np.outer(ghz, ghz), np.eye(2)),
+        "rank-one-16": projector(random_ket(rng, 16)),
+        "clustered-16": (u * clustered) @ u.conj().T,
+        # Its squared off-diagonal norm overflows; the matrix does not.
+        "random-8-times-1e200": 1e200 * random_hermitian(rng, 8),
+    })
+    return cases
+
+
+EIG_CASES = _eig_cases()
 
 
 def hand_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,24 +199,53 @@ class TestHermitianEig:
         assert np.allclose(eig.eigenvalues, [0.0, 1.0, 1.0], atol=1e-13)
 
     def test_reconstruction(self):
-        rng = np.random.default_rng(19)
-        for n in range(2, 9):
-            a = random_hermitian(rng, n)
-            assert np.max(np.abs(hermitian_eig(a).reconstruct() - a)) < 1e-10
+        for name, a in EIG_CASES.items():
+            scale = max(1.0, np.linalg.norm(a, 2))
+            assert np.max(np.abs(hermitian_eig(a).reconstruct() - a)) < 1e-12 * scale, name
 
     def test_orthonormal_eigenvectors(self):
-        rng = np.random.default_rng(20)
-        for n in (2, 4, 8):
-            v = hermitian_eig(random_hermitian(rng, n)).eigenvectors
-            assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
+        for name, a in EIG_CASES.items():
+            v = hermitian_eig(a).eigenvectors
+            assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) < 1e-12, name
 
     def test_matches_lapack(self):
-        rng = np.random.default_rng(21)
-        for n in (2, 3, 5, 8, 16):
-            a = random_hermitian(rng, n)
-            assert np.allclose(
-                hermitian_eig(a).eigenvalues, np.linalg.eigvalsh(a), atol=1e-11
-            )
+        for name, a in EIG_CASES.items():
+            scale = max(1.0, np.linalg.norm(a, 2))
+            err = np.max(np.abs(hermitian_eig(a).eigenvalues - np.linalg.eigvalsh(a)))
+            assert err < 1e-13 * scale, name
+
+    def test_converges_within_ten_sweeps(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 10)
+        for a in EIG_CASES.values():
+            hermitian_eig(a)
+
+    def test_one_sweep_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            hermitian_eig(random_hermitian(np.random.default_rng(26), 8))
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_round_robin_covers_every_pair_once(self, n):
+        rounds, upper, _ = linalg._round_robin(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for idx in rounds:
+            p, q = np.divmod(idx[1], n)
+            assert np.all(p < q)
+            assert np.unique(np.concatenate([p, q])).size == 2 * p.size  # disjoint
+            assert np.array_equal(idx, [p * n + p, p * n + q, q * n + p, q * n + q])
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert np.array_equal(upper, sorted(p * n + q for p, q in seen))
+
+    @pytest.mark.parametrize("a", [[[1e308, 1e308], [1e308, -1e308]], [[1.5e308]]],
+                             ids=["2x2", "1x1"])
+    def test_overflow_raises_one_arithmetic_error(self, a, monkeypatch):
+        # Raised before a second sweep, with no RuntimeWarning (tier-1 makes
+        # warnings errors) and never as a non-finite spectrum.
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            hermitian_eig(a)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
@@ -204,6 +263,15 @@ class TestHermitianEig:
 
 
 class TestEntryValidation:
+    @pytest.mark.parametrize(
+        "consume",
+        [linalg.require_hermitian, hermitian_eig, lambda m: apply_matrix_function(m, abs), DensityOperator],
+        ids=["require_hermitian", "hermitian_eig", "apply_matrix_function", "DensityOperator"],
+    )
+    def test_rejects_empty_matrix(self, consume):
+        with pytest.raises(ShapeError):
+            consume(np.zeros((0, 0)))
+
     def test_rejects_non_finite_entries(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValidationError):

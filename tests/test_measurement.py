@@ -170,6 +170,11 @@ def test_no_signalling_check_builds_no_state(monkeypatch):
     ids=["channel", "local_a", "local_b", "probabilities", "no_signalling"],
 )
 class TestBadBases:
+    def test_empty_basis_rejected(self, measure):
+        d = DensityOperator(np.eye(4) / 4)
+        with pytest.raises(ValidationError, match="basis must not be empty"):
+            measure(d, [])
+
     def test_non_orthonormal_basis_rejected(self, measure):
         d = DensityOperator(np.eye(4) / 4)
         skew = [np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)]
