@@ -19,6 +19,7 @@ normal, operators.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ CP_EIGENVALUE_TOL = 1e-9
 # Decomposition eigenvalues below this are numerically zero and yield no Kraus op.
 _NEGLIGIBLE_EIGENVALUE = 1e-12
 
-# Per-step trace drift and per-sample eigenvalue bounds for the integrator;
+# Per-interval trace drift and per-sample eigenvalue bounds for the integrator;
 # exceeding ten times either bound aborts the trajectory.
 TRACE_DRIFT_TOL = 1e-8
 MIN_EIGENVALUE_TOL = 1e-7
@@ -245,8 +246,10 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
 class LindbladSample:
     """One emitted trajectory point.
 
-    raw_trace is the real trace of the step just before renormalization;
-    min_eigenvalue is the smallest eigenvalue of the emitted state.
+    raw_trace is the real trace of the state at the end of the sample
+    interval, after hermitizing and just before renormalization (of its last
+    step if the interval was replayed one step at a time); min_eigenvalue is
+    the smallest eigenvalue of the emitted state.
     """
 
     time: float
@@ -265,27 +268,54 @@ def _map_matrix(flow: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
     return flow(basis).reshape(n * n, n * n).T
 
 
-def _taylor_propagator(g: LindbladGenerator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The step rho -> T(dt L) rho with T(A) = I + A + A^2/2 + A^3/6 + A^4/24,
-    evaluated by Horner as I + A(I + A/2 (I + A/3 (I + A/4))).
+def _taylor_propagator(
+    g: LindbladGenerator, dt: float, remainder: float = 0.0
+) -> Callable[..., np.ndarray]:
+    """The map (rho, full, last) -> T(remainder L)^[last] T(dt L)^full rho,
+    with T(A) = I + A + A^2/2 + A^3/6 + A^4/24 evaluated by Horner as
+    I + A(I + A/2 (I + A/3 (I + A/4))).
 
-    For a time-independent generator this is exactly the polynomial one
+    For a time-independent generator T(dt L) is exactly the polynomial one
     classical RK4 step evaluates.  A step applies the generator four times; up
-    to PROPAGATOR_MATRIX_MAX_DIM it is tabulated once as the matrix T, and each
-    step is then one matvec on row-major rho.
+    to PROPAGATOR_MATRIX_MAX_DIM each step length is tabulated once as the
+    matrix T, and T(remainder L)^[last] T(dt L)^full is then one matvec on
+    row-major rho, its power taken once per distinct `full` by repeated
+    squaring.  Above that size it is `full` (plus `last`) operator-form steps,
+    so no N^2 x N^2 array is built.
     """
 
-    def step(rho: np.ndarray) -> np.ndarray:
-        out = rho
-        for k in (4, 3, 2, 1):
-            out = rho + (dt / k) * _apply_generator(g, out)
-        return out
+    def taylor_step(h: float) -> Callable[[np.ndarray], np.ndarray]:
+        def step(rho: np.ndarray) -> np.ndarray:
+            out = rho
+            for k in (4, 3, 2, 1):
+                out = rho + (h / k) * _apply_generator(g, out)
+            return out
 
+        return step
+
+    full_step, last_step = taylor_step(dt), taylor_step(remainder)
     n = g.dim
     if n > PROPAGATOR_MATRIX_MAX_DIM:
-        return step
-    t = _map_matrix(step, n)
-    return lambda rho: (t @ rho.reshape(-1)).reshape(n, n)
+
+        def propagate(rho: np.ndarray, full: int, last: bool) -> np.ndarray:
+            for _ in range(full):
+                rho = full_step(rho)
+            return last_step(rho) if last else rho
+
+        return propagate
+
+    t_full = _map_matrix(full_step, n)
+    t_last = _map_matrix(last_step, n) if remainder > 0.0 else None
+
+    @functools.cache
+    def power(full: int, last: bool) -> np.ndarray:
+        p = np.linalg.matrix_power(t_full, full)
+        return t_last @ p if last else p
+
+    def propagate(rho: np.ndarray, full: int, last: bool) -> np.ndarray:
+        return (power(full, last) @ rho.reshape(-1)).reshape(n, n)
+
+    return propagate
 
 
 def step_schedule(t_end: float, dt: float, sample_every: int) -> tuple[int, float]:
@@ -333,39 +363,56 @@ def evolve_lindblad(
     MAX_STEPS steps are taken and MAX_SAMPLES samples emitted: a longer
     schedule raises ValidationError before any work starts.
 
-    Every step is hermitized ((rho + rho(dag))/2) and trace-renormalized;
-    the per-step trace drift and the smallest eigenvalue at each emitted
-    sample are diagnostics, and a NaN drift or exceeding ten times
-    TRACE_DRIFT_TOL or MIN_EIGENVALUE_TOL raises IntegrationError at that time.
     Samples are emitted at step 0, every `sample_every` steps, and at t_end.
+    Every generator annihilates the trace and preserves hermiticity, and so
+    does T; the clean-up therefore runs once per sample interval: the
+    interval's steps are applied at once (see `_taylor_propagator`), then the
+    state is hermitized ((rho + rho(dag))/2) and trace-renormalized.  The
+    interval's trace drift and the smallest eigenvalue at each emitted sample
+    are diagnostics.  A NaN drift or one above ten times TRACE_DRIFT_TOL
+    replays the interval one step at a time with the same clean-up after each
+    step, and the first step that fails the check raises IntegrationError at
+    its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at
+    the sample's time.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     if g.dim != d0.dim:
         raise ShapeError(f"generator dimension {g.dim} != density dimension {d0.dim}")
     n_steps = n_full + (remainder > 0.0)
-    full_step = _taylor_propagator(g, dt)
-    last_step = _taylor_propagator(g, remainder) if remainder > 0.0 else full_step
+    propagate = _taylor_propagator(g, dt, remainder)
+    bound = 10.0 * TRACE_DRIFT_TOL
+
+    def advance(rho: np.ndarray, t: float, full: int, last: bool):
+        """Apply `full` steps of dt and, if `last`, the remainder step; then
+        hermitize and renormalize once.  Returns (rho, raw_trace, drift, t)."""
+        rho = propagate(rho, full, last)
+        rho = (rho + rho.conj().T) / 2.0
+        raw_trace = float(np.trace(rho).real)
+        for _ in range(full):  # one dt per step: sample times do not depend on sample_every
+            t += dt
+        if last:
+            t += remainder
+        return rho / raw_trace, raw_trace, abs(raw_trace - 1.0), t
 
     rho = np.array(d0.matrix, dtype=complex)
     samples = [_emit_sample(0.0, rho, float(np.trace(rho).real))]
     t = 0.0
     cumulative_drift = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a blow-up ends in the drift check
-        for i in range(1, n_steps + 1):
-            step, propagate = (dt, full_step) if i <= n_full else (remainder, last_step)
-            rho = propagate(rho)
-            rho = (rho + rho.conj().T) / 2.0
-            raw_trace = float(np.trace(rho).real)
-            drift = abs(raw_trace - 1.0)
+    # A blow-up ends in the drift check; the renormalization before it may divide by 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, n_steps, sample_every):
+            stop = min(start + sample_every, n_steps)
+            full = min(stop, n_full) - start
+            rho_next, raw_trace, drift, t_next = advance(rho, t, full, stop > n_full)
+            if not drift <= bound:  # also catches NaN; replay to find the failing step
+                for i in range(start, stop):  # step i is a full step unless it is the remainder
+                    rho, raw_trace, drift, t = advance(rho, t, int(i < n_full), i >= n_full)
+                    if not drift <= bound:
+                        raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
+            else:
+                rho, t = rho_next, t_next
             cumulative_drift += drift
-            t += step
-            if not drift <= 10.0 * TRACE_DRIFT_TOL:  # also catches NaN
-                raise IntegrationError(
-                    f"trace drift {drift:.3e} exceeds {10 * TRACE_DRIFT_TOL:.0e}", t
-                )
-            rho = rho / raw_trace
-            if i % sample_every == 0 or i == n_steps:
-                samples.append(_emit_sample(t, rho, raw_trace))
+            samples.append(_emit_sample(t, rho, raw_trace))
     logger.debug(
         "lindblad trajectory: %d steps, cumulative trace correction %.3e",
         n_steps,

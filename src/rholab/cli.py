@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass
-from typing import Callable, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -316,8 +316,7 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(rho0, generator, t_end, dt, sample_every)
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
     t: float
     trace_re: float
     purity: float
@@ -380,7 +379,7 @@ def cmd_evolve(scenario_path: str, output_path: str) -> int:
     def write(fh: TextIO) -> None:
         fh.write(TRAJECTORY_HEADER + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     if not _write_output(output_path, write):
         return 2

@@ -129,8 +129,9 @@ def projector(ket) -> np.ndarray:
 
 def require_hermitian(a) -> np.ndarray:
     m = as_square(a)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > HERMITIAN_ATOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit
+        dev = float(np.max(np.abs(m - m.conj().T)))
+    if not dev <= HERMITIAN_ATOL:  # an overflowed (inf or NaN) deviation is non-Hermitian too
         raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
     return m
 

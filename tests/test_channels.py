@@ -378,10 +378,19 @@ class TestEvolveLindblad:
             with pytest.raises(ValidationError):
                 evolve_lindblad(g, d0, t_end, dt)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, 16])
-    def test_matches_stagewise_rk4(self, dim, monkeypatch):
+    @pytest.mark.parametrize(
+        "dim, sample_every",
+        [pytest.param(dim, 4, id=str(dim)) for dim in (1, 2, 3, 4, 8, 16)]
+        + [
+            pytest.param(dim, every, id=f"{dim}-every-{every}")
+            for dim in (1, 2, 8, 16)
+            for every in (1, 10**9)
+        ],
+    )
+    def test_matches_stagewise_rk4(self, dim, sample_every, monkeypatch):
         # The step tabulated as T and applied directly, on either side of the
-        # size threshold, and a t_end that leaves a shorter final step.
+        # size threshold, and a t_end that leaves a shorter final step.  Sample
+        # intervals of one step, of four, and one interval holding every step.
         rng = np.random.default_rng(150 + dim)
         scale = 1.0 / math.sqrt(dim)
         h = scale * random_hermitian(rng, dim)
@@ -397,15 +406,35 @@ class TestEvolveLindblad:
             "generator_matrix",
             lambda g: generator_built.append(g.dim) or real_generator_matrix(g),
         )
-        samples = evolve_lindblad(LindbladGenerator(h, jumps), d0, 0.105, 0.01, sample_every=4)
+        samples = evolve_lindblad(
+            LindbladGenerator(h, jumps), d0, 0.105, 0.01, sample_every=sample_every
+        )
         # One T per step length up to d = 8; no N^2 x N^2 array at d = 16.
         assert built == ([] if dim == 16 else [dim, dim])
         assert generator_built == []
-        expected = rk4_trajectory(h, jumps, d0.matrix, 0.105, 0.01, 4)
+        expected = rk4_trajectory(h, jumps, d0.matrix, 0.105, 0.01, sample_every)
         assert [s.time for s in samples] == pytest.approx([t for t, _ in expected], abs=1e-15)
         assert samples[-1].time == pytest.approx(0.105, abs=1e-15)
         for sample, (_, rho) in zip(samples, expected):
             assert np.max(np.abs(sample.state.matrix - rho)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_one_propagator_application_per_sample_interval(self, dim, monkeypatch):
+        # 0.105 / 0.01 is ten full steps and a shorter one; with sample_every = 4
+        # the intervals hold 4, 4 and 3 steps: three applications, not eleven.
+        rng = np.random.default_rng(160 + dim)
+        g = LindbladGenerator(random_hermitian(rng, dim), [random_complex(rng, (dim, dim))])
+        applied = []
+        real_propagator = channels._taylor_propagator
+
+        def counting_propagator(*args):
+            propagate = real_propagator(*args)
+            return lambda *call: applied.append(call) or propagate(*call)
+
+        monkeypatch.setattr(channels, "_taylor_propagator", counting_propagator)
+        samples = evolve_lindblad(g, random_density(rng, dim), 0.105, 0.01, sample_every=4)
+        assert len(samples) == 4
+        assert len(applied) == 3
 
     def test_step_cap(self):
         assert step_schedule(MAX_STEPS * 0.5, 0.5, MAX_STEPS) == (MAX_STEPS, 0.0)
@@ -451,6 +480,17 @@ class TestEvolveLindblad:
         with pytest.raises(IntegrationError) as info:
             evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=1000)
         assert info.value.time == pytest.approx(635.0)
+
+    def test_blow_up_inside_an_interval_raises_at_that_step(self):
+        # d = 16 takes the operator-form path.  Dephasing the first of four
+        # qubits with dt = 5 turns the trace NaN at step 126, deep inside the
+        # one 200-step interval: the error names t = 630, not t_end.
+        jump = np.kron(pauli("z"), np.eye(8))
+        ket = np.kron(KETS.x_plus, np.eye(8)[0])
+        g = LindbladGenerator(np.zeros((16, 16)), [jump])
+        with pytest.raises(IntegrationError) as info:
+            evolve_lindblad(g, DensityOperator(projector(ket)), 1000.0, 5.0, sample_every=10**9)
+        assert info.value.time == pytest.approx(630.0)
 
 
 class TestLindbladSpectrum:

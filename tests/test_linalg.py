@@ -279,6 +279,17 @@ class TestEntryValidation:
         with pytest.raises(ValidationError):
             trace(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [[[0.0, 1e308], [-1e308, 0.0]], [[0.0, 1e308 + 1e308j], [-1e308 + 1e308j, 0.0]]],
+        ids=["real", "complex"],
+    )
+    def test_overflowing_deviation_is_non_hermitian(self, entries):
+        # A - A^dag overflows to inf: a ValidationError, and no RuntimeWarning
+        # (which tier-1's filterwarnings = error would raise instead).
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            linalg.require_hermitian(np.array(entries))
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             adjoint(np.zeros(3))
