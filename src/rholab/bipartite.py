@@ -131,24 +131,15 @@ def schmidt(k: BipartiteKet) -> SchmidtForm:
     )
 
 
-def _space_for(op: np.ndarray, space: BipartiteSpace) -> np.ndarray:
-    m = as_square(op)
-    if m.shape[0] != space.dim:
-        raise ShapeError(f"operator dimension {m.shape[0]} != {space.dim_a}x{space.dim_b}")
-    return m
-
-
 def partial_trace_b(op, space: BipartiteSpace) -> np.ndarray:
     """Trace out the b factor: (Tr^b op)_{mk} = sum_n op_{(m,n),(k,n)}."""
-    m = _space_for(op, space)
-    blocks = m.reshape(space.dim_a, space.dim_b, space.dim_a, space.dim_b)
+    blocks = as_square(op, space.dim).reshape(space.dim_a, space.dim_b, space.dim_a, space.dim_b)
     return np.einsum("mnkn->mk", blocks)
 
 
 def partial_trace_a(op, space: BipartiteSpace) -> np.ndarray:
     """Trace out the a factor: (Tr^a op)_{nl} = sum_m op_{(m,n),(m,l)}."""
-    m = _space_for(op, space)
-    blocks = m.reshape(space.dim_a, space.dim_b, space.dim_a, space.dim_b)
+    blocks = as_square(op, space.dim).reshape(space.dim_a, space.dim_b, space.dim_a, space.dim_b)
     return np.einsum("mnml->nl", blocks)
 
 

@@ -34,12 +34,19 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .linalg import as_square, hermitian_eig, require_hermitian
+from .linalg import (
+    HERMITIAN_ATOL,
+    as_matrix,
+    as_square,
+    hermitian_eig,
+    max_deviation,
+    require_close,
+    require_hermitian,
+)
 
 logger = logging.getLogger(__name__)
 
 COMPLETENESS_ATOL = 1e-10
-HERMITICITY_PRESERVING_ATOL = 1e-10
 
 # Eigenvalues of a CP map may dip this far below zero from solver noise.
 CP_EIGENVALUE_TOL = 1e-9
@@ -72,18 +79,16 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __init__(self, kraus_ops):
-        ops = tuple(as_square(k) for k in kraus_ops)
+        ops = tuple(kraus_ops)
         if not ops:
             raise ValidationError("a Kraus channel needs at least one operator")
-        dim = ops[0].shape[0]
-        if any(op.shape != (dim, dim) for op in ops):
-            raise ShapeError("all Kraus operators must share one square shape")
-        total = sum(op.conj().T @ op for op in ops)
-        dev = float(np.max(np.abs(total - np.eye(dim))))
-        if dev > COMPLETENESS_ATOL:
-            raise ValidationError(
-                f"incomplete Kraus set: max |sum K(dag)K - I| = {dev:.3e}"
-            )
+        dim = as_square(ops[0]).shape[0]
+        ops = tuple(as_square(k, dim) for k in ops)
+        require_close(
+            lambda: sum(op.conj().T @ op for op in ops) - np.eye(dim),
+            COMPLETENESS_ATOL,
+            "incomplete Kraus set (sum K(dag)K != I)",
+        )
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -91,7 +96,7 @@ class KrausChannel:
         return self.kraus_ops[0].shape[0]
 
     def apply(self, rho) -> np.ndarray:
-        m = as_square(rho)
+        m = as_square(rho, self.dim)
         out = np.zeros_like(m)
         for k in self.kraus_ops:
             out += k @ m @ k.conj().T
@@ -109,16 +114,14 @@ class Superoperator:
         t = np.asarray(tensor, dtype=complex)
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
+        as_matrix(t.reshape(dim * dim, dim * dim))  # entries must be finite
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "tensor", t)
 
     def apply(self, rho) -> np.ndarray:
-        m = as_square(rho)
-        if m.shape[0] != self.dim:
-            raise ShapeError(f"state dimension {m.shape[0]} != superoperator dimension {self.dim}")
-        return np.einsum("mknl,kl->mn", self.tensor, m)
+        return np.einsum("mknl,kl->mn", self.tensor, as_square(rho, self.dim))
 
     def as_matrix(self) -> np.ndarray:
         """The N^2 x N^2 matrix over double indices (m,k) and (n,l)."""
@@ -127,12 +130,12 @@ class Superoperator:
 
     def is_hermiticity_preserving(self) -> bool:
         m = self.as_matrix()
-        return bool(np.max(np.abs(m - m.conj().T)) <= HERMITICITY_PRESERVING_ATOL)
+        return max_deviation(lambda: m - m.conj().T) <= HERMITIAN_ATOL
 
     def is_trace_preserving(self) -> bool:
         # sum_m M[m,k,m,l] = delta_kl is the completeness condition sum K(dag)K = I.
-        contracted = np.einsum("mkml->kl", self.tensor)
-        return bool(np.max(np.abs(contracted - np.eye(self.dim))) <= COMPLETENESS_ATOL)
+        deviation = max_deviation(lambda: np.einsum("mkml->kl", self.tensor) - np.eye(self.dim))
+        return deviation <= COMPLETENESS_ATOL
 
 
 def superop_from_kraus(c: KrausChannel) -> Superoperator:
@@ -163,7 +166,7 @@ class EigenmatrixDecomposition:
         return bool(np.min(self.eigenvalues) >= -CP_EIGENVALUE_TOL)
 
     def apply(self, rho) -> np.ndarray:
-        m = as_square(rho)
+        m = as_square(rho, self.dim)
         out = np.zeros_like(m)
         for lam, e in zip(self.eigenvalues, self.eigenmatrices):
             out += lam * (e @ m @ e.conj().T)
@@ -171,9 +174,11 @@ class EigenmatrixDecomposition:
 
 
 def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
-    """Eigendecompose the flattened superoperator into eigenmatrices."""
-    if not s.is_hermiticity_preserving():
-        raise ValidationError("superoperator does not preserve hermiticity")
+    """Eigendecompose the flattened superoperator into eigenmatrices.
+
+    Raises ValidationError unless the map preserves hermiticity, i.e. its
+    flattened matrix is Hermitian (checked once, by `hermitian_eig`).
+    """
     eig = hermitian_eig(s.as_matrix())
     order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
     values = eig.eigenvalues[order]
@@ -209,9 +214,7 @@ class LindbladGenerator:
 
     def __init__(self, hamiltonian, jump_ops=()):
         h = require_hermitian(hamiltonian)
-        ops = tuple(as_square(op) for op in jump_ops)
-        if any(op.shape != h.shape for op in ops):
-            raise ShapeError("jump operators must match the Hamiltonian dimension")
+        ops = tuple(as_square(op, h.shape[0]) for op in jump_ops)
         half_gram = 0.5 * sum((op.conj().T @ op for op in ops), np.zeros(h.shape, dtype=complex))
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jump_ops", ops)
@@ -237,9 +240,7 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
 
     The output is Hermitian and traceless.
     """
-    if g.dim != d.dim:
-        raise ShapeError(f"generator dimension {g.dim} != density dimension {d.dim}")
-    return _apply_generator(g, np.asarray(d.matrix))
+    return _apply_generator(g, as_square(d.matrix, g.dim))
 
 
 @dataclass(frozen=True)
@@ -376,8 +377,7 @@ def evolve_lindblad(
     the sample's time.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
-    if g.dim != d0.dim:
-        raise ShapeError(f"generator dimension {g.dim} != density dimension {d0.dim}")
+    rho = as_square(d0.matrix, g.dim)
     n_steps = n_full + (remainder > 0.0)
     propagate = _taylor_propagator(g, dt, remainder)
     bound = 10.0 * TRACE_DRIFT_TOL
@@ -394,7 +394,6 @@ def evolve_lindblad(
             t += remainder
         return rho / raw_trace, raw_trace, abs(raw_trace - 1.0), t
 
-    rho = np.array(d0.matrix, dtype=complex)
     samples = [_emit_sample(0.0, rho, float(np.trace(rho).real))]
     t = 0.0
     cumulative_drift = 0.0

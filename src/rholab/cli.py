@@ -325,7 +325,7 @@ class TrajectoryRow(NamedTuple):
     entropy_production: float
 
 
-TRAJECTORY_HEADER = "t,trace_re,purity,entropy_nats,min_eigenvalue,entropy_production"
+TRAJECTORY_HEADER = ",".join(TrajectoryRow._fields)
 
 
 def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:

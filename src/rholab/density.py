@@ -29,6 +29,7 @@ from .linalg import (
     hermitian_eig,
     pinch,
     require_basis,
+    require_close,
     require_hermitian,
     require_unit_ket,
 )
@@ -36,7 +37,6 @@ from .linalg import (
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 WEIGHT_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 
 # Weights below this are physically vacuous and their kets undefined.
 ZERO_WEIGHT_TOL = 1e-14
@@ -56,12 +56,13 @@ class DensityOperator:
     __slots__ = ("_matrix", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
-        m = require_hermitian(matrix)
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"density trace must be 1, got {tr!r}")
+        m = as_square(matrix)
+        require_close(lambda: np.trace(m) - 1.0, TRACE_ATOL, "density trace must be 1")
+        try:
+            eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
+        except ArithmeticError as exc:  # entries near the float limit
+            raise ValidationError(f"density spectrum not computable ({exc})") from exc
         m = (m + m.conj().T) / 2.0
-        eig = hermitian_eig(m)
         min_eig = float(eig.eigenvalues[0])
         if min_eig < -psd_atol:
             raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
@@ -196,13 +197,8 @@ def remix(g: GramFactor, u) -> ProperMixture:
     the new weights are the squared row norms of u . coeff and the new kets
     the renormalized rows.  Rows with vanishing weight are dropped.
     """
-    u = as_square(u)
-    k = g.num_terms
-    if u.shape != (k, k):
-        raise ShapeError(f"unitary must be {k}x{k} for a {k}-term factor, got {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(k))))
-    if dev > UNITARY_ATOL:
-        raise ValidationError(f"matrix is not unitary: max |u^dag u - I| = {dev:.3e}")
+    u = as_square(u, g.num_terms)
+    require_basis(u.T, g.num_terms)  # a unitary's columns are an orthonormal basis
     mixed = u @ g.coeff
     terms = []
     for row in mixed:
@@ -216,9 +212,7 @@ def remix(g: GramFactor, u) -> ProperMixture:
 
 def expectation(d: DensityOperator, obs) -> float:
     """Tr(rho K) for a Hermitian observable K."""
-    k = require_hermitian(obs)
-    if k.shape[0] != d.dim:
-        raise ShapeError(f"observable dimension {k.shape[0]} != density dimension {d.dim}")
+    k = require_hermitian(obs, d.dim)
     return float(np.trace(d.matrix @ k).real)
 
 
@@ -228,9 +222,7 @@ def evolve_unitary(d: DensityOperator, h, t: float) -> DensityOperator:
     Built from the spectral calculus of H, so trace, purity and the full
     spectrum are preserved to roundoff.
     """
-    hm = require_hermitian(h)
-    if hm.shape[0] != d.dim:
-        raise ShapeError(f"hamiltonian dimension {hm.shape[0]} != density dimension {d.dim}")
+    hm = require_hermitian(h, d.dim)
     u = apply_matrix_function(hm, lambda lam: cmath.exp(-1j * lam * t))
     return DensityOperator(u @ d.matrix @ u.conj().T)
 

@@ -15,8 +15,7 @@ import warnings
 import numpy as np
 
 from .density import DensityOperator
-from .errors import ValidationError
-from .linalg import require_hermitian
+from .linalg import as_square, in_basis, require_hermitian
 
 EIGENVALUE_FLOOR = 1e-14
 
@@ -51,25 +50,18 @@ def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:
     Vanishes identically (the trace of a product of Hermitian operators is
     reversal-conjugate), so the returned value is a numerical zero.
     """
-    hm = require_hermitian(h)
-    if hm.shape[0] != d.dim:
-        raise ValidationError(f"hamiltonian dimension {hm.shape[0]} != density dimension {d.dim}")
+    hm = require_hermitian(h, d.dim)
     p, v = _floored_spectrum(d)
     log_rho = (v * np.log(p)) @ v.conj().T
     commutator = hm @ d.matrix - d.matrix @ hm
     return float((1j * np.trace(log_rho @ commutator)).real)
 
 
-def _jump_weights(jump_ops, v: np.ndarray) -> np.ndarray:
+def _jump_weights(ops: list[np.ndarray], v: np.ndarray) -> np.ndarray:
     """Lambda_mn = sum_k |L^k_mn|^2 with L expressed in the eigenbasis of rho."""
-    dim = v.shape[0]
-    lam = np.zeros((dim, dim))
-    for op in jump_ops:
-        m = np.asarray(op, dtype=complex)
-        if m.shape != (dim, dim):
-            raise ValidationError(f"jump operator shape {m.shape} != ({dim}, {dim})")
-        tilde = v.conj().T @ m @ v
-        lam += np.abs(tilde) ** 2
+    lam = np.zeros(v.shape)
+    for m in ops:
+        lam += np.abs(in_basis(m, v)) ** 2
     return lam
 
 
@@ -84,10 +76,9 @@ def entropy_production(d: DensityOperator, jump_ops) -> float:
     Each factor pair has the same sign, hence the non-negativity; this is
     the dissipative entropy rate of the jump part of the Lindblad flow.
     """
-    for op in jump_ops:
-        require_hermitian(op)
+    ops = [require_hermitian(op, d.dim) for op in jump_ops]
     p, v = _floored_spectrum(d)
-    lam = _jump_weights(jump_ops, v)
+    lam = _jump_weights(ops, v)
     log_p = np.log(p)
     dp = p[None, :] - p[:, None]
     dlog = log_p[None, :] - log_p[:, None]
@@ -103,8 +94,9 @@ def jump_entropy_rate(d: DensityOperator, jump_ops) -> float:
     in the eigenbasis of rho.  Reduces to `entropy_production` when every
     jump operator is Hermitian; carries no sign guarantee in general.
     """
+    ops = [as_square(op, d.dim) for op in jump_ops]
     p, v = _floored_spectrum(d)
-    lam = _jump_weights(jump_ops, v)
+    lam = _jump_weights(ops, v)
     log_p = np.log(p)
     dlog = log_p[None, :] - log_p[:, None]
     return float(np.sum(lam * p[None, :] * dlog))

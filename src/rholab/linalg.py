@@ -37,11 +37,31 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_square(a) -> np.ndarray:
+def as_square(a, dim: int | None = None) -> np.ndarray:
+    """Coerce to a non-empty square matrix with finite entries, dim x dim if
+    dim is given: the one check of an operator against a state's dimension."""
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1] or m.size == 0:
-        raise ShapeError(f"expected a non-empty square matrix, got shape {m.shape}")
+    n = m.shape[0]
+    if m.shape[1] != n or n == 0 or dim is not None and n != dim:
+        want = "a non-empty square matrix" if dim is None else f"a {dim}x{dim} matrix"
+        raise ShapeError(f"expected {want}, got shape {m.shape}")
     return m
+
+
+def max_deviation(diff: Callable[[], np.ndarray]) -> float:
+    """max |diff()|, where diff computes the difference from a target, products
+    included.  It runs with overflow and invalid operations silenced: entries
+    near the float limit give an inf or NaN deviation instead of a warning, and
+    a test written `deviation <= atol` fails for both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(diff()).max())
+
+
+def require_close(diff: Callable[[], np.ndarray], atol: float, what: str) -> None:
+    """Raise ValidationError unless max_deviation(diff) <= atol."""
+    dev = max_deviation(diff)
+    if not dev <= atol:  # an overflowed (inf or NaN) deviation fails too
+        raise ValidationError(f"{what}: max deviation {dev:.3e}")
 
 
 def as_ket(v) -> np.ndarray:
@@ -59,9 +79,7 @@ def as_ket(v) -> np.ndarray:
 def require_unit_ket(v, what: str = "ket") -> np.ndarray:
     """Coerce to a ket and require unit norm."""
     k = as_ket(v)
-    norm = float(np.linalg.norm(k))
-    if abs(norm - 1.0) > KET_NORM_ATOL:
-        raise ValidationError(f"{what} not normalized: |k| = {norm!r}")
+    require_close(lambda: np.linalg.norm(k) - 1.0, KET_NORM_ATOL, f"{what} not normalized")
     return k
 
 
@@ -76,9 +94,7 @@ def require_basis(basis, dim: int) -> np.ndarray:
         raise ShapeError(f"basis kets have dimension {b.shape[0]}, expected {dim}")
     if b.shape[1] != dim:
         raise ValidationError(f"basis is incomplete: {b.shape[1]} kets in dimension {dim}")
-    dev = float(np.max(np.abs(b.conj().T @ b - np.eye(dim))))
-    if dev > BASIS_ATOL:
-        raise ValidationError(f"basis is not orthonormal: max deviation {dev:.3e}")
+    require_close(lambda: b.conj().T @ b - np.eye(dim), BASIS_ATOL, "basis is not orthonormal")
     return b
 
 
@@ -127,12 +143,10 @@ def projector(ket) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def require_hermitian(a) -> np.ndarray:
-    m = as_square(a)
-    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit
-        dev = float(np.max(np.abs(m - m.conj().T)))
-    if not dev <= HERMITIAN_ATOL:  # an overflowed (inf or NaN) deviation is non-Hermitian too
-        raise ValidationError(f"matrix is not Hermitian: max |A - A^dag| = {dev:.3e}")
+def require_hermitian(a, dim: int | None = None) -> np.ndarray:
+    """as_square(a, dim), required Hermitian to HERMITIAN_ATOL."""
+    m = as_square(a, dim)
+    require_close(lambda: m - m.conj().T, HERMITIAN_ATOL, "matrix is not Hermitian")
     return m
 
 

@@ -62,6 +62,11 @@ class TestKrausChannel:
         with pytest.raises(ValidationError):
             KrausChannel([0.5 * np.eye(2)])
 
+    def test_overflowing_completeness_rejected(self):
+        # sum K(dag)K overflows to NaN: a ValidationError, with no RuntimeWarning.
+        with pytest.raises(ValidationError, match="incomplete Kraus set"):
+            KrausChannel([1e200 * (1 + 1j) * np.eye(2)])
+
     def test_identity_channel(self):
         ch = KrausChannel([np.eye(3)])
         rng = np.random.default_rng(120)
@@ -78,6 +83,12 @@ class TestKrausChannel:
 
 
 class TestSuperoperator:
+    def test_rejects_non_finite_tensor(self):
+        tensor = superop_from_kraus(KrausChannel([np.eye(2)])).tensor.copy()
+        tensor[0, 1, 0, 1] = math.nan
+        with pytest.raises(ValidationError, match="finite"):
+            Superoperator(2, tensor)
+
     def test_from_kraus_identity(self):
         s = superop_from_kraus(KrausChannel([np.eye(2)]))
         rng = np.random.default_rng(122)

@@ -240,6 +240,15 @@ class TestRemix:
         with pytest.raises(ValidationError, match="matrix entries must be finite"):
             remix(g, u)
 
+    def test_rejects_overflowing_unitary(self):
+        # u^dag u overflows to NaN: rejected as a non-unitary, with no RuntimeWarning.
+        g = gram_factor(
+            ProperMixture([(0.5, KETS.z_plus), (0.5, KETS.z_minus)]),
+            [KETS.z_plus, KETS.z_minus],
+        )
+        with pytest.raises(ValidationError, match="orthonormal"):
+            remix(g, 1e200 * (1 + 1j) * np.eye(2))
+
     def test_rejects_wrong_shape(self):
         g = gram_factor(
             ProperMixture([(0.5, KETS.z_plus), (0.5, KETS.z_minus)]),

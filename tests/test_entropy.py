@@ -135,6 +135,10 @@ class TestEntropyProduction:
             fd = one_sided_entropy_derivative(generator, d, 1e-4)
             assert abs(production - fd) < 1e-5
 
+    def test_rejects_non_finite_jump(self):
+        with pytest.raises(ValidationError, match="finite"):
+            jump_entropy_rate(DensityOperator(np.eye(2) / 2.0), [np.full((2, 2), np.nan)])
+
     def test_rejects_non_hermitian_jump(self):
         rng = np.random.default_rng(112)
         with pytest.raises(ValidationError):

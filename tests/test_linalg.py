@@ -4,25 +4,46 @@ import numpy as np
 import pytest
 
 from rholab import (
+    BipartiteSpace,
     DensityOperator,
     DomainError,
+    KrausChannel,
+    LindbladGenerator,
+    ProperMixture,
     ShapeError,
     ValidationError,
     adjoint,
     apply_matrix_function,
     dyad,
+    eigenmatrix_decompose,
+    entropy_production,
+    entropy_rate_hamiltonian,
+    evolve_lindblad,
+    evolve_unitary,
+    expectation,
+    gram_factor,
     hermitian_eig,
+    jump_entropy_rate,
     kron,
+    lindblad_apply,
     matmul,
+    partial_trace_a,
+    partial_trace_b,
     pauli,
     projector,
+    remix,
     sigma_n,
     spin_half_basis,
     spin_one_set,
+    superop_from_kraus,
     trace,
 )
 from rholab import linalg
 from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
+
+
+# Entries whose squared modulus overflows: |BIG|^2 = 2e400.
+BIG = 1e200 * (1 + 1j)
 
 
 def _eig_cases() -> dict[str, np.ndarray]:
@@ -290,9 +311,62 @@ class TestEntryValidation:
         with pytest.raises(ValidationError, match="not Hermitian"):
             linalg.require_hermitian(np.array(entries))
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: linalg.require_basis([[BIG, BIG], [BIG, -BIG]], 2),
+            lambda: linalg.require_unit_ket([BIG, 1.0]),
+            lambda: DensityOperator(np.diag([1e308, 1e308, -1e308, -1e308, 1.0])),
+            lambda: DensityOperator(np.diag([1e308, -1e308, 1.0])),
+        ],
+        ids=["require_basis", "require_unit_ket", "DensityOperator-trace", "DensityOperator-spectrum"],
+    )
+    def test_overflow_raises_validation_error(self, check):
+        # A check's products (or the hermitized matrix) overflow to inf or NaN: a
+        # ValidationError, and no RuntimeWarning (which filterwarnings = error
+        # would raise instead).
+        with pytest.raises(ValidationError):
+            check()
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             adjoint(np.zeros(3))
+
+
+def _dimension_mismatches():
+    """Every public call that pairs a state with an operator, one of them 2 x 2
+    and the other 3 x 3."""
+    d2, eye3 = DensityOperator(np.eye(2) / 2.0), np.eye(3)
+    d3, g2 = DensityOperator(eye3 / 3.0), LindbladGenerator(np.eye(2))
+    identity = KrausChannel([np.eye(2)])
+    factor = gram_factor(ProperMixture([(0.5, [1, 0]), (0.5, [0, 1])]), np.eye(2))
+    space = BipartiteSpace(2, 1)
+    return {
+        "expectation": lambda: expectation(d2, eye3),
+        "evolve_unitary": lambda: evolve_unitary(d2, eye3, 1.0),
+        "entropy_rate_hamiltonian": lambda: entropy_rate_hamiltonian(d2, eye3),
+        "entropy_production": lambda: entropy_production(d2, [eye3]),
+        "jump_entropy_rate": lambda: jump_entropy_rate(d2, [eye3]),
+        "lindblad_apply": lambda: lindblad_apply(g2, d3),
+        "evolve_lindblad": lambda: evolve_lindblad(g2, d3, 1.0, 0.5),
+        "LindbladGenerator": lambda: LindbladGenerator(np.eye(2), [eye3]),
+        "KrausChannel": lambda: KrausChannel([np.eye(2), eye3]),
+        "KrausChannel.apply": lambda: identity.apply(eye3 / 3.0),
+        "Superoperator.apply": lambda: superop_from_kraus(identity).apply(eye3 / 3.0),
+        "EigenmatrixDecomposition.apply": lambda: eigenmatrix_decompose(
+            superop_from_kraus(identity)
+        ).apply(eye3 / 3.0),
+        "partial_trace_a": lambda: partial_trace_a(eye3, space),
+        "partial_trace_b": lambda: partial_trace_b(eye3, space),
+        "remix": lambda: remix(factor, eye3),
+    }
+
+
+class TestDimensionAgreement:
+    @pytest.mark.parametrize("name", list(_dimension_mismatches()))
+    def test_mismatch_raises_shape_error(self, name):
+        with pytest.raises(ShapeError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+            _dimension_mismatches()[name]()
 
 
 class TestMatrixFunction:
