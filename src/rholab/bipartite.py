@@ -15,7 +15,8 @@ import numpy as np
 
 from .density import DensityOperator
 from .errors import ShapeError, ValidationError
-from .linalg import as_ket, as_square, hermitian_eig, in_basis, pinch, require_basis, require_unit_ket
+from .linalg import (as_ket, as_square, frozen, hermitian_eig, in_basis, max_deviation, pinch,
+                     require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
 # separates genuine rank from eigensolver noise at this scale.
@@ -46,11 +47,7 @@ class BipartiteKet:
     amplitudes: np.ndarray
 
     def __init__(self, space: BipartiteSpace, amplitudes):
-        amps = as_ket(amplitudes)
-        if amps.size != space.dim:
-            raise ShapeError(f"expected {space.dim} amplitudes, got {amps.size}")
-        amps = require_unit_ket(amps, "bipartite ket").copy()
-        amps.setflags(write=False)
+        amps = frozen(require_unit_ket(amplitudes, "bipartite ket", space.dim))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -167,17 +164,16 @@ def overlap_residue(alpha: complex, psi1: BipartiteKet, beta: complex, psi2: Bip
     if psi1.space != psi2.space:
         raise ShapeError("both components must live on the same bipartite space")
     b_overlap = complex(np.vdot(x2, x1))
-    cross = alpha * np.conj(beta) * b_overlap * np.outer(f1, f2.conj())
-    closed = (
-        abs(alpha) ** 2 * np.outer(f1, f1.conj())
-        + abs(beta) ** 2 * np.outer(f2, f2.conj())
-        + cross
-        + cross.conj().T
-    )
+    p1, p2 = np.outer(f1, f1.conj()), np.outer(f2, f2.conj())
 
+    def closed_form() -> np.ndarray:  # |alpha|^2 overflows for |alpha| above ~1e154
+        cross = alpha * np.conj(beta) * b_overlap * np.outer(f1, f2.conj())
+        return np.abs(alpha) ** 2 * p1 + np.abs(beta) ** 2 * p2 + cross + cross.conj().T
+
+    closed = require_finite(closed_form, "reduced matrix of alpha psi1 + beta psi2")
     psi = alpha * psi1.amplitudes + beta * psi2.amplitudes
-    direct = partial_trace_b(np.outer(psi, psi.conj()), psi1.space)
-    if float(np.max(np.abs(closed - direct))) > 1e-11:
+    dev = max_deviation(lambda: closed - partial_trace_b(np.outer(psi, psi.conj()), psi1.space))
+    if not dev <= 1e-11:
         raise ArithmeticError("closed-form reduced matrix disagrees with partial trace")
     return closed
 

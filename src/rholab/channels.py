@@ -38,9 +38,11 @@ from .linalg import (
     HERMITIAN_ATOL,
     as_matrix,
     as_square,
+    frozen,
     hermitian_eig,
     max_deviation,
     require_close,
+    require_finite,
     require_hermitian,
 )
 
@@ -83,7 +85,7 @@ class KrausChannel:
         if not ops:
             raise ValidationError("a Kraus channel needs at least one operator")
         dim = as_square(ops[0]).shape[0]
-        ops = tuple(as_square(k, dim) for k in ops)
+        ops = tuple(frozen(as_square(k, dim)) for k in ops)
         require_close(
             lambda: sum(op.conj().T @ op for op in ops) - np.eye(dim),
             COMPLETENESS_ATOL,
@@ -115,10 +117,8 @@ class Superoperator:
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
         as_matrix(t.reshape(dim * dim, dim * dim))  # entries must be finite
-        t = t.copy()
-        t.setflags(write=False)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "tensor", t)
+        object.__setattr__(self, "tensor", frozen(t))
 
     def apply(self, rho) -> np.ndarray:
         return np.einsum("mknl,kl->mn", self.tensor, as_square(rho, self.dim))
@@ -213,12 +213,15 @@ class LindbladGenerator:
     half_gram: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, hamiltonian, jump_ops=()):
-        h = require_hermitian(hamiltonian)
-        ops = tuple(as_square(op, h.shape[0]) for op in jump_ops)
-        half_gram = 0.5 * sum((op.conj().T @ op for op in ops), np.zeros(h.shape, dtype=complex))
+        h = frozen(require_hermitian(hamiltonian))
+        ops = tuple(frozen(as_square(op, h.shape[0])) for op in jump_ops)
+        half_gram = require_finite(
+            lambda: 0.5 * sum((op.conj().T @ op for op in ops), np.zeros(h.shape, dtype=complex)),
+            "jump operator sum 1/2 L(dag)L",
+        )
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jump_ops", ops)
-        object.__setattr__(self, "half_gram", half_gram)
+        object.__setattr__(self, "half_gram", frozen(half_gram))
 
     @property
     def dim(self) -> int:
@@ -379,7 +382,6 @@ def evolve_lindblad(
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     rho = as_square(d0.matrix, g.dim)
     n_steps = n_full + (remainder > 0.0)
-    propagate = _taylor_propagator(g, dt, remainder)
     bound = 10.0 * TRACE_DRIFT_TOL
 
     def advance(rho: np.ndarray, t: float, full: int, last: bool):
@@ -397,8 +399,10 @@ def evolve_lindblad(
     samples = [_emit_sample(0.0, rho, float(np.trace(rho).real))]
     t = 0.0
     cumulative_drift = 0.0
-    # A blow-up ends in the drift check; the renormalization before it may divide by 0.
+    # A blow-up (of the propagator too) ends in the drift check; the renormalization
+    # before it may divide by 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        propagate = _taylor_propagator(g, dt, remainder)
         for start in range(0, n_steps, sample_every):
             stop = min(start + sample_every, n_steps)
             full = min(stop, n_full) - start

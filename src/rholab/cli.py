@@ -44,6 +44,7 @@ from .density import (
 )
 from .entropy import jump_entropy_rate, von_neumann_entropy
 from .errors import IntegrationError, ValidationError
+from .linalg import frozen
 from .spin import UnitVector3, spin_half_basis, spin_one_set
 
 DEFAULT_SEED = 42
@@ -271,7 +272,7 @@ def _complex_matrix(value, dim: int, where: str) -> np.ndarray:
             raise ScenarioError(f"{where}: row {i} must have {dim} entries")
         for j, entry in enumerate(row):
             out[i, j] = _complex_entry(entry, f"{where}[{i}][{j}]")
-    return out
+    return frozen(out)  # read-only, so the validated values keep it without another copy
 
 
 def load_scenario(path: str) -> Scenario:

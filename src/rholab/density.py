@@ -18,14 +18,17 @@ of rho under this component convention.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .linalg import (
     apply_matrix_function,
+    as_ket,
     as_square,
+    frozen,
     hermitian_eig,
     pinch,
     require_basis,
@@ -44,6 +47,7 @@ ZERO_WEIGHT_TOL = 1e-14
 PURE_PURITY_THRESHOLD = 1.0 - 1e-9
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class DensityOperator:
     """A validated density operator.
 
@@ -53,7 +57,9 @@ class DensityOperator:
     are read-only.
     """
 
-    __slots__ = ("_matrix", "_eigenvalues", "_eigenvectors")
+    matrix: np.ndarray
+    eigenvalues: np.ndarray  # ascending, as computed during validation
+    eigenvectors: np.ndarray  # orthonormal columns matching `eigenvalues`
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
         m = as_square(matrix)
@@ -62,33 +68,16 @@ class DensityOperator:
             eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
         except ArithmeticError as exc:  # entries near the float limit
             raise ValidationError(f"density spectrum not computable ({exc})") from exc
-        m = (m + m.conj().T) / 2.0
         min_eig = float(eig.eigenvalues[0])
         if min_eig < -psd_atol:
             raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
-        for a in (m, eig.eigenvalues, eig.eigenvectors):
-            a.setflags(write=False)
-        self._matrix = m
-        self._eigenvalues = eig.eigenvalues
-        self._eigenvectors = eig.eigenvectors
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
+        object.__setattr__(self, "matrix", frozen((m + m.conj().T) / 2.0))
+        object.__setattr__(self, "eigenvalues", frozen(eig.eigenvalues))
+        object.__setattr__(self, "eigenvectors", frozen(eig.eigenvectors))
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues ascending, as computed during validation."""
-        return self._eigenvalues
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Orthonormal eigenvector columns matching `eigenvalues`."""
-        return self._eigenvectors
+        return self.matrix.shape[0]
 
     def is_pure(self) -> bool:
         return purity(self) > PURE_PURITY_THRESHOLD
@@ -113,19 +102,13 @@ class ProperMixture:
     terms: tuple[tuple[float, np.ndarray], ...]
 
     def __init__(self, terms):
-        cleaned = []
-        dim = None
-        for weight, ket in terms:
-            k = require_unit_ket(ket, "mixture ket")
-            if dim is None:
-                dim = k.size
-            elif k.size != dim:
-                raise ShapeError("all mixture kets must share one dimension")
-            cleaned.append((float(weight), k))
-        if not cleaned:
+        terms = tuple(terms)
+        if not terms:
             raise ValidationError("mixture needs at least one term")
+        dim = as_ket(terms[0][1]).size
+        cleaned = tuple((float(w), frozen(require_unit_ket(k, "mixture ket", dim))) for w, k in terms)
         _check_weights(np.array([w for w, _ in cleaned]))
-        object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "terms", cleaned)
 
     @property
     def dim(self) -> int:
@@ -222,6 +205,8 @@ def evolve_unitary(d: DensityOperator, h, t: float) -> DensityOperator:
     Built from the spectral calculus of H, so trace, purity and the full
     spectrum are preserved to roundoff.
     """
+    if not -math.inf < t < math.inf:
+        raise ValidationError(f"t must be finite, got {t!r}")
     hm = require_hermitian(h, d.dim)
     u = apply_matrix_function(hm, lambda lam: cmath.exp(-1j * lam * t))
     return DensityOperator(u @ d.matrix @ u.conj().T)

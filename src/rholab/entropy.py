@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .density import DensityOperator
-from .linalg import as_square, in_basis, require_hermitian
+from .linalg import as_square, in_basis, require_finite, require_hermitian
 
 EIGENVALUE_FLOOR = 1e-14
 
@@ -78,11 +78,10 @@ def entropy_production(d: DensityOperator, jump_ops) -> float:
     """
     ops = [require_hermitian(op, d.dim) for op in jump_ops]
     p, v = _floored_spectrum(d)
-    lam = _jump_weights(ops, v)
     log_p = np.log(p)
     dp = p[None, :] - p[:, None]
     dlog = log_p[None, :] - log_p[:, None]
-    return float(0.5 * np.sum(lam * dp * dlog))
+    return float(require_finite(lambda: 0.5 * np.sum(_jump_weights(ops, v) * dp * dlog), "entropy rate"))
 
 
 def jump_entropy_rate(d: DensityOperator, jump_ops) -> float:
@@ -96,7 +95,6 @@ def jump_entropy_rate(d: DensityOperator, jump_ops) -> float:
     """
     ops = [as_square(op, d.dim) for op in jump_ops]
     p, v = _floored_spectrum(d)
-    lam = _jump_weights(ops, v)
     log_p = np.log(p)
     dlog = log_p[None, :] - log_p[:, None]
-    return float(np.sum(lam * p[None, :] * dlog))
+    return float(require_finite(lambda: np.sum(_jump_weights(ops, v) * p[None, :] * dlog), "entropy rate"))

@@ -48,6 +48,27 @@ def as_square(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a if it is read-only and owns its memory, else a read-only copy: how a validated
+    value stores an array, so no caller's array aliases it and its checks keep holding."""
+    flags = a.flags
+    if flags.writeable or not flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def require_finite(compute: Callable[[], np.ndarray | float], what: str) -> np.ndarray | float:
+    """compute() with overflow silenced; raise ValidationError unless its result, an
+    array or a real number, is finite (entries near the float limit overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    # math.isfinite: a number per emitted sample (an entropy rate) stays cheap.
+    if not (np.isfinite(out).all() if isinstance(out, np.ndarray) else math.isfinite(out)):
+        raise ValidationError(f"{what} overflows or is not finite")
+    return out
+
+
 def max_deviation(diff: Callable[[], np.ndarray]) -> float:
     """max |diff()|, where diff computes the difference from a target, products
     included.  It runs with overflow and invalid operations silenced: entries
@@ -64,21 +85,23 @@ def require_close(diff: Callable[[], np.ndarray], atol: float, what: str) -> Non
         raise ValidationError(f"{what}: max deviation {dev:.3e}")
 
 
-def as_ket(v) -> np.ndarray:
-    """Coerce to a 1-D complex column of amplitudes."""
+def as_ket(v, dim: int | None = None) -> np.ndarray:
+    """Coerce to a non-empty 1-D complex column of finite amplitudes, dim of
+    them if dim is given: the one check of a ket against a dimension."""
     k = np.asarray(v, dtype=complex)
     if k.ndim == 2 and 1 in k.shape:
         k = k.reshape(-1)
-    if k.ndim != 1 or k.size == 0:
-        raise ShapeError(f"expected a ket (1-D amplitudes), got shape {np.shape(v)}")
-    if not np.all(np.isfinite(k.real)) or not np.all(np.isfinite(k.imag)):
+    if k.ndim != 1 or k.size == 0 or dim is not None and k.size != dim:
+        want = "a ket (1-D amplitudes)" if dim is None else f"a ket of {dim} amplitudes"
+        raise ShapeError(f"expected {want}, got shape {np.shape(v)}")
+    if not np.isfinite(k).all():
         raise ValidationError("ket amplitudes must be finite")
     return k
 
 
-def require_unit_ket(v, what: str = "ket") -> np.ndarray:
-    """Coerce to a ket and require unit norm."""
-    k = as_ket(v)
+def require_unit_ket(v, what: str = "ket", dim: int | None = None) -> np.ndarray:
+    """as_ket(v, dim), required to have unit norm."""
+    k = as_ket(v, dim)
     require_close(lambda: np.linalg.norm(k) - 1.0, KET_NORM_ATOL, f"{what} not normalized")
     return k
 
@@ -86,12 +109,10 @@ def require_unit_ket(v, what: str = "ket") -> np.ndarray:
 def require_basis(basis, dim: int) -> np.ndarray:
     """Stack basis kets as columns and require an orthonormal complete set
     in dimension dim."""
-    kets = [as_ket(k) for k in basis]
+    kets = [as_ket(k, dim) for k in basis]
     if not kets:
         raise ValidationError("basis must not be empty")
     b = np.column_stack(kets)
-    if b.shape[0] != dim:
-        raise ShapeError(f"basis kets have dimension {b.shape[0]}, expected {dim}")
     if b.shape[1] != dim:
         raise ValidationError(f"basis is incomplete: {b.shape[1]} kets in dimension {dim}")
     require_close(lambda: b.conj().T @ b - np.eye(dim), BASIS_ATOL, "basis is not orthonormal")
@@ -178,13 +199,10 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray
     for _ in range(m - 1):
         pairs = [sorted(pq) for pq in zip(ring[: m // 2], ring[::-1]) if max(pq) < n]
         p, q = np.array(pairs, dtype=int).reshape(-1, 2).T
-        rounds.append(np.stack([p * n + p, p * n + q, q * n + p, q * n + q]))
+        rounds.append(frozen(np.stack([p * n + p, p * n + q, q * n + p, q * n + q])))
         ring.insert(1, ring.pop())
     upper = np.flatnonzero(np.triu(np.ones((n, n)), 1))
-    identity = np.eye(n, dtype=complex)
-    for t in (*rounds, upper, identity):
-        t.setflags(write=False)
-    return tuple(rounds), upper, identity
+    return tuple(rounds), frozen(upper), frozen(np.eye(n, dtype=complex))
 
 
 def hermitian_eig(a) -> HermitianEig:

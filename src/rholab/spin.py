@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import hermitian_eig
+from .linalg import frozen, hermitian_eig
 
 UNIT_ATOL = 1e-12
 
@@ -74,11 +74,6 @@ Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class SpinHalfBasis:
     """The six spin-1/2 kets |x+->, |y+->, |z+-> as 1-D amplitude arrays."""
@@ -96,12 +91,12 @@ class SpinHalfBasis:
 
 def spin_half_basis() -> SpinHalfBasis:
     return SpinHalfBasis(
-        x_plus=_readonly(np.array([_SQRT1_2, _SQRT1_2], dtype=complex)),
-        x_minus=_readonly(np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)),
-        y_plus=_readonly(np.array([_SQRT1_2, 1j * _SQRT1_2], dtype=complex)),
-        y_minus=_readonly(np.array([_SQRT1_2, -1j * _SQRT1_2], dtype=complex)),
-        z_plus=_readonly(np.array([1.0, 0.0], dtype=complex)),
-        z_minus=_readonly(np.array([0.0, 1.0], dtype=complex)),
+        x_plus=frozen(np.array([_SQRT1_2, _SQRT1_2], dtype=complex)),
+        x_minus=frozen(np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)),
+        y_plus=frozen(np.array([_SQRT1_2, 1j * _SQRT1_2], dtype=complex)),
+        y_minus=frozen(np.array([_SQRT1_2, -1j * _SQRT1_2], dtype=complex)),
+        z_plus=frozen(np.array([1.0, 0.0], dtype=complex)),
+        z_minus=frozen(np.array([0.0, 1.0], dtype=complex)),
     )
 
 
@@ -174,15 +169,15 @@ def spin_one_set() -> SpinOneSet:
         for k, lam in enumerate(eig.eigenvalues):
             value = int(round(lam))
             v = eig.eigenvectors[:, k]
-            projectors[(axis, value)] = _readonly(np.outer(v, v.conj()))
+            projectors[(axis, value)] = frozen(np.outer(v, v.conj()))
 
     return SpinOneSet(
-        sx=_readonly(sx),
-        sy=_readonly(sy),
-        sz=_readonly(sz),
-        sx2=_readonly(sx @ sx),
-        sy2=_readonly(sy @ sy),
-        sz2=_readonly(sz @ sz),
+        sx=frozen(sx),
+        sy=frozen(sy),
+        sz=frozen(sz),
+        sx2=frozen(sx @ sx),
+        sy2=frozen(sy @ sy),
+        sz2=frozen(sz @ sz),
         projectors=projectors,
     )
 
@@ -194,7 +189,7 @@ def simultaneous_eigenbasis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     permutation of the eigenvalue triple (1, 1, 0).
     """
     return (
-        _readonly(np.array([_SQRT1_2, 0.0, _SQRT1_2], dtype=complex)),
-        _readonly(np.array([0.0, 1.0, 0.0], dtype=complex)),
-        _readonly(np.array([-_SQRT1_2, 0.0, _SQRT1_2], dtype=complex)),
+        frozen(np.array([_SQRT1_2, 0.0, _SQRT1_2], dtype=complex)),
+        frozen(np.array([0.0, 1.0, 0.0], dtype=complex)),
+        frozen(np.array([-_SQRT1_2, 0.0, _SQRT1_2], dtype=complex)),
     )

@@ -187,6 +187,16 @@ class TestEvolve:
         assert lines[0].endswith(" at t=635")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
+    def test_overflowing_propagator_exits_3_without_warnings(self, tmp_path):
+        # 1/2 L(dag)L = 5e199 is finite, but T(dt L) overflows at d = 2 as it is built.
+        big = [[[1e100, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e100, 0.0]]]
+        scenario = write_scenario(tmp_path / "s.json", jump_ops=[big])
+        result = run_cli_process(["evolve", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")])
+        assert result.returncode == 3
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("integration failure: ") and lines[0].endswith(" at t=0.01")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["evolve", "--scenario", str(tmp_path / "nope.json"), "--out", "x"]) == 2
         assert "scenario error" in capsys.readouterr().err
@@ -270,6 +280,16 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert err.startswith("scenario error:") and field in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_jump_operator_rejected(self, tmp_path, capsys):
+        # 1/2 L(dag)L overflows: refused at load time, not a NaN trace drift mid-run.
+        big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e200, 0.0]]]
+        scenario = write_scenario(tmp_path / "s.json", jump_ops=[big])
+        out = tmp_path / "t.csv"
+        assert main(["evolve", "--scenario", str(scenario), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "overflows" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_huge_step_count_rejected(self, tmp_path, capsys):
@@ -458,3 +478,12 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_library_quickstart_runs(capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("2.828427124746")
+    assert lines[1] == "[0.75 0.25]"

@@ -20,6 +20,7 @@ from rholab import (
     remix,
     spin_half_basis,
 )
+from rholab import linalg
 from conftest import (
     random_density,
     random_hermitian,
@@ -326,6 +327,15 @@ class TestEvolveUnitary:
             after = hermitian_eig(out.matrix).eigenvalues
             assert np.max(np.abs(before - after)) < 1e-10
             assert abs(np.trace(out.matrix) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time_before_solving(self, t, monkeypatch):
+        def solve(a):
+            raise AssertionError("the eigensolver ran before t was checked")
+
+        monkeypatch.setattr(linalg, "hermitian_eig", solve)
+        with pytest.raises(ValidationError, match="t must be finite"):
+            evolve_unitary(DensityOperator(np.eye(2) / 2.0), pauli("z"), t)
 
 
 class TestMeasurementChannel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rholab import (
+    BipartiteKet,
     BipartiteSpace,
     DensityOperator,
     DomainError,
@@ -11,6 +12,7 @@ from rholab import (
     LindbladGenerator,
     ProperMixture,
     ShapeError,
+    Superoperator,
     ValidationError,
     adjoint,
     apply_matrix_function,
@@ -27,12 +29,15 @@ from rholab import (
     kron,
     lindblad_apply,
     matmul,
+    overlap_residue,
     partial_trace_a,
     partial_trace_b,
     pauli,
+    product_state,
     projector,
     remix,
     sigma_n,
+    simultaneous_eigenbasis,
     spin_half_basis,
     spin_one_set,
     superop_from_kraus,
@@ -318,8 +323,28 @@ class TestEntryValidation:
             lambda: linalg.require_unit_ket([BIG, 1.0]),
             lambda: DensityOperator(np.diag([1e308, 1e308, -1e308, -1e308, 1.0])),
             lambda: DensityOperator(np.diag([1e308, -1e308, 1.0])),
+            lambda: LindbladGenerator(np.zeros((2, 2)), [1e200 * np.eye(2)]),
+            lambda: entropy_production(DensityOperator(np.diag([0.3, 0.7])), [1e200 * pauli("x")]),
+            lambda: jump_entropy_rate(DensityOperator(np.diag([0.3, 0.7])), [1e200 * pauli("x")]),
+            # |L_mn|^2 = 9e306 is finite, its product with log p_n - log p_m is not.
+            lambda: entropy_production(DensityOperator(np.diag([1e-12, 1 - 1e-12])), [3e153 * pauli("x")]),
+            lambda: jump_entropy_rate(DensityOperator(np.diag([1e-12, 1 - 1e-12])), [3e153 * pauli("x")]),
+            lambda: overlap_residue(
+                1e200, product_state([1, 0], [1, 0]), 1.0, product_state([0, 1], [0, 1])
+            ),
         ],
-        ids=["require_basis", "require_unit_ket", "DensityOperator-trace", "DensityOperator-spectrum"],
+        ids=[
+            "require_basis",
+            "require_unit_ket",
+            "DensityOperator-trace",
+            "DensityOperator-spectrum",
+            "LindbladGenerator-half_gram",
+            "entropy_production",
+            "jump_entropy_rate",
+            "entropy_production-rate",
+            "jump_entropy_rate-rate",
+            "overlap_residue",
+        ],
     )
     def test_overflow_raises_validation_error(self, check):
         # A check's products (or the hermitized matrix) overflow to inf or NaN: a
@@ -367,6 +392,79 @@ class TestDimensionAgreement:
     def test_mismatch_raises_shape_error(self, name):
         with pytest.raises(ShapeError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
             _dimension_mismatches()[name]()
+
+
+def _built_from_caller_arrays():
+    """Every value object that stores arrays, built from writable caller
+    arrays: name -> (the caller's arrays, a build returning the object and the
+    names of its array attributes)."""
+    rho = np.diag([0.25, 0.75]).astype(complex)
+    amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    tensor = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
+    k0, k1 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    kraus = np.eye(2, dtype=complex)
+    h, jump = pauli("x"), np.array([[0, 1], [0, 0]], dtype=complex)
+    return {
+        "DensityOperator": (
+            [rho],
+            lambda: (DensityOperator(rho), ("matrix", "eigenvalues", "eigenvectors")),
+        ),
+        "BipartiteKet": ([amps], lambda: (BipartiteKet(BipartiteSpace(2, 2), amps), ("amplitudes",))),
+        "Superoperator": ([tensor], lambda: (Superoperator(2, tensor), ("tensor",))),
+        "ProperMixture": ([k0, k1], lambda: (ProperMixture([(0.5, k0), (0.5, k1)]), ("kets",))),
+        "KrausChannel": ([kraus], lambda: (KrausChannel([kraus]), ("kraus_ops",))),
+        "LindbladGenerator": (
+            [h, jump],
+            lambda: (LindbladGenerator(h, [jump]), ("hamiltonian", "jump_ops", "half_gram")),
+        ),
+    }
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("name", list(_built_from_caller_arrays()))
+    def test_mutating_caller_arrays_changes_nothing(self, name):
+        caller, build = _built_from_caller_arrays()[name]
+        value, attrs = build()
+        stored = []
+        for attr in attrs:
+            a = getattr(value, attr)
+            stored.extend(a if isinstance(a, tuple) else [a])
+        before = [a.copy() for a in stored]
+        for a in caller:
+            a[...] = 7.0
+        for a, b in zip(stored, before):
+            assert not a.flags.writeable
+            assert np.array_equal(a, b)
+
+    def test_constants_are_read_only(self):
+        spin_one = spin_one_set()
+        rounds, upper, identity = linalg._round_robin(4)
+        arrays = [
+            *spin_half_basis().axis_pair("y"),
+            spin_one.sx,
+            spin_one.sz2,
+            *spin_one.projectors.values(),
+            *simultaneous_eigenbasis(),
+            *rounds,
+            upper,
+            identity,
+        ]
+        assert not any(a.flags.writeable for a in arrays)
+
+
+class TestKetDimension:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ProperMixture([(0.5, [1, 0]), (0.5, [0, 0, 1])]),
+            lambda: BipartiteKet(BipartiteSpace(2, 1), [0, 0, 1]),
+            lambda: gram_factor(ProperMixture([(1.0, [1, 0])]), np.eye(3)),
+        ],
+        ids=["ProperMixture", "BipartiteKet", "gram_factor"],
+    )
+    def test_mismatch_raises_shape_error(self, build):
+        with pytest.raises(ShapeError, match=r"^expected a ket of 2 amplitudes, got shape \(3,\)$"):
+            build()
 
 
 class TestMatrixFunction:
