@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    HermitianEig,
     apply_matrix_function,
     as_ket,
     as_square,
@@ -62,18 +63,8 @@ class DensityOperator:
     eigenvectors: np.ndarray  # orthonormal columns matching `eigenvalues`
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
-        m = as_square(matrix)
-        require_close(lambda: np.trace(m) - 1.0, TRACE_ATOL, "density trace must be 1")
-        try:
-            eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
-        except ArithmeticError as exc:  # entries near the float limit
-            raise ValidationError(f"density spectrum not computable ({exc})") from exc
-        min_eig = float(eig.eigenvalues[0])
-        if min_eig < -psd_atol:
-            raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
-        object.__setattr__(self, "matrix", frozen((m + m.conj().T) / 2.0))
-        object.__setattr__(self, "eigenvalues", frozen(eig.eigenvalues))
-        object.__setattr__(self, "eigenvectors", frozen(eig.eigenvectors))
+        hermitized, eig = _validated(matrix, psd_atol)
+        _keep(self, hermitized, eig.eigenvalues, eig.eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -84,6 +75,61 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
+
+
+def _keep(
+    d: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
+) -> DensityOperator:
+    object.__setattr__(d, "matrix", frozen(matrix))
+    object.__setattr__(d, "eigenvalues", frozen(eigenvalues))
+    object.__setattr__(d, "eigenvectors", frozen(eigenvectors))
+    return d
+
+
+def _validated(matrix, psd_atol: float, stack: bool = False) -> tuple[np.ndarray, HermitianEig]:
+    """The density-operator checks, on one matrix or, with `stack`, on every
+    matrix of a (B, n, n) stack at once: finite entries, unit trace,
+    hermiticity (in `hermitian_eig`), a computable spectrum and the floor
+    -psd_atol on the smallest eigenvalue.  Returns the hermitized matrices,
+    read-only, and their spectra.  A failure raises ValidationError, with
+    DensityOperator's message for one matrix; for a stack the message does
+    not say which matrix failed (`density_stack` does)."""
+    m = as_square(matrix, stack=stack)
+    require_close(lambda: np.trace(m, axis1=-2, axis2=-1) - 1.0, TRACE_ATOL, "density trace must be 1")
+    try:
+        eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
+    except ArithmeticError as exc:  # entries near the float limit
+        raise ValidationError(f"density spectrum not computable ({exc})") from exc
+    min_eig = float(eig.eigenvalues[..., 0].min())
+    if min_eig < -psd_atol:
+        raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
+    hermitized = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    hermitized.setflags(write=False)
+    return hermitized, eig
+
+
+def density_stack(
+    matrices: np.ndarray, psd_atol: float = PSD_ATOL
+) -> tuple[list[DensityOperator], ValidationError | None]:
+    """Validate a (B, n, n) stack of density matrices with one eigensolve.
+
+    Returns the density operators of the matrices before the first invalid
+    one, and that matrix's ValidationError with the message DensityOperator
+    gives it (None when every matrix is valid).  The operators of a valid
+    stack hold read-only views into one hermitized stack and its spectra.
+    """
+    try:
+        hermitized, eig = _validated(matrices, psd_atol, stack=True)
+    except ValidationError:  # find the first invalid matrix: each checked alone
+        states = []
+        for m in matrices:
+            try:
+                states.append(DensityOperator(m, psd_atol))
+            except ValidationError as exc:
+                return states, exc
+        raise
+    arrays = zip(hermitized, eig.eigenvalues, eig.eigenvectors)
+    return [_keep(object.__new__(DensityOperator), *views) for views in arrays], None
 
 
 def _check_weights(weights: np.ndarray) -> None:

@@ -27,32 +27,38 @@ _JACOBI_OFF_TOL = 1e-13
 _MAX_SWEEPS = 100
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex array with finite entries."""
+def as_matrix(a, *, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex array with finite entries; with `stack`, a 3-D
+    stack of such matrices is accepted as well."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        want = "a 2-D matrix or a 3-D stack of them" if stack else "a 2-D matrix"
+        raise ShapeError(f"expected {want}, got ndim={m.ndim}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     return m
 
 
-def as_square(a, dim: int | None = None) -> np.ndarray:
+def as_square(a, dim: int | None = None, *, stack: bool = False) -> np.ndarray:
     """Coerce to a non-empty square matrix with finite entries, dim x dim if
-    dim is given: the one check of an operator against a state's dimension."""
-    m = as_matrix(a)
-    n = m.shape[0]
-    if m.shape[1] != n or n == 0 or dim is not None and n != dim:
+    dim is given: the one check of an operator against a state's dimension.
+    With `stack`, a (B, n, n) stack of such matrices is accepted as well."""
+    m = as_matrix(a, stack=stack)
+    n = m.shape[-1]
+    if m.shape[-2] != n or m.size == 0 or dim is not None and n != dim:
         want = "a non-empty square matrix" if dim is None else f"a {dim}x{dim} matrix"
         raise ShapeError(f"expected {want}, got shape {m.shape}")
     return m
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """a if it is read-only and owns its memory, else a read-only copy: how a validated
-    value stores an array, so no caller's array aliases it and its checks keep holding."""
+    """a if it is read-only and owns its memory, or is a view of a read-only array
+    that does, else a read-only copy: how a validated value stores an array, so no
+    caller's array aliases it and its checks keep holding.  Arrays rholab builds are
+    marked read-only where they are built, and pass without a copy."""
     flags = a.flags
-    if flags.writeable or not flags.owndata:
+    owner = a.base if not flags.owndata and isinstance(a.base, np.ndarray) else a
+    if flags.writeable or owner.flags.writeable or not owner.flags.owndata:
         a = a.copy()
         a.setflags(write=False)
     return a
@@ -164,19 +170,20 @@ def projector(ket) -> np.ndarray:
     return np.outer(k, k.conj())
 
 
-def require_hermitian(a, dim: int | None = None) -> np.ndarray:
-    """as_square(a, dim), required Hermitian to HERMITIAN_ATOL."""
-    m = as_square(a, dim)
-    require_close(lambda: m - m.conj().T, HERMITIAN_ATOL, "matrix is not Hermitian")
+def require_hermitian(a, dim: int | None = None, *, stack: bool = False) -> np.ndarray:
+    """as_square(a, dim, stack=stack), required Hermitian to HERMITIAN_ATOL."""
+    m = as_square(a, dim, stack=stack)
+    require_close(lambda: m - m.conj().swapaxes(-1, -2), HERMITIAN_ATOL, "matrix is not Hermitian")
     return m
 
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Full spectrum of a Hermitian matrix.
+    """Full spectrum of a Hermitian matrix, or of each matrix of a stack.
 
     eigenvalues are real and ascending; eigenvector k is the k-th column of
-    `eigenvectors` and the columns are orthonormal.
+    `eigenvectors` and the columns are orthonormal.  For a (B, n, n) stack
+    both arrays carry the leading stack axis.
     """
 
     eigenvalues: np.ndarray
@@ -185,7 +192,7 @@ class HermitianEig:
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted projectors, sum_v a_v P_v."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @functools.cache
@@ -205,27 +212,58 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray
     return tuple(rounds), frozen(upper), frozen(np.eye(n, dtype=complex))
 
 
+def _stacked(n: int, count: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """_round_robin(n) for a C-contiguous stack of `count` n x n matrices: each flat-index
+    table repeated per matrix and shifted by b n^2 for matrix b, the upper triangle as one
+    row per matrix, and the identity stacked."""
+    rounds, upper, identity = _round_robin(n)
+    shift = n * n * np.arange(count)[:, None]
+    return (tuple((idx[:, None, :] + shift).reshape(4, -1) for idx in rounds),
+            upper + shift, np.repeat(identity[None], count, axis=0))
+
+
 def hermitian_eig(a) -> HermitianEig:
-    """Eigendecompose a Hermitian matrix by round-robin Jacobi rotations.
+    """Eigendecompose a Hermitian matrix, or each matrix of a (B, n, n) stack,
+    by round-robin Jacobi rotations.
 
     A sweep visits every (p, q) pair once, in rounds of disjoint pairs (the
     parallel ordering of Brent and Luk, 1985); the 2x2 rotations of a round
-    act together as one dense unitary J, W <- J^dag W J.  Sweeps stop when
-    the off-diagonal Frobenius norm drops below 1e-13.  Dependency-free at
-    the matrix sizes used here; overflow raises ArithmeticError.
+    act together as one dense unitary J, W <- J^dag W J, and on a stack one
+    batched product rotates every matrix that is still active.  A matrix stops
+    when its off-diagonal Frobenius norm drops below 1e-13, and leaves the
+    stack at that sweep boundary: each matrix gets exactly the rotations it
+    gets alone, so a stack's eigenpairs equal the one-at-a-time ones bit for
+    bit.  Dependency-free at the matrix sizes used here.  Overflow, or no
+    convergence, in any matrix of a stack raises ArithmeticError for the
+    stack.  The returned arrays are read-only and owned by the result.
     """
-    m = require_hermitian(a)
-    n = m.shape[0]
-    rounds, upper, identity = _round_robin(n)
+    m = require_hermitian(a, stack=True)
+    n = m.shape[-1]
+    if m.ndim == 2:
+        rounds, upper, eye = _round_robin(n)
+    else:
+        rounds, upper, eye = _stacked(n, len(m))
+        rest = np.arange(len(m))  # the matrices still rotating
+        values, vectors = np.empty(m.shape[:-1]), np.empty_like(m)
     skip = _JACOBI_OFF_TOL / (4.0 * n * n)
     # Overflow raises as soon as the working matrix or spectrum is not finite; the squared
     # off-diagonal norm overflows first (entries above ~1e154), so alone it proves nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        work = (m + m.conj().T) / 2.0
-        vecs = identity
+        work = (m + m.conj().swapaxes(-1, -2)) / 2.0
+        vecs = eye
         for _ in range(_MAX_SWEEPS):
             off = work.take(upper)
-            off2 = 2.0 * np.vdot(off, off).real
+            if m.ndim == 2:
+                off2 = 2.0 * np.vdot(off, off).real
+            else:  # the matrices that pass the stop test leave at this sweep boundary
+                off2 = 2.0 * np.array([np.vdot(row, row).real for row in off])  # each as if alone
+                done = off2 < _JACOBI_OFF_TOL**2
+                values[rest[done]] = work[done].diagonal(0, -2, -1).real
+                vectors[rest[done]] = vecs[done]
+                rest, work, vecs, off2 = rest[~done], work[~done], vecs[~done], off2[~done]
+                if 0 < rest.size < done.size:
+                    rounds, upper, eye = _stacked(n, rest.size)
+                off2 = off2.max(initial=0.0)  # the stop test and overflow check of those left
             if off2 < _JACOBI_OFF_TOL**2:
                 break
             if not math.isfinite(off2) and not np.isfinite(work).all():
@@ -240,18 +278,26 @@ def hermitian_eig(a) -> HermitianEig:
                               out=np.zeros(r.size), where=big)
                 c = 1.0 / np.hypot(1.0, g * r)
                 se = c * g * pq  # sin(theta) times the phase of work[p, q]
-                j = identity.copy()  # 2x2 blocks [[c, se], [-conj(se), c]] at (p, q)
+                j = eye.copy()  # 2x2 blocks [[c, se], [-conj(se), c]] at (p, q)
                 np.put(j, idx, np.concatenate((c, se, -se.conj(), c)))
-                work = j.conj().T @ work @ j
+                work = j.conj().swapaxes(-1, -2) @ work @ j
                 work.ravel()[idx[1:3, big]] = 0.0  # a product is C-contiguous
                 vecs = vecs @ j
         else:
             raise ArithmeticError("Jacobi iteration failed to converge")
-    eigvals = np.diag(work).real
-    if not np.isfinite(eigvals).all():
+    if m.ndim == 2:
+        values = work.diagonal().real
+        order = np.argsort(values, kind="stable")
+        values, vectors = values[order], vecs.take(order, -1)  # take: a C-ordered copy
+    else:
+        order = np.argsort(values, axis=-1, kind="stable")
+        values = np.take_along_axis(values, order, -1)
+        vectors = np.take_along_axis(vectors, order[:, None, :], -1)
+    if not np.isfinite(values).all():
         raise ArithmeticError("Jacobi iteration overflowed: the eigenvalues are not finite")
-    order = np.argsort(eigvals, kind="stable")
-    return HermitianEig(eigvals[order], vecs[:, order])
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return HermitianEig(values, vectors)
 
 
 def apply_matrix_function(a, f: Callable[[float], complex]) -> np.ndarray:
@@ -261,7 +307,7 @@ def apply_matrix_function(a, f: Callable[[float], complex]) -> np.ndarray:
     are allowed.  If f is undefined or non-finite at an eigenvalue, a
     DomainError is raised.
     """
-    eig = hermitian_eig(a)
+    eig = hermitian_eig(as_square(a))
     values = np.empty(eig.eigenvalues.size, dtype=complex)
     for i, lam in enumerate(eig.eigenvalues):
         try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import frozen, hermitian_eig
+from .linalg import hermitian_eig
 
 UNIT_ATOL = 1e-12
 
@@ -90,14 +90,19 @@ class SpinHalfBasis:
 
 
 def spin_half_basis() -> SpinHalfBasis:
-    return SpinHalfBasis(
-        x_plus=frozen(np.array([_SQRT1_2, _SQRT1_2], dtype=complex)),
-        x_minus=frozen(np.array([_SQRT1_2, -_SQRT1_2], dtype=complex)),
-        y_plus=frozen(np.array([_SQRT1_2, 1j * _SQRT1_2], dtype=complex)),
-        y_minus=frozen(np.array([_SQRT1_2, -1j * _SQRT1_2], dtype=complex)),
-        z_plus=frozen(np.array([1.0, 0.0], dtype=complex)),
-        z_minus=frozen(np.array([0.0, 1.0], dtype=complex)),
+    kets = np.array(
+        [
+            [_SQRT1_2, _SQRT1_2],
+            [_SQRT1_2, -_SQRT1_2],
+            [_SQRT1_2, 1j * _SQRT1_2],
+            [_SQRT1_2, -1j * _SQRT1_2],
+            [1.0, 0.0],
+            [0.0, 1.0],
+        ],
+        dtype=complex,
     )
+    kets.setflags(write=False)  # the kets are read-only views of it
+    return SpinHalfBasis(*kets)
 
 
 def sigma_n(n: UnitVector3) -> np.ndarray:
@@ -169,17 +174,12 @@ def spin_one_set() -> SpinOneSet:
         for k, lam in enumerate(eig.eigenvalues):
             value = int(round(lam))
             v = eig.eigenvectors[:, k]
-            projectors[(axis, value)] = frozen(np.outer(v, v.conj()))
+            projectors[(axis, value)] = np.outer(v, v.conj())
 
-    return SpinOneSet(
-        sx=frozen(sx),
-        sy=frozen(sy),
-        sz=frozen(sz),
-        sx2=frozen(sx @ sx),
-        sy2=frozen(sy @ sy),
-        sz2=frozen(sz @ sz),
-        projectors=projectors,
-    )
+    ops = (sx, sy, sz, sx @ sx, sy @ sy, sz @ sz)
+    for a in (*ops, *projectors.values()):
+        a.setflags(write=False)
+    return SpinOneSet(*ops, projectors=projectors)
 
 
 def simultaneous_eigenbasis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,8 +188,8 @@ def simultaneous_eigenbasis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The squared spin-1 operators commute, and each returned ket carries a
     permutation of the eigenvalue triple (1, 1, 0).
     """
-    return (
-        frozen(np.array([_SQRT1_2, 0.0, _SQRT1_2], dtype=complex)),
-        frozen(np.array([0.0, 1.0, 0.0], dtype=complex)),
-        frozen(np.array([-_SQRT1_2, 0.0, _SQRT1_2], dtype=complex)),
+    kets = np.array(
+        [[_SQRT1_2, 0.0, _SQRT1_2], [0.0, 1.0, 0.0], [-_SQRT1_2, 0.0, _SQRT1_2]], dtype=complex
     )
+    kets.setflags(write=False)  # the kets are read-only views of it
+    return tuple(kets)

@@ -492,6 +492,45 @@ class TestEvolveLindblad:
             evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=1000)
         assert info.value.time == pytest.approx(635.0)
 
+    def test_invalid_emitted_state_raises_at_its_time(self):
+        # dt = 5 multiplies the off-diagonals ~291x per step: the state emitted
+        # at t = 5 has eigenvalue 0.5 - 145.5.
+        d0 = DensityOperator(projector(KETS.x_plus))
+        message = r"^emitted state invalid \(density is not positive: min eigenvalue = -1\.450e\+02\)"
+        with pytest.raises(IntegrationError, match=message + " at t=5$") as info:
+            evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=1)
+        assert info.value.time == 5.0
+
+    def test_invalid_state_wins_over_a_later_drift_failure_in_its_chunk(self, monkeypatch):
+        # Sampled every 100 steps, the state at t = 500 is not positive, the one at
+        # t = 1000 is not finite, and the trace turns NaN at t = 1005, while samples
+        # 0-2 are still pending in the first chunk.
+        assert channels.SAMPLE_CHUNK > 3
+        d0 = DensityOperator(projector(KETS.x_plus))
+
+        def run():
+            return evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=100)
+
+        with pytest.raises(IntegrationError, match="^emitted state invalid .* at t=500$"):
+            run()
+        monkeypatch.setattr(channels, "density_stack", lambda m, psd_atol: ([None] * len(m), None))
+        with pytest.raises(IntegrationError, match="^trace drift nan exceeds 1e-07 at t=1005$"):
+            run()
+
+    def test_first_invalid_state_may_open_the_second_chunk(self):
+        # RK4 with dt = 1.5 multiplies the dephasing coherence by
+        # 1 - 3 + 9/2 - 9/2 + 27/8 = 1.375 per step.  From c0 = 0.5 / 1.375^(C - 1/2),
+        # samples 0 .. C - 1 are positive and sample C, the first of the second
+        # chunk of C, has eigenvalue 0.5 - 0.5 * 1.375^(1/2) = -0.086.
+        chunk, dt = channels.SAMPLE_CHUNK, 1.5
+        c0 = 0.5 / 1.375 ** (chunk - 0.5)
+        d0 = DensityOperator(np.array([[0.5, c0], [c0, 0.5]]))
+        g = dephasing_generator(1.0)
+        assert len(evolve_lindblad(g, d0, (chunk - 1) * dt, dt)) == chunk
+        with pytest.raises(IntegrationError, match=r"min eigenvalue = -8\.630e-02\)") as info:
+            evolve_lindblad(g, d0, (chunk + 3) * dt, dt)
+        assert info.value.time == chunk * dt
+
     def test_blow_up_inside_an_interval_raises_at_that_step(self):
         # d = 16 takes the operator-form path.  Dephasing the first of four
         # qubits with dt = 5 turns the trace NaN at step 126, deep inside the

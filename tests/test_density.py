@@ -21,6 +21,7 @@ from rholab import (
     spin_half_basis,
 )
 from rholab import linalg
+from rholab.density import density_stack
 from conftest import (
     random_density,
     random_hermitian,
@@ -73,6 +74,41 @@ class TestDensityValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValidationError):
             DensityOperator(np.diag([1.5, -0.5]))
+
+
+# 3 x 3 matrices, each failing one density check.
+INVALID = {
+    "non-finite": np.diag([np.nan, 0.5, 0.5]),
+    "trace": np.eye(3) / 2.0,
+    "non-hermitian": np.eye(3) / 3.0 + np.triu(np.full((3, 3), 0.1), 1),
+    "spectrum": np.diag([1.5e308, -1.5e308, 1.0]),  # hermitizing overflows
+    "negative": np.diag([1.2, -0.1, -0.1]),
+}
+
+
+class TestDensityStack:
+    def test_valid_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(27)
+        stack = np.array([random_density(rng, 4).matrix for _ in range(5)])
+        states, error = density_stack(stack)
+        assert error is None and len(states) == 5
+        for d, rho in zip(states, stack):
+            alone = DensityOperator(rho)
+            for attr in ("matrix", "eigenvalues", "eigenvectors"):
+                a = getattr(d, attr)
+                assert np.array_equal(a, getattr(alone, attr))
+                assert not a.flags.writeable and a.base is getattr(states[0], attr).base
+
+    @pytest.mark.parametrize("later", list(INVALID))
+    @pytest.mark.parametrize("first", list(INVALID))
+    def test_reports_the_first_invalid_matrix(self, first, later):
+        valid = np.eye(3) / 3.0
+        stack = np.array([valid, INVALID[first], valid, INVALID[later]], dtype=complex)
+        with pytest.raises(ValidationError) as alone:
+            DensityOperator(stack[1])
+        states, error = density_stack(stack)
+        assert len(states) == 1 and np.array_equal(states[0].matrix, valid)
+        assert type(error) is type(alone.value) and str(error) == str(alone.value)
 
 
 class TestMixtureToDensity:

@@ -26,6 +26,7 @@ from rholab import (
     gram_factor,
     hermitian_eig,
     jump_entropy_rate,
+    kraus_from_decomposition,
     kron,
     lindblad_apply,
     matmul,
@@ -43,7 +44,7 @@ from rholab import (
     superop_from_kraus,
     trace,
 )
-from rholab import linalg
+from rholab import channels, density, linalg
 from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
 
 
@@ -288,6 +289,83 @@ class TestHermitianEig:
                 assert residual < 1e-12
 
 
+class TestStacks:
+    """hermitian_eig and the shape checks on a (B, n, n) stack of matrices."""
+
+    @staticmethod
+    def _eig_stacks() -> dict[int, list[np.ndarray]]:
+        """EIG_CASES grouped by dimension; d = 16 holds identity-16 (no sweep)
+        together with clustered-16."""
+        stacks: dict[int, list[np.ndarray]] = {}
+        for a in EIG_CASES.values():
+            stacks.setdefault(len(a), []).append(np.asarray(a, dtype=complex))
+        return stacks
+
+    def test_stack_matches_one_at_a_time_bitwise(self):
+        for n, mats in self._eig_stacks().items():
+            eig = hermitian_eig(np.array(mats))
+            assert eig.eigenvalues.shape == (len(mats), n)
+            for k, a in enumerate(mats):
+                alone = hermitian_eig(a)
+                assert np.array_equal(eig.eigenvalues[k], alone.eigenvalues), (n, k)
+                assert np.array_equal(eig.eigenvectors[k], alone.eigenvectors), (n, k)
+
+    def test_results_are_read_only_and_owned(self):
+        rng = np.random.default_rng(28)
+        for a in (random_hermitian(rng, 3), np.array([random_hermitian(rng, 3) for _ in range(4)])):
+            eig = hermitian_eig(a)
+            for v in (eig.eigenvalues, eig.eigenvectors):
+                assert not v.flags.writeable and v.flags.owndata
+
+    def test_reconstruction(self):
+        rng = np.random.default_rng(29)
+        stack = np.array([random_hermitian(rng, 5) for _ in range(6)])
+        assert np.max(np.abs(hermitian_eig(stack).reconstruct() - stack)) < 1e-12
+
+    def test_converges_within_ten_sweeps(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 10)
+        for mats in self._eig_stacks().values():
+            hermitian_eig(np.array(mats))
+
+    def test_one_unconverged_matrix_fails_the_stack(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        stack = np.array([np.eye(8), random_hermitian(np.random.default_rng(26), 8), np.eye(8)])
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            hermitian_eig(stack)
+
+    @pytest.mark.parametrize("a", [[[1e308, 1e308], [1e308, -1e308]], [[1.5e308]]], ids=["2x2", "1x1"])
+    def test_one_overflowing_matrix_fails_the_stack(self, a, monkeypatch):
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        benign = np.eye(len(a)) / len(a)
+        with pytest.raises(ArithmeticError, match="overflowed"):
+            hermitian_eig(np.array([benign, a, benign]))
+
+    def test_one_non_hermitian_matrix_fails_the_stack(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
+        with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+            hermitian_eig(stack)
+        with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+            linalg.require_hermitian(stack, stack=True)
+
+    def test_shape_checks_take_a_stack_only_when_asked(self):
+        stack = np.zeros((3, 2, 2))
+        assert linalg.as_square(stack, 2, stack=True).shape == (3, 2, 2)
+        assert linalg.require_hermitian(stack, 2, stack=True).shape == (3, 2, 2)
+        assert linalg.as_square(np.eye(2), 2, stack=True).shape == (2, 2)
+        with pytest.raises(ShapeError, match="expected a 2-D matrix, got ndim=3"):
+            linalg.as_square(stack)
+        with pytest.raises(ShapeError, match=r"expected a 3x3 matrix, got shape \(3, 2, 2\)"):
+            linalg.as_square(stack, 3, stack=True)
+        with pytest.raises(ShapeError, match=r"got shape \(3, 2, 3\)"):
+            linalg.as_square(np.zeros((3, 2, 3)), stack=True)
+        with pytest.raises(ShapeError, match="got ndim=4"):
+            hermitian_eig(np.zeros((1, 3, 2, 2)))
+        with pytest.raises(ShapeError, match=r"non-empty square matrix, got shape \(0, 2, 2\)"):
+            hermitian_eig(np.zeros((0, 2, 2)))
+        with pytest.raises(ValidationError, match="must be finite"):
+            hermitian_eig(np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+
+
 class TestEntryValidation:
     @pytest.mark.parametrize(
         "consume",
@@ -450,6 +528,41 @@ class TestOwnership:
             identity,
         ]
         assert not any(a.flags.writeable for a in arrays)
+
+
+    def test_stores_what_it_builds_without_a_copy(self, monkeypatch):
+        # Arrays rholab builds are marked read-only where they are built, so
+        # storing them through frozen keeps the built array itself.
+        stored = []
+
+        def spy(a):
+            stored.append((a, linalg.frozen(a)))
+            return stored[-1][1]
+
+        for module in (density, channels):
+            monkeypatch.setattr(module, "frozen", spy)
+        rho, h, jump, k0, k1 = (np.array(a, dtype=complex) for a in (
+            np.diag([0.25, 0.75]), pauli("x"), [[0, 1], [0, 0]], np.diag([1.0, 0.6]), [[0, 0.8], [0, 0]]
+        ))
+        for a in (rho, h, jump, k0, k1):
+            a.setflags(write=False)
+        DensityOperator(rho)
+        density.density_stack(np.array([rho, rho]))
+        LindbladGenerator(h, [jump])
+        kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
+        # 3 + 2 x 3 arrays of the density operators, 3 of the generator, 2 caller Kraus
+        # operators, the superoperator's tensor and 2 Kraus operators built from its spectrum.
+        assert len(stored) == 17
+        assert all(np.shares_memory(out, a) for a, out in stored)
+        spin_one = spin_one_set()
+        constants = [
+            *spin_half_basis().axis_pair("x"),
+            spin_one.sy,
+            spin_one.sx2,
+            *spin_one.projectors.values(),
+            *simultaneous_eigenbasis(),
+        ]
+        assert all(linalg.frozen(a) is a for a in constants)
 
 
 class TestKetDimension:
