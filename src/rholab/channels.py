@@ -38,6 +38,7 @@ from .linalg import (
     HERMITIAN_ATOL,
     as_matrix,
     as_square,
+    as_square_stack,
     frozen,
     hermitian_eig,
     max_deviation,
@@ -83,18 +84,18 @@ PROPAGATOR_MATRIX_MAX_DIM = 8
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A channel rho -> sum_k K^k rho K^k(dag) with sum_k K^k(dag) K^k = I."""
+    """A channel rho -> sum_k K^k rho K^k(dag) with sum_k K^k(dag) K^k = I; the
+    Kraus set is kept as one read-only (K, n, n) array."""
 
-    kraus_ops: tuple[np.ndarray, ...]
+    kraus_ops: np.ndarray
 
     def __init__(self, kraus_ops):
-        ops = tuple(kraus_ops)
-        if not ops:
+        ops = kraus_ops if isinstance(kraus_ops, np.ndarray) else list(kraus_ops)
+        if not len(ops):
             raise ValidationError("a Kraus channel needs at least one operator")
-        dim = as_square(ops[0]).shape[0]
-        ops = tuple(frozen(as_square(k, dim)) for k in ops)
+        ops = frozen(as_square_stack(ops))
         require_close(
-            lambda: sum(op.conj().T @ op for op in ops) - np.eye(dim),
+            lambda: (ops.conj().swapaxes(1, 2) @ ops).sum(0) - np.eye(ops.shape[-1]),
             COMPLETENESS_ATOL,
             "incomplete Kraus set (sum K(dag)K != I)",
         )
@@ -102,14 +103,11 @@ class KrausChannel:
 
     @property
     def dim(self) -> int:
-        return self.kraus_ops[0].shape[0]
+        return self.kraus_ops.shape[-1]
 
     def apply(self, rho) -> np.ndarray:
-        m = as_square(rho, self.dim)
-        out = np.zeros_like(m)
-        for k in self.kraus_ops:
-            out += k @ m @ k.conj().T
-        return out
+        k = self.kraus_ops
+        return (k @ as_square(rho, self.dim) @ k.conj().swapaxes(1, 2)).sum(0)
 
 
 @dataclass(frozen=True)
@@ -147,12 +145,10 @@ class Superoperator:
 
 def superop_from_kraus(c: KrausChannel) -> Superoperator:
     """Coefficient tensor M[m,k,n,l] = sum_j K^j_mk conj(K^j_nl)."""
-    n = c.dim
-    tensor = np.zeros((n, n, n, n), dtype=complex)
-    for k in c.kraus_ops:
-        tensor += np.einsum("mk,nl->mknl", k, k.conj())
+    k = c.kraus_ops
+    tensor = np.einsum("jmk,jnl->mknl", k, k.conj())
     tensor.setflags(write=False)  # built here, so the superoperator keeps it without a copy
-    return Superoperator(n, tensor)
+    return Superoperator(c.dim, tensor)
 
 
 @dataclass(frozen=True)
@@ -161,24 +157,26 @@ class EigenmatrixDecomposition:
     hermiticity-preserving superoperator.
 
     Eigenvalues are real and descending; eigenmatrices are orthonormal under
-    Tr(E^k E^l(dag)) = delta_kl.  For a trace-preserving map the eigenvalues
-    sum to the space dimension N.
+    Tr(E^k E^l(dag)) = delta_kl and are kept as one read-only (N^2, N, N) array,
+    E^i = eigenmatrices[i].  For a trace-preserving map the eigenvalues sum to
+    the space dimension N.
     """
 
     dim: int
     eigenvalues: np.ndarray
-    eigenmatrices: tuple[np.ndarray, ...]
+    eigenmatrices: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenmatrices", frozen(as_square_stack(self.eigenmatrices, self.dim)))
 
     @property
     def is_completely_positive(self) -> bool:
         return bool(np.min(self.eigenvalues) >= -CP_EIGENVALUE_TOL)
 
     def apply(self, rho) -> np.ndarray:
-        m = as_square(rho, self.dim)
-        out = np.zeros_like(m)
-        for lam, e in zip(self.eigenvalues, self.eigenmatrices):
-            out += lam * (e @ m @ e.conj().T)
-        return out
+        e = self.eigenmatrices
+        terms = e @ as_square(rho, self.dim) @ e.conj().swapaxes(1, 2)
+        return (self.eigenvalues[:, None, None] * terms).sum(0)
 
 
 def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
@@ -189,9 +187,9 @@ def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
     """
     eig = hermitian_eig(s.as_matrix())
     order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
-    values = eig.eigenvalues[order]
-    matrices = tuple(eig.eigenvectors[:, i].reshape(s.dim, s.dim) for i in order)
-    return EigenmatrixDecomposition(s.dim, values, matrices)
+    matrices = eig.eigenvectors.T[order]  # row i: eigenvector column order[i]
+    matrices.setflags(write=False)  # built here, so the decomposition keeps it without a copy
+    return EigenmatrixDecomposition(s.dim, eig.eigenvalues[order], matrices.reshape(-1, s.dim, s.dim))
 
 
 def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
@@ -201,33 +199,30 @@ def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
         raise NotCompletelyPositiveError(
             f"map is not completely positive: eigenvalue {min_eig:.3e}"
         )
-    ops = []
-    for lam, mat in zip(e.eigenvalues, e.eigenmatrices):
-        if lam > _NEGLIGIBLE_EIGENVALUE:
-            op = math.sqrt(float(lam)) * mat
-            op.setflags(write=False)  # built here, so the channel keeps it without a copy
-            ops.append(op)
+    keep = e.eigenvalues > _NEGLIGIBLE_EIGENVALUE
+    ops = np.sqrt(e.eigenvalues[keep])[:, None, None] * e.eigenmatrices[keep]
+    ops.setflags(write=False)  # built here, so the channel keeps it without a copy
     return KrausChannel(ops)
 
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Generator data: a Hamiltonian and a list of jump operators.
+    """Generator data: a Hamiltonian and a set of jump operators, kept as one
+    read-only (K, n, n) array (shape (0, n, n) when there are none).
 
     half_gram = 1/2 sum_k L^k(dag) L^k is derived once here for the
     anticommutator term of the dissipator.
     """
 
     hamiltonian: np.ndarray
-    jump_ops: tuple[np.ndarray, ...]
+    jump_ops: np.ndarray
     half_gram: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, hamiltonian, jump_ops=()):
         h = frozen(require_hermitian(hamiltonian))
-        ops = tuple(frozen(as_square(op, h.shape[0])) for op in jump_ops)
+        ops = frozen(as_square_stack(jump_ops, h.shape[0]))
         half_gram = require_finite(
-            lambda: 0.5 * sum((op.conj().T @ op for op in ops), np.zeros(h.shape, dtype=complex)),
-            "jump operator sum 1/2 L(dag)L",
+            lambda: 0.5 * (ops.conj().swapaxes(1, 2) @ ops).sum(0), "jump operator sum 1/2 L(dag)L"
         )
         half_gram.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
@@ -240,9 +235,13 @@ class LindbladGenerator:
 
 
 def _apply_generator(g: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    h = g.hamiltonian
+    """The flow on one matrix, or on each matrix of a (B, n, n) stack; either way
+    the jump terms are added one operator after another, in the set's order."""
+    h, ops = g.hamiltonian, g.jump_ops
     out = -1j * (h @ rho - rho @ h) - (g.half_gram @ rho + rho @ g.half_gram)
-    for op in g.jump_ops:
+    if rho.ndim == 2:
+        return np.concatenate((out[None], ops @ rho @ ops.conj().swapaxes(1, 2))).sum(0)
+    for op in ops:  # all at once would hold K stacks: 8 MB for generator_matrix at d = 16, K = 8
         out += op @ rho @ op.conj().T
     return out
 
@@ -480,14 +479,9 @@ def lindblad_spectrum(g: LindbladGenerator) -> list[tuple[complex, np.ndarray]]:
     eigenmatrices, and the spectrum always contains (at least) one zero
     eigenvalue; pairs are returned sorted by descending real part.
     """
-    mat = generator_matrix(g)
-    values, vectors = np.linalg.eig(mat)
-    n = g.dim
-    pairs = []
-    for i in range(values.size):
-        q = vectors[:, i].reshape(n, n)
-        pairs.append((complex(values[i]), q))
-    pairs.sort(key=lambda p: (-p[0].real, -p[0].imag))
+    values, vectors = np.linalg.eig(generator_matrix(g))
+    eigenmatrices = vectors.T.reshape(-1, g.dim, g.dim)  # row i: eigenvector column i
+    pairs = sorted(zip(map(complex, values), eigenmatrices), key=lambda p: (-p[0].real, -p[0].imag))
 
     scale = max(1.0, float(np.max(np.abs(values))))
     for lam, q in pairs:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .linalg import (
     HermitianEig,
     apply_matrix_function,
@@ -177,10 +178,32 @@ def mixture_to_density(m: ProperMixture) -> DensityOperator:
     return DensityOperator(rho)
 
 
-def purity(d: DensityOperator) -> float:
-    """Tr(rho^2); equals 1 exactly for pure states, less for mixtures."""
-    m = d.matrix
-    return float(np.trace(m @ m).real)
+States = DensityOperator | Sequence[DensityOperator]  # one state, or a sequence of them
+
+
+def stacked(d: States, *attrs: str) -> tuple[np.ndarray, ...]:
+    """The named arrays of one density operator, each with a leading axis of
+    length 1, or of a non-empty sequence of density operators of one dimension,
+    each stacked (B, ...): the one input of the per-state kernels."""
+    states = [d] if isinstance(d, DensityOperator) else list(d)
+    if not states or any(s.dim != states[0].dim for s in states):
+        raise ShapeError("expected a non-empty sequence of density operators of one dimension")
+    return tuple(np.array([getattr(s, attr) for s in states]) for attr in attrs)
+
+
+def per_state(d: States, values: np.ndarray) -> float | np.ndarray:
+    """A per-state kernel's (B,) result on `stacked(d, ...)`: a float for one
+    density operator, the array for a sequence of them."""
+    return float(values[0]) if isinstance(d, DensityOperator) else values
+
+
+def purity(d: States) -> float | np.ndarray:
+    """Tr(rho^2); equals 1 exactly for pure states, less for mixtures.
+
+    Of one DensityOperator, a float; of a sequence of them, an array holding
+    each state's value, bit for bit the value it gets alone."""
+    (m,) = stacked(d, "matrix")
+    return per_state(d, np.trace(m @ m, axis1=1, axis2=2).real)
 
 
 @dataclass(frozen=True)

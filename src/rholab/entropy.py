@@ -3,36 +3,37 @@
 All entropies are in nats (natural log).  Eigenvalues at or below
 EIGENVALUE_FLOOR contribute nothing to the entropy (the 0 log 0 = 0
 convention); rate computations floor eigenvalues there before taking logs
-and emit a RuntimeWarning when the input is rank-deficient, since log(rho)
+and emit a RuntimeWarning when an input is rank-deficient, since log(rho)
 is undefined on the kernel.
+
+`von_neumann_entropy`, `entropy_production` and `jump_entropy_rate` take one
+DensityOperator and return a float, or a sequence of them and return an array
+with one value per state.  Both forms run one kernel on the states' stacked
+spectra, and a state's value is the same bit for bit in either form.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
 
-from .density import DensityOperator
-from .linalg import as_square, in_basis, require_finite, require_hermitian
+from .density import DensityOperator, States, per_state, stacked
+from .linalg import as_square_stack, require_finite, require_hermitian
 
 EIGENVALUE_FLOOR = 1e-14
 
 
-def von_neumann_entropy(d: DensityOperator) -> float:
+def von_neumann_entropy(d: States) -> float | np.ndarray:
     """S(rho) = -Tr(rho log rho) = -sum p_i log p_i, in nats."""
-    total = 0.0
-    for p in d.eigenvalues:
-        if p > EIGENVALUE_FLOOR:
-            total -= float(p) * math.log(float(p))
-    return max(total, 0.0)
+    (p,) = stacked(d, "eigenvalues")
+    p = np.where(p > EIGENVALUE_FLOOR, p, 1.0)  # 1 log 1 = 0: the 0 log 0 = 0 convention
+    return per_state(d, np.maximum(0.0 - np.sum(p * np.log(p), axis=-1), 0.0))
 
 
-def _floored_spectrum(d: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (floored for logs) and eigenvector columns of rho, as
-    solved when d was validated."""
-    p = np.maximum(d.eigenvalues, 0.0)
+def _floored(p: np.ndarray) -> np.ndarray:
+    """Eigenvalues floored for logs, with one warning if any of them is floored."""
+    p = np.maximum(p, 0.0)
     if np.any(p <= EIGENVALUE_FLOOR):
         warnings.warn(
             "density is rank-deficient; eigenvalues floored at "
@@ -41,7 +42,7 @@ def _floored_spectrum(d: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
             stacklevel=3,
         )
         p = np.maximum(p, EIGENVALUE_FLOOR)
-    return p, d.eigenvectors
+    return p
 
 
 def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:
@@ -51,21 +52,30 @@ def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:
     reversal-conjugate), so the returned value is a numerical zero.
     """
     hm = require_hermitian(h, d.dim)
-    p, v = _floored_spectrum(d)
+    p, v = _floored(d.eigenvalues), d.eigenvectors
     log_rho = (v * np.log(p)) @ v.conj().T
     commutator = hm @ d.matrix - d.matrix @ hm
     return float((1j * np.trace(log_rho @ commutator)).real)
 
 
-def _jump_weights(ops: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """Lambda_mn = sum_k |L^k_mn|^2 with L expressed in the eigenbasis of rho."""
-    lam = np.zeros(v.shape)
-    for m in ops:
-        lam += np.abs(in_basis(m, v)) ** 2
-    return lam
+def _rate(d: States, ops: np.ndarray, p: np.ndarray, v: np.ndarray, weight) -> float | np.ndarray:
+    """sum_mn Lambda_mn weight(p)_mn (log p_n - log p_m) per state, where
+    Lambda_mn = sum_k |L^k_mn|^2 with L expressed in the eigenbasis of rho,
+    accumulated one operator at a time over the (B, n, n) stack of bases."""
+    log_p = np.log(p)
+    dlog = log_p[:, None, :] - log_p[:, :, None]
+    vh = v.conj().swapaxes(-1, -2)
+
+    def rates() -> np.ndarray:
+        lam = np.zeros(v.shape)
+        for op in ops:
+            lam += np.abs(vh @ op @ v) ** 2
+        return (lam * weight * dlog).reshape(len(p), -1).sum(-1)
+
+    return per_state(d, require_finite(rates, "entropy rate"))
 
 
-def entropy_production(d: DensityOperator, jump_ops) -> float:
+def entropy_production(d: States, jump_ops) -> float | np.ndarray:
     """Entropy rate for Hermitian jump operators (always >= 0).
 
     Evaluated in the eigenbasis of rho:
@@ -76,15 +86,13 @@ def entropy_production(d: DensityOperator, jump_ops) -> float:
     Each factor pair has the same sign, hence the non-negativity; this is
     the dissipative entropy rate of the jump part of the Lindblad flow.
     """
-    ops = [require_hermitian(op, d.dim) for op in jump_ops]
-    p, v = _floored_spectrum(d)
-    log_p = np.log(p)
-    dp = p[None, :] - p[:, None]
-    dlog = log_p[None, :] - log_p[:, None]
-    return float(require_finite(lambda: 0.5 * np.sum(_jump_weights(ops, v) * dp * dlog), "entropy rate"))
+    p, v = stacked(d, "eigenvalues", "eigenvectors")
+    ops = as_square_stack(jump_ops, p.shape[-1], require_hermitian)
+    p = _floored(p)
+    return _rate(d, ops, p, v, 0.5 * (p[:, None, :] - p[:, :, None]))
 
 
-def jump_entropy_rate(d: DensityOperator, jump_ops) -> float:
+def jump_entropy_rate(d: States, jump_ops) -> float | np.ndarray:
     """Entropy rate of the jump part for arbitrary (not necessarily
     Hermitian) jump operators:
 
@@ -93,8 +101,7 @@ def jump_entropy_rate(d: DensityOperator, jump_ops) -> float:
     in the eigenbasis of rho.  Reduces to `entropy_production` when every
     jump operator is Hermitian; carries no sign guarantee in general.
     """
-    ops = [as_square(op, d.dim) for op in jump_ops]
-    p, v = _floored_spectrum(d)
-    log_p = np.log(p)
-    dlog = log_p[None, :] - log_p[:, None]
-    return float(require_finite(lambda: np.sum(_jump_weights(ops, v) * p[None, :] * dlog), "entropy rate"))
+    p, v = stacked(d, "eigenvalues", "eigenvectors")
+    ops = as_square_stack(jump_ops, p.shape[-1])
+    p = _floored(p)
+    return _rate(d, ops, p, v, p[:, None, :])

@@ -261,6 +261,42 @@ class TestLindbladApply:
         with pytest.raises(ShapeError):
             lindblad_apply(g, random_density(rng, 3))
 
+    def test_operator_sets_are_read_only_stacks(self):
+        rng = np.random.default_rng(139)
+        jumps = [random_complex(rng, (3, 3)) for _ in range(2)]
+        channel = random_kraus_channel(rng, 3, 4)
+        decomposition = eigenmatrix_decompose(superop_from_kraus(channel))
+        sets = [
+            (LindbladGenerator(np.zeros((3, 3)), jumps).jump_ops, (2, 3, 3)),
+            (LindbladGenerator(np.zeros((3, 3))).jump_ops, (0, 3, 3)),
+            (channel.kraus_ops, (4, 3, 3)),
+            (decomposition.eigenmatrices, (9, 3, 3)),
+        ]
+        for ops, shape in sets:
+            assert isinstance(ops, np.ndarray) and ops.shape == shape and not ops.flags.writeable
+            assert len(ops) == shape[0] and len(list(ops)) == shape[0]
+        assert np.array_equal(sets[0][0], jumps)
+        rho = random_density(rng, 3).matrix
+        kraus_sum = sum(k @ rho @ k.conj().T for k in channel.kraus_ops)
+        assert np.max(np.abs(channel.apply(rho) - kraus_sum)) < 1e-15
+        spectral_sum = sum(
+            lam * (e @ rho @ e.conj().T)
+            for lam, e in zip(decomposition.eigenvalues, decomposition.eigenmatrices)
+        )
+        assert np.max(np.abs(decomposition.apply(rho) - spectral_sum)) < 1e-14
+
+    def test_stacked_jump_terms_equal_the_per_operator_loop(self):
+        # The batched product adds the jump terms in the loop's order: bit for bit.
+        rng = np.random.default_rng(140)
+        for n, k in ((2, 1), (4, 3), (16, 8)):
+            g = LindbladGenerator(random_hermitian(rng, n), [random_complex(rng, (n, n)) for _ in range(k)])
+            rho = random_density(rng, n).matrix
+            h = g.hamiltonian
+            looped = -1j * (h @ rho - rho @ h) - (g.half_gram @ rho + rho @ g.half_gram)
+            for op in g.jump_ops:
+                looped += op @ rho @ op.conj().T
+            assert np.array_equal(channels._apply_generator(g, rho), looped)
+
     def test_generator_validation(self):
         rng = np.random.default_rng(138)
         with pytest.raises(ValidationError):
@@ -597,6 +633,20 @@ class TestLindbladSpectrum:
             )
             samples = evolve_lindblad(g, d0, t, 0.0005, sample_every=10**9)
             assert np.max(np.abs(rebuilt - samples[-1].state.matrix)) < 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_generator_matrix_matches_kronecker_form(self, dim):
+        # vec(A X B) = kron(A, B^T) vec(X) over row-major vec, term by term.
+        rng = np.random.default_rng(147 + dim)
+        scale = 1.0 / math.sqrt(dim)
+        h = scale * random_hermitian(rng, dim)
+        jumps = [scale * random_complex(rng, (dim, dim)) for _ in range(3)]
+        eye = np.eye(dim)
+        expected = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for op in jumps:
+            gram = op.conj().T @ op
+            expected += np.kron(op, op.conj()) - 0.5 * (np.kron(gram, eye) + np.kron(eye, gram.T))
+        assert np.max(np.abs(generator_matrix(LindbladGenerator(h, jumps)) - expected)) < 1e-13
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_generator_matrix_consistency(self, dim):

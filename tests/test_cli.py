@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import rholab.cli
-from rholab import DetectorPair, LindbladGenerator, UnitVector3, joint_outcome_probabilities
+from rholab import (
+    DetectorPair,
+    LindbladGenerator,
+    UnitVector3,
+    evolve_lindblad,
+    joint_outcome_probabilities,
+    jump_entropy_rate,
+    purity,
+    von_neumann_entropy,
+)
+from rholab.channels import SAMPLE_CHUNK
 from rholab.cli import main, load_scenario, trajectory_rows, ScenarioError
 from conftest import time_limit
 
@@ -197,6 +207,19 @@ class TestEvolve:
         assert len(lines) == 1
         assert lines[0].startswith("integration failure: ") and lines[0].endswith(" at t=0.01")
 
+    def test_overflowing_entropy_rate_exits_3_naming_the_sample(self, tmp_path):
+        # 1/2 L(dag)L = 5e307 is finite, but |L|^2 = 1e308 times the weights of
+        # the entropy rate overflows at the only sample, t = 0.
+        jump = [[[0.0, 0.0], [0.0, 0.0]], [[1e154, 0.0], [0.0, 0.0]]]
+        rho0 = [[[1.0 - 1e-10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-10, 0.0]]]
+        scenario = write_scenario(tmp_path / "s.json", rho0=rho0, jump_ops=[jump], t_end=0.0)
+        result = run_cli_process(["evolve", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")])
+        assert result.returncode == 3
+        assert result.stderr.splitlines() == [
+            "integration failure: entropy rate overflows or is not finite at t=0"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["evolve", "--scenario", str(tmp_path / "nope.json"), "--out", "x"]) == 2
         assert "scenario error" in capsys.readouterr().err
@@ -223,7 +246,7 @@ class TestEvolve:
         assert main(["evolve", "--scenario", str(bad), "--out", "x"]) == 2
         assert "rho0[0][0]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", [[10**400, 0.0], [0.5, math.nan], ["0.5", 0.0]])
+    @pytest.mark.parametrize("entry", [[10**400, 0.0], [0.5, math.nan], ["0.5", 0.0], [True, 0.0]])
     def test_non_finite_complex_entry(self, tmp_path, capsys, entry):
         payload = json.loads((write_scenario(tmp_path / "ok.json")).read_text())
         payload["hamiltonian"][1][0] = entry
@@ -245,6 +268,12 @@ class TestEvolve:
         assert scenario.generator.dim == 2
         assert scenario.sample_every == 10
         assert np.allclose(scenario.generator.jump_ops[0], np.diag([1.0, -1.0]))
+        # Entries are read exactly, integers and the sign of zero included.
+        h = [[[1, -0.0], [0.1, 2.5]], [[0.1, -2.5], [-3, 0]]]
+        scenario = load_scenario(str(write_scenario(tmp_path / "h.json", hamiltonian=h)))
+        parsed = scenario.generator.hamiltonian
+        assert np.array_equal(parsed, [[1 - 0j, 0.1 + 2.5j], [0.1 - 2.5j, -3]])
+        assert np.signbit(parsed.imag[0, 0]) and not np.signbit(parsed.imag[1, 1])
         with pytest.raises(ScenarioError):
             load_scenario(str(tmp_path / "missing.json"))
 
@@ -326,6 +355,23 @@ class TestEvolve:
         assert header == pinned_header and len(rows) == len(pinned)
         for column in header:
             assert max(abs(r[column] - p[column]) for r, p in zip(rows, pinned)) <= 1e-12, column
+
+    @pytest.mark.parametrize("name", ["dephasing", "amplitude_damping"])
+    def test_rows_per_chunk_equal_the_one_state_calls(self, name):
+        # 21 samples: one full chunk of SAMPLE_CHUNK rows and a shorter one.
+        scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
+        g = scenario.generator
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = trajectory_rows(scenario)
+            samples = evolve_lindblad(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
+            expected = [
+                (s.time, s.raw_trace, purity(s.state), von_neumann_entropy(s.state),
+                 s.min_eigenvalue, jump_entropy_rate(s.state, g.jump_ops))
+                for s in samples
+            ]
+        assert len(rows) > SAMPLE_CHUNK and len(rows) % SAMPLE_CHUNK
+        assert [tuple(row) for row in rows] == expected
 
     def test_unwritable_output(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")

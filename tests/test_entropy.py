@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import rholab.linalg
 from rholab import (
     DensityOperator,
     LindbladGenerator,
+    ShapeError,
     ValidationError,
     apply_matrix_function,
     entropy_production,
@@ -16,6 +18,7 @@ from rholab import (
     evolve_unitary,
     jump_entropy_rate,
     projector,
+    purity,
     von_neumann_entropy,
 )
 from conftest import random_density, random_hermitian, random_complex, random_ket
@@ -177,6 +180,73 @@ class TestJumpEntropyRate:
             rate = jump_entropy_rate(d, [jump])
             fd = one_sided_entropy_derivative(generator, d, 3e-5)
             assert abs(rate - fd) < 1e-5
+
+
+def _mixed_ranks(rng, n):
+    """Full-rank states with a pure one and a rank-2 one among them."""
+    states = [random_density(rng, n) for _ in range(5)]
+    states.insert(1, DensityOperator(projector(random_ket(rng, n))))
+    ket_a, ket_b = random_ket(rng, n), random_ket(rng, n)
+    states.insert(4, DensityOperator(0.3 * projector(ket_a) + 0.7 * projector(ket_b)))
+    return states
+
+
+class TestSequenceForm:
+    """A sequence of states runs the one stacked kernel: each state's value is
+    the value of the one-state call, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_equals_the_one_state_calls(self, n):
+        rng = np.random.default_rng(117 + n)
+        states = _mixed_ranks(rng, n)
+        general = [random_complex(rng, (n, n)) for _ in range(3)]
+        hermitian = [random_hermitian(rng, n) for _ in range(2)]
+        calls = {
+            "purity": purity,
+            "von_neumann_entropy": von_neumann_entropy,
+            "jump_entropy_rate": lambda d: jump_entropy_rate(d, general),
+            "entropy_production": lambda d: entropy_production(d, hermitian),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the pure and rank-2 states
+            for name, call in calls.items():
+                values = call(states)
+                singles = [call(d) for d in states]
+                assert isinstance(values, np.ndarray) and values.shape == (len(states),), name
+                assert all(type(x) is float for x in singles), name
+                assert values.tolist() == singles, name
+
+    def test_mixed_ranks_warn_once_with_the_one_state_message(self):
+        rng = np.random.default_rng(118)
+        states = _mixed_ranks(rng, 3)
+        jumps = [random_complex(rng, (3, 3))]
+        message = (
+            r"^density is rank-deficient; eigenvalues floored at 1e-14 before log "
+            r"\(result is regularized\)$"
+        )
+        with pytest.warns(RuntimeWarning, match=message) as caught:
+            jump_entropy_rate(states, jumps)
+        assert len(caught) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the full-rank states alone do not warn
+            jump_entropy_rate([states[0], states[2]], jumps)
+
+    def test_empty_jump_set_gives_exactly_zero(self):
+        rng = np.random.default_rng(119)
+        states = [random_density(rng, 3) for _ in range(4)]
+        no_jumps = LindbladGenerator(random_hermitian(rng, 3)).jump_ops
+        assert no_jumps.shape == (0, 3, 3)
+        for jumps in ([], (), no_jumps):
+            assert jump_entropy_rate(states[0], jumps) == 0.0
+            assert entropy_production(states[0], jumps) == 0.0
+            assert jump_entropy_rate(states, jumps).tolist() == [0.0] * 4
+
+    def test_rejects_an_empty_or_mixed_sequence(self):
+        rng = np.random.default_rng(120)
+        with pytest.raises(ShapeError):
+            purity([])
+        with pytest.raises(ShapeError):
+            von_neumann_entropy([random_density(rng, 2), random_density(rng, 3)])
 
 
 def test_rates_reuse_the_validated_spectrum(monkeypatch):

@@ -550,9 +550,10 @@ class TestOwnership:
         density.density_stack(np.array([rho, rho]))
         LindbladGenerator(h, [jump])
         kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
-        # 3 + 2 x 3 arrays of the density operators, 3 of the generator, 2 caller Kraus
-        # operators, the superoperator's tensor and 2 Kraus operators built from its spectrum.
-        assert len(stored) == 17
+        # 3 + 2 x 3 arrays of the density operators, 3 of the generator, the caller's Kraus
+        # set as one stack, the superoperator's tensor, its eigenmatrix stack and the stack
+        # of Kraus operators built from its spectrum.
+        assert len(stored) == 16
         assert all(np.shares_memory(out, a) for a, out in stored)
         spin_one = spin_one_set()
         constants = [
