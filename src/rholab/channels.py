@@ -90,10 +90,7 @@ class KrausChannel:
     kraus_ops: np.ndarray
 
     def __init__(self, kraus_ops):
-        ops = kraus_ops if isinstance(kraus_ops, np.ndarray) else list(kraus_ops)
-        if not len(ops):
-            raise ValidationError("a Kraus channel needs at least one operator")
-        ops = frozen(as_square_stack(ops))
+        ops = frozen(as_square_stack(kraus_ops))
         require_close(
             lambda: (ops.conj().swapaxes(1, 2) @ ops).sum(0) - np.eye(ops.shape[-1]),
             COMPLETENESS_ATOL,
@@ -145,8 +142,7 @@ class Superoperator:
 
 def superop_from_kraus(c: KrausChannel) -> Superoperator:
     """Coefficient tensor M[m,k,n,l] = sum_j K^j_mk conj(K^j_nl)."""
-    k = c.kraus_ops
-    tensor = np.einsum("jmk,jnl->mknl", k, k.conj())
+    tensor = np.einsum("jmk,jnl->mknl", c.kraus_ops, c.kraus_ops.conj())
     tensor.setflags(write=False)  # built here, so the superoperator keeps it without a copy
     return Superoperator(c.dim, tensor)
 
@@ -156,10 +152,9 @@ class EigenmatrixDecomposition:
     """Spectral form rho' = sum_i lambda_i E^i rho E^i(dag) of a
     hermiticity-preserving superoperator.
 
-    Eigenvalues are real and descending; eigenmatrices are orthonormal under
-    Tr(E^k E^l(dag)) = delta_kl and are kept as one read-only (N^2, N, N) array,
-    E^i = eigenmatrices[i].  For a trace-preserving map the eigenvalues sum to
-    the space dimension N.
+    Eigenvalues are real and descending; eigenmatrices, one read-only (N^2, N, N)
+    array, are orthonormal under Tr(E^k E^l(dag)) = delta_kl.  For a
+    trace-preserving map the eigenvalues sum to the space dimension N.
     """
 
     dim: int
@@ -235,11 +230,9 @@ class LindbladGenerator:
 
 
 def _apply_generator(g: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    """The flow on one matrix, or on each matrix of a (B, n, n) stack; either way
-    the jump terms are added one operator after another, in the set's order."""
     h, ops = g.hamiltonian, g.jump_ops
     out = -1j * (h @ rho - rho @ h) - (g.half_gram @ rho + rho @ g.half_gram)
-    if rho.ndim == 2:
+    if rho.ndim == 2:  # the jump terms summed after out in the set's order, as the loop adds them
         return np.concatenate((out[None], ops @ rho @ ops.conj().swapaxes(1, 2))).sum(0)
     for op in ops:  # all at once would hold K stacks: 8 MB for generator_matrix at d = 16, K = 8
         out += op @ rho @ op.conj().T
@@ -479,9 +472,14 @@ def lindblad_spectrum(g: LindbladGenerator) -> list[tuple[complex, np.ndarray]]:
     eigenmatrices, and the spectrum always contains (at least) one zero
     eigenvalue; pairs are returned sorted by descending real part.
     """
-    values, vectors = np.linalg.eig(generator_matrix(g))
-    eigenmatrices = vectors.T.reshape(-1, g.dim, g.dim)  # row i: eigenvector column i
-    pairs = sorted(zip(map(complex, values), eigenmatrices), key=lambda p: (-p[0].real, -p[0].imag))
+    mat = generator_matrix(g)
+    values, vectors = np.linalg.eig(mat)
+    n = g.dim
+    pairs = []
+    for i in range(values.size):
+        q = vectors[:, i].reshape(n, n)
+        pairs.append((complex(values[i]), q))
+    pairs.sort(key=lambda p: (-p[0].real, -p[0].imag))
 
     scale = max(1.0, float(np.max(np.abs(values))))
     for lam, q in pairs:

@@ -61,8 +61,11 @@ _EXPECTED = {
 }
 
 
+_NUMBER = "%.17g"  # how every number is written: exact round-trip of a double
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _NUMBER % x
 
 
 class _Checks:
@@ -287,12 +290,10 @@ def _complex_matrix(value, dim: int, where: str) -> np.ndarray:
                 if np.isfinite(flat).all():
                     flat.setflags(write=False)  # so the validated values keep it without a copy
                     return flat.view(complex).reshape(dim, dim)
-    # Some entry fails that check: parse entry by entry, which names the first.
-    out = np.empty(dim * dim, dtype=complex)
+    # Some entry fails that check, and so fails _complex_entry: name the first.
     for k, entry in enumerate(entries):
-        out[k] = _complex_entry(entry, f"{where}[{k // dim}][{k % dim}]")
-    out.setflags(write=False)
-    return out.reshape(dim, dim)
+        _complex_entry(entry, f"{where}[{k // dim}][{k % dim}]")
+    raise ScenarioError(f"{where}: entries must be finite [re, im] pairs")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -348,7 +349,7 @@ class TrajectoryRow(NamedTuple):
 
 
 TRAJECTORY_HEADER = ",".join(TrajectoryRow._fields)
-_TRAJECTORY_ROW = ",".join(["%.17g"] * len(TrajectoryRow._fields)) + "\n"  # as _fmt, per field
+_TRAJECTORY_ROW = ",".join([_NUMBER] * len(TrajectoryRow._fields)) + "\n"
 
 
 def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:
@@ -373,8 +374,8 @@ def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:
                 try:
                     jump_entropy_rate(sample.state, g.jump_ops)
                 except ValidationError:
-                    raise IntegrationError(str(exc), sample.time) from exc
-            raise
+                    break
+            raise IntegrationError(str(exc), sample.time) from exc
         columns = ([s.time for s in chunk], [s.raw_trace for s in chunk], purity(states).tolist(),
                    von_neumann_entropy(states).tolist(), [s.min_eigenvalue for s in chunk], rates.tolist())
         rows.extend(map(TrajectoryRow, *columns))

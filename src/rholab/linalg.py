@@ -52,17 +52,18 @@ def as_square(a, dim: int | None = None, *, stack: bool = False) -> np.ndarray:
 
 
 def as_square_stack(ops, dim: int | None = None, check=as_square) -> np.ndarray:
-    """A set of operators, each checked by `check` (as_square or require_hermitian)
-    against dim or else the first one's dimension, as one (K, n, n) stack: a (K, n, n)
-    array is checked at once, a sequence is stacked anew, read-only.  An empty set
-    needs dim and gives shape (0, dim, dim)."""
+    """A set of operators as one (K, n, n) stack, each checked by `check` (as_square
+    or require_hermitian) against dim, else the first one's dimension: a (K, n, n)
+    array at once, a sequence stacked anew, read-only, no operators as (0, dim, dim)."""
     if isinstance(ops, np.ndarray) and ops.ndim == 3 and len(ops):
         return check(ops, dim, stack=True)
     ops = list(ops)
+    if not ops and dim is None:
+        raise ValidationError("an operator set without a dimension needs at least one operator")
     dim = dim or as_square(ops[0]).shape[0]
-    stack = np.array([check(op, dim) for op in ops], dtype=complex)
+    stack = np.array([check(op, dim) for op in ops] or np.empty((0, dim, dim)), dtype=complex)
     stack.setflags(write=False)
-    return stack.reshape(len(ops), dim, dim)  # a read-only view, also of no operators
+    return stack
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -62,6 +62,11 @@ class TestKrausChannel:
         with pytest.raises(ValidationError):
             KrausChannel([0.5 * np.eye(2)])
 
+    @pytest.mark.parametrize("ops", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+    def test_rejects_empty_set(self, ops):
+        with pytest.raises(ValidationError, match="needs at least one operator"):
+            KrausChannel(ops)
+
     def test_overflowing_completeness_rejected(self):
         # sum K(dag)K overflows to NaN: a ValidationError, with no RuntimeWarning.
         with pytest.raises(ValidationError, match="incomplete Kraus set"):
