@@ -114,12 +114,14 @@ def sample_events(p: DetectorPair, n: int, seed: int) -> np.recarray:
     Returns a read-only record array of n rows with int8 columns
     `outcome_a` and `outcome_b`, each +1 or -1.  Reproducible per seed; the
     empirical correlation converges to -a . b.
-    Raises ValidationError unless 1 <= n <= MAX_EVENTS.
+    Raises ValidationError unless 1 <= n <= MAX_EVENTS and seed >= 0.
     """
     if n < 1:
         raise ValidationError(f"need at least one event, got n={n!r}")
     if n > MAX_EVENTS:
         raise ValidationError(f"n={n!r} exceeds the event cap of {MAX_EVENTS}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     probs = joint_outcome_probabilities(p).reshape(-1)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()

@@ -152,8 +152,8 @@ class EigenmatrixDecomposition:
     """Spectral form rho' = sum_i lambda_i E^i rho E^i(dag) of a
     hermiticity-preserving superoperator.
 
-    Eigenvalues are real and descending; eigenmatrices, one read-only (N^2, N, N)
-    array, are orthonormal under Tr(E^k E^l(dag)) = delta_kl.  For a
+    Eigenvalues, one read-only array, are real and descending; eigenmatrices, one
+    read-only (N^2, N, N) array, are orthonormal under Tr(E^k E^l(dag)) = delta_kl.  For a
     trace-preserving map the eigenvalues sum to the space dimension N.
     """
 
@@ -162,6 +162,7 @@ class EigenmatrixDecomposition:
     eigenmatrices: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "eigenvalues", frozen(np.asarray(self.eigenvalues)))
         object.__setattr__(self, "eigenmatrices", frozen(as_square_stack(self.eigenmatrices, self.dim)))
 
     @property
@@ -182,9 +183,11 @@ def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
     """
     eig = hermitian_eig(s.as_matrix())
     order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
+    values = eig.eigenvalues[order]
     matrices = eig.eigenvectors.T[order]  # row i: eigenvector column order[i]
-    matrices.setflags(write=False)  # built here, so the decomposition keeps it without a copy
-    return EigenmatrixDecomposition(s.dim, eig.eigenvalues[order], matrices.reshape(-1, s.dim, s.dim))
+    for a in (values, matrices):
+        a.setflags(write=False)  # built here, so the decomposition keeps them without a copy
+    return EigenmatrixDecomposition(s.dim, values, matrices.reshape(-1, s.dim, s.dim))
 
 
 def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
@@ -205,8 +208,9 @@ class LindbladGenerator:
     """Generator data: a Hamiltonian and a set of jump operators, kept as one
     read-only (K, n, n) array (shape (0, n, n) when there are none).
 
-    half_gram = 1/2 sum_k L^k(dag) L^k is derived once here for the
-    anticommutator term of the dissipator.
+    half_gram = 1/2 sum_k L^k(dag) L^k, the anticommutator term of the dissipator, is
+    derived once here (and checked finite); the flow folds it into the effective
+    non-Hermitian Hamiltonian K = -iH - half_gram.
     """
 
     hamiltonian: np.ndarray
@@ -229,24 +233,43 @@ class LindbladGenerator:
         return self.hamiltonian.shape[0]
 
 
-def _apply_generator(g: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    h, ops = g.hamiltonian, g.jump_ops
-    out = -1j * (h @ rho - rho @ h) - (g.half_gram @ rho + rho @ g.half_gram)
-    if rho.ndim == 2:  # the jump terms summed after out in the set's order, as the loop adds them
-        return np.concatenate((out[None], ops @ rho @ ops.conj().swapaxes(1, 2))).sum(0)
-    for op in ops:  # all at once would hold K stacks: 8 MB for generator_matrix at d = 16, K = 8
-        out += op @ rho @ op.conj().T
-    return out
+def _generator_flow(g: LindbladGenerator) -> Callable[[np.ndarray], np.ndarray]:
+    """The flow rho -> K rho + rho K(dag) + sum_k L^k rho L^k(dag) in effective-Hamiltonian
+    form, K = -iH - 1/2 sum_k L^k(dag) L^k, with K, K(dag) and the jump columns built once.
+
+    On one matrix the jump sum is two matrix products: the column C of the stacked L^k
+    times rho, regrouped into the row (L^1 rho | ... | L^K rho), times the column of the
+    L^k(dag).  On a stack of matrices the jump terms are added one operator at a time:
+    all at once would hold K stacks, 8 MB for generator_matrix at d = 16, K = 8.
+    """
+    n, m = g.dim, len(g.jump_ops) * g.dim
+    k = -1j * g.hamiltonian - g.half_gram
+    k_dag = k.conj().T.copy()
+    column = g.jump_ops.reshape(m, n)  # L^1 over L^2 over ...: a view
+    column_dag = g.jump_ops.conj().swapaxes(1, 2).reshape(m, n)
+
+    def flow(rho: np.ndarray) -> np.ndarray:
+        out = k @ rho + rho @ k_dag
+        if rho.ndim == 2:
+            row = (column @ rho).reshape(-1, n, n).swapaxes(0, 1).reshape(n, m)
+            out += row @ column_dag
+            return out
+        for op, op_dag in zip(g.jump_ops, column_dag.reshape(-1, n, n)):
+            out += op @ rho @ op_dag
+        return out
+
+    return flow
 
 
 def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
     """The instantaneous flow
 
-        -i[H, rho] + sum_k (L^k rho L^k(dag) - 1/2 {L^k(dag) L^k, rho}).
+        -i[H, rho] + sum_k (L^k rho L^k(dag) - 1/2 {L^k(dag) L^k, rho})
+          = K rho + rho K(dag) + sum_k L^k rho L^k(dag),  K = -iH - 1/2 sum_k L^k(dag) L^k.
 
     The output is Hermitian and traceless.
     """
-    return _apply_generator(g, as_square(d.matrix, g.dim))
+    return _generator_flow(g)(as_square(d.matrix, g.dim))
 
 
 @dataclass(frozen=True)
@@ -292,11 +315,13 @@ def _taylor_propagator(
     so no N^2 x N^2 array is built.
     """
 
+    flow = _generator_flow(g)
+
     def taylor_step(h: float) -> Callable[[np.ndarray], np.ndarray]:
         def step(rho: np.ndarray) -> np.ndarray:
             out = rho
             for k in (4, 3, 2, 1):
-                out = rho + (h / k) * _apply_generator(g, out)
+                out = rho + (h / k) * flow(out)
             return out
 
         return step
@@ -461,7 +486,7 @@ def evolve_lindblad(
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:
     """The N^2 x N^2 matrix over row-major rho of the flow `lindblad_apply` evaluates."""
-    return _map_matrix(lambda rho: _apply_generator(g, rho), g.dim)
+    return _map_matrix(_generator_flow(g), g.dim)
 
 
 def lindblad_spectrum(g: LindbladGenerator) -> list[tuple[complex, np.ndarray]]:

@@ -256,6 +256,10 @@ class TestSampling:
         with pytest.raises(ValidationError, match="cap"):
             sample_events(DetectorPair(Z_AXIS, X_AXIS), 10**15, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            sample_events(DetectorPair(Z_AXIS, X_AXIS), 10, seed=-1)
+
 
 class TestGhz:
     def test_state_normalized(self):

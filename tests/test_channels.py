@@ -290,17 +290,27 @@ class TestLindbladApply:
         )
         assert np.max(np.abs(decomposition.apply(rho) - spectral_sum)) < 1e-14
 
-    def test_stacked_jump_terms_equal_the_per_operator_loop(self):
-        # The batched product adds the jump terms in the loop's order: bit for bit.
-        rng = np.random.default_rng(140)
-        for n, k in ((2, 1), (4, 3), (16, 8)):
-            g = LindbladGenerator(random_hermitian(rng, n), [random_complex(rng, (n, n)) for _ in range(k)])
-            rho = random_density(rng, n).matrix
-            h = g.hamiltonian
-            looped = -1j * (h @ rho - rho @ h) - (g.half_gram @ rho + rho @ g.half_gram)
-            for op in g.jump_ops:
-                looped += op @ rho @ op.conj().T
-            assert np.array_equal(channels._apply_generator(g, rho), looped)
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_flow_equals_the_term_by_term_sum(self, n, k):
+        # Effective-Hamiltonian form with the jump sum as two matrix products, on one
+        # matrix and on the basis stack of _map_matrix, against the commutator plus
+        # dissipator written out one operator at a time.
+        rng = np.random.default_rng(140 + 10 * n + k)
+        h = random_hermitian(rng, n)
+        jumps = [random_complex(rng, (n, n)) for _ in range(k)]
+        flow = channels._generator_flow(LindbladGenerator(h, jumps))
+        rho = random_density(rng, n).matrix
+        cases = [
+            (flow(rho), explicit_flow(h, jumps, rho)),
+            (
+                channels._map_matrix(flow, n),
+                np.column_stack([explicit_flow(h, jumps, e).reshape(-1) for e in basis_matrices(n)]),
+            ),
+        ]
+        for got, expected in cases:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
 
     def test_generator_validation(self):
         rng = np.random.default_rng(138)
@@ -582,6 +592,25 @@ class TestEvolveLindblad:
         with pytest.raises(IntegrationError) as info:
             evolve_lindblad(g, DensityOperator(projector(ket)), 1000.0, 5.0, sample_every=10**9)
         assert info.value.time == pytest.approx(630.0)
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_flow_built_once_per_run(self, monkeypatch, dim):
+        # d = 2 applies the flow to the basis stack to tabulate T, a remainder step
+        # included; d = 16 applies it four times per operator-form step.
+        built, applied = [], []
+        build = channels._generator_flow
+
+        def spy(g):
+            built.append(g)
+            flow = build(g)
+            return lambda rho: applied.append(rho.shape) or flow(rho)
+
+        monkeypatch.setattr(channels, "_generator_flow", spy)
+        rng = np.random.default_rng(146)
+        g = LindbladGenerator(random_hermitian(rng, dim), [0.1 * random_complex(rng, (dim, dim))])
+        samples = evolve_lindblad(g, random_density(rng, dim), 0.25, 0.1)
+        assert built == [g] and len(samples) == 4
+        assert len(applied) == (8 if dim == 2 else 12)
 
 
 class TestLindbladSpectrum:

@@ -22,6 +22,7 @@ from rholab import (
     purity,
     von_neumann_entropy,
 )
+from rholab.bell import MAX_EVENTS
 from rholab.channels import SAMPLE_CHUNK
 from rholab.cli import main, load_scenario, trajectory_rows, ScenarioError
 from conftest import time_limit
@@ -506,6 +507,32 @@ class TestSample:
         assert analytic == pytest.approx(-math.cos(theta), abs=1e-12)
         sigma = math.sqrt((1 - analytic**2) / n)
         assert abs(empirical - analytic) <= 3 * sigma
+
+
+SAMPLE_ARGS = ["sample", "--a", "0,0,1", "--b", "1,0,0", "--n", "10"]
+
+
+@pytest.mark.parametrize(
+    "args, out_name",
+    [
+        (SAMPLE_ARGS + ["--seed", "-1"], "events.csv"),
+        (SAMPLE_ARGS + ["--n", "0"], "events.csv"),
+        (SAMPLE_ARGS + ["--n", str(MAX_EVENTS + 1)], "events.csv"),
+        (["sample", "--a", "nan,0,1", "--b", "1,0,0", "--n", "10"], "events.csv"),
+        (["evolve", "--scenario", "{tmp}"], "trajectory.csv"),
+        (SAMPLE_ARGS, "missing/events.csv"),
+    ],
+    ids=["negative-seed", "zero-n", "n-above-cap", "nan-vector", "scenario-directory", "missing-out-dir"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, args, out_name):
+    # In a child process, so an uncaught exception would show as exit 1 and a traceback.
+    out = tmp_path / out_name
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    result = run_cli_process(args + ["--out", str(out)])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
+    assert result.stderr.split(":", 1)[0] in ("input error", "scenario error", "output error")
+    assert list(tmp_path.iterdir()) == []
 
 
 def readme_cli_lines() -> list[str]:

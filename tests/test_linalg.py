@@ -482,6 +482,7 @@ def _built_from_caller_arrays():
     k0, k1 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
     kraus = np.eye(2, dtype=complex)
     h, jump = pauli("x"), np.array([[0, 1], [0, 0]], dtype=complex)
+    values, matrices = np.array([2.0, 0.0, 0.0, 0.0]), np.eye(4, dtype=complex).reshape(4, 2, 2)
     return {
         "DensityOperator": (
             [rho],
@@ -491,6 +492,13 @@ def _built_from_caller_arrays():
         "Superoperator": ([tensor], lambda: (Superoperator(2, tensor), ("tensor",))),
         "ProperMixture": ([k0, k1], lambda: (ProperMixture([(0.5, k0), (0.5, k1)]), ("kets",))),
         "KrausChannel": ([kraus], lambda: (KrausChannel([kraus]), ("kraus_ops",))),
+        "EigenmatrixDecomposition": (
+            [values, matrices],
+            lambda: (
+                channels.EigenmatrixDecomposition(2, values, matrices),
+                ("eigenvalues", "eigenmatrices"),
+            ),
+        ),
         "LindbladGenerator": (
             [h, jump],
             lambda: (LindbladGenerator(h, [jump]), ("hamiltonian", "jump_ops", "half_gram")),
@@ -551,9 +559,9 @@ class TestOwnership:
         LindbladGenerator(h, [jump])
         kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
         # 3 + 2 x 3 arrays of the density operators, 3 of the generator, the caller's Kraus
-        # set as one stack, the superoperator's tensor, its eigenmatrix stack and the stack
-        # of Kraus operators built from its spectrum.
-        assert len(stored) == 16
+        # set as one stack, the superoperator's tensor, its sorted eigenvalues and
+        # eigenmatrix stack, and the stack of Kraus operators built from its spectrum.
+        assert len(stored) == 17
         assert all(np.shares_memory(out, a) for a, out in stored)
         spin_one = spin_one_set()
         constants = [
