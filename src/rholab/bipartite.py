@@ -81,12 +81,19 @@ class SchmidtForm:
 
     Coefficients are positive and descending; only coefficients above
     SCHMIDT_RANK_TOL are kept, so `rank` certifies entanglement (rank 1
-    if and only if the state is a product state).
+    if and only if the state is a product state).  The coefficients (R,)
+    and the kets as rows, a_kets (R, dim_a) and b_kets (R, dim_b), are kept
+    read-only.
     """
 
     coefficients: np.ndarray
-    a_kets: tuple[np.ndarray, ...]
-    b_kets: tuple[np.ndarray, ...]
+    a_kets: np.ndarray
+    b_kets: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", frozen(np.asarray(self.coefficients, dtype=float)))
+        object.__setattr__(self, "a_kets", frozen(np.asarray(self.a_kets, dtype=complex)))
+        object.__setattr__(self, "b_kets", frozen(np.asarray(self.b_kets, dtype=complex)))
 
     @property
     def rank(self) -> int:
@@ -94,11 +101,7 @@ class SchmidtForm:
 
     def reconstruct(self) -> np.ndarray:
         """Flat amplitudes of sum_k c_k |a_k>|b_k>."""
-        dim = self.a_kets[0].size * self.b_kets[0].size
-        amps = np.zeros(dim, dtype=complex)
-        for c, a, b in zip(self.coefficients, self.a_kets, self.b_kets):
-            amps += c * np.kron(a, b)
-        return amps
+        return np.einsum("k,km,kn->mn", self.coefficients, self.a_kets, self.b_kets).reshape(-1)
 
 
 def schmidt(k: BipartiteKet) -> SchmidtForm:
@@ -110,22 +113,17 @@ def schmidt(k: BipartiteKet) -> SchmidtForm:
     form, keeping the rank threshold meaningful.
     """
     c = k.coefficient_matrix()
-    gram = c.conj().T @ c
-    eig = hermitian_eig(gram)
-    entries = []
-    for idx in range(eig.eigenvalues.size):
-        v = eig.eigenvectors[:, idx]
-        image = c @ v
-        sigma = float(np.linalg.norm(image))
-        if sigma <= SCHMIDT_RANK_TOL:
-            continue
-        entries.append((sigma, image / sigma, v.conj()))
-    entries.sort(key=lambda e: -e[0])
-    return SchmidtForm(
-        np.array([e[0] for e in entries]),
-        tuple(e[1] for e in entries),
-        tuple(e[2] for e in entries),
-    )
+    v = hermitian_eig(c.conj().T @ c).eigenvectors
+    images = c @ v
+    sigma = np.linalg.norm(images, axis=0)
+    order = np.argsort(-sigma, kind="stable")
+    order = order[sigma[order] > SCHMIDT_RANK_TOL]
+    kept = sigma[order]
+    a_kets = images.T[order] / kept[:, None]
+    b_kets = v.T[order].conj()
+    for a in (kept, a_kets, b_kets):
+        a.setflags(write=False)  # built here, so the form keeps them without a copy
+    return SchmidtForm(kept, a_kets, b_kets)
 
 
 def partial_trace_b(op, space: BipartiteSpace) -> np.ndarray:

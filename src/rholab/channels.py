@@ -152,9 +152,10 @@ class EigenmatrixDecomposition:
     """Spectral form rho' = sum_i lambda_i E^i rho E^i(dag) of a
     hermiticity-preserving superoperator.
 
-    Eigenvalues, one read-only array, are real and descending; eigenmatrices, one
-    read-only (N^2, N, N) array, are orthonormal under Tr(E^k E^l(dag)) = delta_kl.  For a
-    trace-preserving map the eigenvalues sum to the space dimension N.
+    Eigenvalues, one read-only real array holding one finite value per eigenmatrix, are
+    descending; eigenmatrices, one read-only (N^2, N, N) array, are orthonormal under
+    Tr(E^k E^l(dag)) = delta_kl.  For a trace-preserving map the eigenvalues sum to the
+    space dimension N.
     """
 
     dim: int
@@ -162,8 +163,14 @@ class EigenmatrixDecomposition:
     eigenmatrices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", frozen(np.asarray(self.eigenvalues)))
-        object.__setattr__(self, "eigenmatrices", frozen(as_square_stack(self.eigenmatrices, self.dim)))
+        matrices = frozen(as_square_stack(self.eigenmatrices, self.dim))
+        values = np.asarray(self.eigenvalues)
+        if values.shape != (len(matrices),):
+            raise ShapeError(f"expected {len(matrices)} eigenvalues, got shape {values.shape}")
+        if not np.isfinite(values).all() or np.imag(values).any():
+            raise ValidationError("eigenvalues must be finite real numbers")
+        object.__setattr__(self, "eigenvalues", frozen(np.real(values).astype(float, copy=False)))
+        object.__setattr__(self, "eigenmatrices", matrices)
 
     @property
     def is_completely_positive(self) -> bool:

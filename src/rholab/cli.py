@@ -136,7 +136,7 @@ def _demo_nocloning() -> bool:
 
 def _print_mixture(label: str, mixture: ProperMixture) -> None:
     print(f"  {label}:")
-    for weight, ket in mixture.terms:
+    for weight, ket in zip(mixture.weights, mixture.kets):
         amps = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in ket)
         print(f"    p={weight:.6f}  ket=({amps})")
 

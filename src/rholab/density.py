@@ -1,8 +1,8 @@
 """Density operators, proper mixtures, and their two evolution laws.
 
 A density operator is validated on construction against the three defining
-conditions: Hermitian, unit trace, positive.  A proper mixture is a list of
-(probability, normalized ket) terms whose kets need not be orthogonal; the
+conditions: Hermitian, unit trace, positive.  A proper mixture is a weight
+vector and a stack of normalized kets that need not be orthogonal; the
 same density operator generally admits many distinct proper mixtures, and
 `gram_factor` / `remix` implement the unitary freedom connecting them.
 
@@ -133,49 +133,40 @@ def density_stack(
     return [_keep(object.__new__(DensityOperator), *views) for views in arrays], None
 
 
-def _check_weights(weights: np.ndarray) -> None:
-    if not np.all(weights >= -WEIGHT_ATOL):
-        raise ValidationError("mixture weights must be non-negative numbers")
-    total = float(weights.sum())
-    if not abs(total - 1.0) <= WEIGHT_ATOL:
-        raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
-
-
 @dataclass(frozen=True)
 class ProperMixture:
     """A mixture sum_k p_k |ket_k><ket_k| with normalized, possibly
-    non-orthogonal kets."""
+    non-orthogonal kets, built from (p_k, ket_k) pairs and kept as two
+    read-only arrays: the weights (K,) and the kets as rows (K, n)."""
 
-    terms: tuple[tuple[float, np.ndarray], ...]
+    weights: np.ndarray
+    kets: np.ndarray
 
     def __init__(self, terms):
         terms = tuple(terms)
         if not terms:
             raise ValidationError("mixture needs at least one term")
         dim = as_ket(terms[0][1]).size
-        cleaned = tuple((float(w), frozen(require_unit_ket(k, "mixture ket", dim))) for w, k in terms)
-        _check_weights(np.array([w for w, _ in cleaned]))
-        object.__setattr__(self, "terms", cleaned)
+        weights = np.array([float(w) for w, _ in terms])
+        kets = np.array([require_unit_ket(k, "mixture ket", dim) for _, k in terms])
+        if not np.all(weights >= -WEIGHT_ATOL):
+            raise ValidationError("mixture weights must be non-negative numbers")
+        total = float(weights.sum())
+        if not abs(total - 1.0) <= WEIGHT_ATOL:
+            raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
+        for a in (weights, kets):
+            a.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "kets", kets)
 
     @property
     def dim(self) -> int:
-        return self.terms[0][1].size
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.terms])
-
-    @property
-    def kets(self) -> tuple[np.ndarray, ...]:
-        return tuple(k for _, k in self.terms)
+        return self.kets.shape[1]
 
 
 def mixture_to_density(m: ProperMixture) -> DensityOperator:
     """The density operator sum_k p_k |ket_k><ket_k| of a proper mixture."""
-    rho = np.zeros((m.dim, m.dim), dtype=complex)
-    for weight, ket in m.terms:
-        rho += weight * np.outer(ket, ket.conj())
-    return DensityOperator(rho)
+    return DensityOperator((m.kets.T * m.weights) @ m.kets.conj())
 
 
 States = DensityOperator | Sequence[DensityOperator]  # one state, or a sequence of them
@@ -212,11 +203,16 @@ class GramFactor:
 
     Row k holds sqrt(p_k) times the expansion coefficients of ket k, so the
     squared norm of row k is the weight p_k and
-    rho_mn = sum_k coeff[k, m] conj(coeff[k, n]) in the stored basis.
+    rho_mn = sum_k coeff[k, m] conj(coeff[k, n]) in the stored basis.  Both
+    arrays are kept read-only.
     """
 
     coeff: np.ndarray
     basis: np.ndarray  # columns are the basis kets
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", frozen(np.asarray(self.coeff, dtype=complex)))
+        object.__setattr__(self, "basis", frozen(np.asarray(self.basis, dtype=complex)))
 
     @property
     def num_terms(self) -> int:
@@ -238,8 +234,10 @@ def gram_factor(m: ProperMixture, basis) -> GramFactor:
     coeff[k, m] = sqrt(p_k) <basis_m | ket_k>.
     """
     b = require_basis(basis, m.dim)
-    rows = [np.sqrt(weight) * (b.conj().T @ ket) for weight, ket in m.terms]
-    return GramFactor(coeff=np.array(rows), basis=b)
+    coeff = np.sqrt(m.weights)[:, None] * (m.kets @ b.conj())
+    for a in (coeff, b):
+        a.setflags(write=False)  # built here, so the factor keeps them without a copy
+    return GramFactor(coeff, b)
 
 
 def remix(g: GramFactor, u) -> ProperMixture:
@@ -252,14 +250,10 @@ def remix(g: GramFactor, u) -> ProperMixture:
     u = as_square(u, g.num_terms)
     require_basis(u.T, g.num_terms)  # a unitary's columns are an orthonormal basis
     mixed = u @ g.coeff
-    terms = []
-    for row in mixed:
-        weight = float(np.sum(np.abs(row) ** 2))
-        if weight < ZERO_WEIGHT_TOL:
-            continue
-        ket = (g.basis @ row) / np.sqrt(weight)
-        terms.append((weight, ket))
-    return ProperMixture(terms)
+    weights = np.sum(np.abs(mixed) ** 2, axis=1)
+    keep = weights >= ZERO_WEIGHT_TOL
+    kets = (mixed[keep] @ g.basis.T) / np.sqrt(weights[keep])[:, None]
+    return ProperMixture(zip(weights[keep], kets))
 
 
 def expectation(d: DensityOperator, obs) -> float:

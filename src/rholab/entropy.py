@@ -87,7 +87,9 @@ def entropy_production(d: States, jump_ops) -> float | np.ndarray:
     the dissipative entropy rate of the jump part of the Lindblad flow.
     """
     p, v = stacked(d, "eigenvalues", "eigenvectors")
-    ops = as_square_stack(jump_ops, p.shape[-1], require_hermitian)
+    ops = as_square_stack(jump_ops, p.shape[-1])
+    if len(ops):  # as_square rejects an empty stack; an empty set is Hermitian
+        require_hermitian(ops, stack=True)
     p = _floored(p)
     return _rate(d, ops, p, v, 0.5 * (p[:, None, :] - p[:, :, None]))
 

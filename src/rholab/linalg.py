@@ -51,17 +51,17 @@ def as_square(a, dim: int | None = None, *, stack: bool = False) -> np.ndarray:
     return m
 
 
-def as_square_stack(ops, dim: int | None = None, check=as_square) -> np.ndarray:
-    """A set of operators as one (K, n, n) stack, each checked by `check` (as_square
-    or require_hermitian) against dim, else the first one's dimension: a (K, n, n)
-    array at once, a sequence stacked anew, read-only, no operators as (0, dim, dim)."""
+def as_square_stack(ops, dim: int | None = None) -> np.ndarray:
+    """A set of operators as one (K, n, n) stack, each checked by as_square against dim,
+    else the first one's dimension: a (K, n, n) array at once, a sequence stacked anew,
+    read-only, no operators as (0, dim, dim)."""
     if isinstance(ops, np.ndarray) and ops.ndim == 3 and len(ops):
-        return check(ops, dim, stack=True)
+        return as_square(ops, dim, stack=True)
     ops = list(ops)
     if not ops and dim is None:
         raise ValidationError("an operator set without a dimension needs at least one operator")
     dim = dim or as_square(ops[0]).shape[0]
-    stack = np.array([check(op, dim) for op in ops] or np.empty((0, dim, dim)), dtype=complex)
+    stack = np.array([as_square(op, dim) for op in ops] or np.empty((0, dim, dim)), dtype=complex)
     stack.setflags(write=False)
     return stack
 

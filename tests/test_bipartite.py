@@ -9,6 +9,7 @@ from rholab import (
     DensityOperator,
     ShapeError,
     ValidationError,
+    hermitian_eig,
     local_measurement,
     measurement_probabilities,
     no_signalling_check,
@@ -23,6 +24,7 @@ from rholab import (
     spin_half_basis,
     von_neumann_entropy,
 )
+from rholab.bipartite import SCHMIDT_RANK_TOL
 from conftest import (
     random_complex,
     random_density,
@@ -108,6 +110,32 @@ class TestSchmidt:
             form = schmidt(k)
             assert np.max(np.abs(form.reconstruct() - amps)) < 1e-10
             assert abs(np.sum(form.coefficients**2) - 1.0) < 1e-10
+
+    def test_equals_the_per_term_construction(self):
+        # The stack expressions against one eigenvector of C^dag C at a time, kept
+        # above SCHMIDT_RANK_TOL and sorted by coefficient: the sums may round
+        # differently, so agreement is to a few ulps of these unit-scale values.
+        tol = 64 * np.finfo(float).eps
+        rng = np.random.default_rng(64)
+        kets = [BipartiteKet(BipartiteSpace(m, n), random_ket(rng, m * n))
+                for m, n in ((2, 2), (2, 3), (3, 2), (3, 4), (4, 4))]
+        ua, ub = random_unitary(rng, 4), random_unitary(rng, 4)
+        rank_two = 0.8 * np.kron(ua[:, 0], ub[:, 0]) + 0.6 * np.kron(ua[:, 1], ub[:, 1])
+        kets.append(BipartiteKet(BipartiteSpace(4, 4), rank_two))  # two of four terms dropped
+        for k in kets:
+            c = k.coefficient_matrix()
+            terms = []
+            for v in hermitian_eig(c.conj().T @ c).eigenvectors.T:
+                sigma = float(np.linalg.norm(c @ v))
+                if sigma > SCHMIDT_RANK_TOL:
+                    terms.append((sigma, c @ v / sigma, v.conj()))
+            terms.sort(key=lambda t: -t[0])
+            form = schmidt(k)
+            assert form.rank == len(terms)
+            for got, want in zip((form.coefficients, form.a_kets, form.b_kets), zip(*terms)):
+                assert np.max(np.abs(got - np.array(want))) < tol
+            rebuilt = sum(w * np.kron(a, b) for w, a, b in terms)
+            assert np.max(np.abs(form.reconstruct() - rebuilt)) < tol
 
     def test_biorthogonal_kets(self):
         rng = np.random.default_rng(63)

@@ -183,6 +183,25 @@ class TestEigenmatrixDecomposition:
         with pytest.raises(ValidationError):
             eigenmatrix_decompose(Superoperator(2, tensor))
 
+    def test_rejects_wrong_eigenvalue_count(self):
+        with pytest.raises(ShapeError, match=r"expected 4 eigenvalues, got shape \(2,\)"):
+            channels.EigenmatrixDecomposition(2, [1.0, 2.0], np.eye(4).reshape(4, 2, 2))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1j, 0, 0, 0], [2.0, 0, 0, 1e-3j], [np.nan, 0, 0, 0], [np.inf, 0, 0, 0]],
+        ids=["imaginary", "imaginary-part", "nan", "inf"],
+    )
+    def test_rejects_non_real_eigenvalues(self, values):
+        with pytest.raises(ValidationError, match="eigenvalues must be finite real numbers"):
+            channels.EigenmatrixDecomposition(2, values, np.eye(4).reshape(4, 2, 2))
+
+    def test_stores_real_eigenvalues(self):
+        values = np.array([2.0, 0, 0, 0], dtype=complex)
+        dec = channels.EigenmatrixDecomposition(2, values, np.eye(4).reshape(4, 2, 2))
+        assert dec.eigenvalues.dtype == np.float64
+        assert np.array_equal(dec.eigenvalues, [2.0, 0, 0, 0])
+
     def test_choi_rank_bound(self):
         rng = np.random.default_rng(129)
         for n in (2, 3):

@@ -21,7 +21,7 @@ from rholab import (
     spin_half_basis,
 )
 from rholab import linalg
-from rholab.density import density_stack
+from rholab.density import ZERO_WEIGHT_TOL, density_stack
 from conftest import (
     random_density,
     random_hermitian,
@@ -37,7 +37,7 @@ def projector_sum(mixture: ProperMixture) -> np.ndarray:
     """Oracle: the density as an explicit weighted sum of outer products."""
     dim = mixture.dim
     out = np.zeros((dim, dim), dtype=complex)
-    for w, k in mixture.terms:
+    for w, k in zip(mixture.weights, mixture.kets):
         for i in range(dim):
             for j in range(dim):
                 out[i, j] += w * k[i] * np.conj(k[j])
@@ -219,6 +219,14 @@ class TestGramFactor:
             dev = np.max(np.abs(g.reconstruct() - mixture_to_density(mixture).matrix))
             assert dev < 1e-12
 
+    def test_equals_the_per_term_rows(self):
+        # Row k is sqrt(p_k) times the coefficients of ket k, one term at a time.
+        rng = np.random.default_rng(47)
+        mixture, b = random_mixture(rng, 4, 3), random_unitary(rng, 4)
+        g = gram_factor(mixture, list(b.T))
+        rows = [np.sqrt(w) * (b.conj().T @ k) for w, k in zip(mixture.weights, mixture.kets)]
+        assert np.max(np.abs(g.coeff - np.array(rows))) < 64 * np.finfo(float).eps
+
     def test_rejects_non_orthonormal_basis(self):
         mixture = ProperMixture([(1.0, KETS.z_plus)])
         with pytest.raises(ValidationError):
@@ -254,12 +262,31 @@ class TestRemix:
             out = remix(g, random_unitary(rng, 3))
             assert np.max(np.abs(mixture_to_density(out).matrix - rho)) < 1e-11
 
+    def test_equals_the_per_row_construction(self):
+        # One row of u . coeff at a time: its squared norm is the weight, the
+        # renormalized row in the stored basis the ket, and vanishing rows drop.
+        rng = np.random.default_rng(48)
+        ket = random_ket(rng, 3)
+        mixtures = [random_mixture(rng, 3, 3), ProperMixture([(0.25, ket), (0.75, ket)])]
+        unitaries = [random_unitary(rng, 3), np.array([[0.75**0.5, -0.5], [0.5, 0.75**0.5]])]
+        for mixture, u in zip(mixtures, unitaries):
+            g = gram_factor(mixture, list(random_unitary(rng, 3).T))
+            terms = []
+            for row in u @ g.coeff:
+                weight = float(np.sum(np.abs(row) ** 2))
+                if weight >= ZERO_WEIGHT_TOL:
+                    terms.append((weight, g.basis @ row / np.sqrt(weight)))
+            out = remix(g, u)
+            assert len(out.weights) == len(terms)
+            for got, want in zip((out.weights, out.kets), zip(*terms)):
+                assert np.max(np.abs(got - np.array(want))) < 64 * np.finfo(float).eps
+
     def test_zero_weight_rows_dropped(self):
         mixture = ProperMixture([(0.5, KETS.z_plus), (0.5, KETS.z_plus)])
         g = gram_factor(mixture, [KETS.z_plus, KETS.z_minus])
         u = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         out = remix(g, u)
-        assert len(out.terms) == 1
+        assert len(out.weights) == 1
         assert out.weights[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_non_unitary(self):
@@ -314,7 +341,7 @@ class TestExpectation:
             mixture = random_mixture(rng, n, 3)
             obs = random_hermitian(rng, n)
             via_mixture = sum(
-                w * np.vdot(k, obs @ k).real for w, k in mixture.terms
+                w * np.vdot(k, obs @ k).real for w, k in zip(mixture.weights, mixture.kets)
             )
             via_trace = expectation(mixture_to_density(mixture), obs)
             assert abs(via_mixture - via_trace) < 1e-11

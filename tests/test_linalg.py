@@ -8,9 +8,11 @@ from rholab import (
     BipartiteSpace,
     DensityOperator,
     DomainError,
+    GramFactor,
     KrausChannel,
     LindbladGenerator,
     ProperMixture,
+    SchmidtForm,
     ShapeError,
     Superoperator,
     ValidationError,
@@ -37,14 +39,16 @@ from rholab import (
     product_state,
     projector,
     remix,
+    schmidt,
     sigma_n,
     simultaneous_eigenbasis,
+    singlet,
     spin_half_basis,
     spin_one_set,
     superop_from_kraus,
     trace,
 )
-from rholab import channels, density, linalg
+from rholab import bipartite, channels, density, linalg
 from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
 
 
@@ -483,6 +487,8 @@ def _built_from_caller_arrays():
     kraus = np.eye(2, dtype=complex)
     h, jump = pauli("x"), np.array([[0, 1], [0, 0]], dtype=complex)
     values, matrices = np.array([2.0, 0.0, 0.0, 0.0]), np.eye(4, dtype=complex).reshape(4, 2, 2)
+    coefficients = np.full(2, math.sqrt(0.5))
+    coeff, basis = np.diag(coefficients).astype(complex), np.eye(2, dtype=complex)
     return {
         "DensityOperator": (
             [rho],
@@ -490,7 +496,18 @@ def _built_from_caller_arrays():
         ),
         "BipartiteKet": ([amps], lambda: (BipartiteKet(BipartiteSpace(2, 2), amps), ("amplitudes",))),
         "Superoperator": ([tensor], lambda: (Superoperator(2, tensor), ("tensor",))),
-        "ProperMixture": ([k0, k1], lambda: (ProperMixture([(0.5, k0), (0.5, k1)]), ("kets",))),
+        "ProperMixture": (
+            [k0, k1],
+            lambda: (ProperMixture([(0.5, k0), (0.5, k1)]), ("weights", "kets")),
+        ),
+        "SchmidtForm": (
+            [coefficients, k0, k1],
+            lambda: (SchmidtForm(coefficients, [k0, k1], [k1, k0]), ("coefficients", "a_kets", "b_kets")),
+        ),
+        "GramFactor": (
+            [coeff, basis],
+            lambda: (GramFactor(coeff, basis), ("coeff", "basis")),
+        ),
         "KrausChannel": ([kraus], lambda: (KrausChannel([kraus]), ("kraus_ops",))),
         "EigenmatrixDecomposition": (
             [values, matrices],
@@ -511,10 +528,7 @@ class TestOwnership:
     def test_mutating_caller_arrays_changes_nothing(self, name):
         caller, build = _built_from_caller_arrays()[name]
         value, attrs = build()
-        stored = []
-        for attr in attrs:
-            a = getattr(value, attr)
-            stored.extend(a if isinstance(a, tuple) else [a])
+        stored = [getattr(value, attr) for attr in attrs]
         before = [a.copy() for a in stored]
         for a in caller:
             a[...] = 7.0
@@ -547,7 +561,8 @@ class TestOwnership:
             stored.append((a, linalg.frozen(a)))
             return stored[-1][1]
 
-        for module in (density, channels):
+        mixture, ket = ProperMixture([(0.5, [1, 0]), (0.5, [0, 1])]), singlet()
+        for module in (density, channels, bipartite):
             monkeypatch.setattr(module, "frozen", spy)
         rho, h, jump, k0, k1 = (np.array(a, dtype=complex) for a in (
             np.diag([0.25, 0.75]), pauli("x"), [[0, 1], [0, 0]], np.diag([1.0, 0.6]), [[0, 0.8], [0, 0]]
@@ -558,10 +573,13 @@ class TestOwnership:
         density.density_stack(np.array([rho, rho]))
         LindbladGenerator(h, [jump])
         kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
+        gram_factor(mixture, np.eye(2))
+        schmidt(ket)
         # 3 + 2 x 3 arrays of the density operators, 3 of the generator, the caller's Kraus
         # set as one stack, the superoperator's tensor, its sorted eigenvalues and
-        # eigenmatrix stack, and the stack of Kraus operators built from its spectrum.
-        assert len(stored) == 17
+        # eigenmatrix stack, the stack of Kraus operators built from its spectrum, the
+        # Gram factor's coefficients and basis, and the Schmidt form's three arrays.
+        assert len(stored) == 22
         assert all(np.shares_memory(out, a) for a, out in stored)
         spin_one = spin_one_set()
         constants = [
