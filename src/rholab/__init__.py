@@ -49,6 +49,7 @@ from .channels import (
     LindbladGenerator,
     LindbladSample,
     Superoperator,
+    Trajectory,
     eigenmatrix_decompose,
     evolve_lindblad,
     generator_matrix,
@@ -59,6 +60,7 @@ from .channels import (
 )
 from .density import (
     DensityOperator,
+    DensityStack,
     GramFactor,
     ProperMixture,
     evolve_unitary,

@@ -39,7 +39,7 @@ class BipartiteSpace:
         return self.dim_a * self.dim_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteKet:
     """A normalized pure state on a bipartite space."""
 
@@ -75,7 +75,7 @@ def singlet() -> BipartiteKet:
     return BipartiteKet(BipartiteSpace(2, 2), amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtForm:
     """Diagonal biorthogonal form sum_k c_k |a_k>|b_k> of a bipartite ket.
 
@@ -91,9 +91,16 @@ class SchmidtForm:
     b_kets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", frozen(np.asarray(self.coefficients, dtype=float)))
-        object.__setattr__(self, "a_kets", frozen(np.asarray(self.a_kets, dtype=complex)))
-        object.__setattr__(self, "b_kets", frozen(np.asarray(self.b_kets, dtype=complex)))
+        c = np.asarray(self.coefficients, dtype=float)
+        a, b = np.asarray(self.a_kets, dtype=complex), np.asarray(self.b_kets, dtype=complex)
+        if c.ndim != 1 or a.ndim != 2 or b.ndim != 2 or not len(a) == len(b) == c.size:
+            raise ShapeError(
+                "expected (R,) coefficients, (R, dim_a) a-kets and (R, dim_b) b-kets, "
+                f"got shapes {c.shape}, {a.shape} and {b.shape}"
+            )
+        object.__setattr__(self, "coefficients", frozen(c))
+        object.__setattr__(self, "a_kets", frozen(a))
+        object.__setattr__(self, "b_kets", frozen(b))
 
     @property
     def rank(self) -> int:

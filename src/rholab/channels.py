@@ -19,15 +19,18 @@ normal, operators.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import DensityOperator, density_stack
+from .density import DensityOperator, DensityStack, density_stack
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -64,7 +67,7 @@ MIN_EIGENVALUE_TOL = 1e-7
 # Most integrator steps one trajectory may take, and most samples it may emit.
 # A finite but huge t_end/dt would otherwise start a run that never finishes,
 # and every sample is held until the run ends (tracemalloc, 10^2 to 10^4
-# samples: 0.75-0.85 KB at d = 2 and 8.9 KB at d = 16, so near 0.9 GB at the
+# samples: 0.28-0.35 KB at d = 2 and 8.6 KB at d = 16, so near 0.9 GB at the
 # sample cap).
 MAX_STEPS = 10**7
 MAX_SAMPLES = 10**5
@@ -82,7 +85,7 @@ SAMPLE_CHUNK = 16
 PROPAGATOR_MATRIX_MAX_DIM = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A channel rho -> sum_k K^k rho K^k(dag) with sum_k K^k(dag) K^k = I; the
     Kraus set is kept as one read-only (K, n, n) array."""
@@ -107,7 +110,7 @@ class KrausChannel:
         return (k @ as_square(rho, self.dim) @ k.conj().swapaxes(1, 2)).sum(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on density matrices via the rank-4 coefficient tensor."""
 
@@ -147,7 +150,7 @@ def superop_from_kraus(c: KrausChannel) -> Superoperator:
     return Superoperator(c.dim, tensor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenmatrixDecomposition:
     """Spectral form rho' = sum_i lambda_i E^i rho E^i(dag) of a
     hermiticity-preserving superoperator.
@@ -210,7 +213,7 @@ def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
     return KrausChannel(ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladGenerator:
     """Generator data: a Hamiltonian and a set of jump operators, kept as one
     read-only (K, n, n) array (shape (0, n, n) when there are none).
@@ -222,7 +225,7 @@ class LindbladGenerator:
 
     hamiltonian: np.ndarray
     jump_ops: np.ndarray
-    half_gram: np.ndarray = field(repr=False, compare=False)
+    half_gram: np.ndarray = field(repr=False)
 
     def __init__(self, hamiltonian, jump_ops=()):
         h = frozen(require_hermitian(hamiltonian))
@@ -297,6 +300,54 @@ class LindbladSample:
     @property
     def min_eigenvalue(self) -> float:
         return float(self.state.eigenvalues[0])
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Trajectory(Sequence[LindbladSample]):
+    """The samples of one `evolve_lindblad` run, kept per chunk of validated states.
+
+    `chunks` holds one (times, raw_traces, states) triple per chunk of up to
+    SAMPLE_CHUNK consecutive samples: two tuples of floats and the chunk's
+    DensityStack.  The trajectory reads like a list of LindbladSample (len,
+    index, negative index, slice, iteration); a sample is built only when it
+    is read, its state a view into its chunk's stack, and each read builds a
+    new one.
+    """
+
+    chunks: tuple[tuple[tuple[float, ...], tuple[float, ...], DensityStack], ...]
+    _ends: tuple[int, ...] = field(repr=False)  # the samples up to the end of each chunk
+
+    def __init__(self, chunks):
+        kept = []
+        for times, raw_traces, states in chunks:
+            times, raw_traces = tuple(map(float, times)), tuple(map(float, raw_traces))
+            if not isinstance(states, DensityStack) or not len(times) == len(raw_traces) == len(states):
+                raise ShapeError("expected a DensityStack and as many times and raw traces per chunk")
+            kept.append((times, raw_traces, states))
+        object.__setattr__(self, "chunks", tuple(kept))
+        object.__setattr__(self, "_ends", tuple(accumulate(len(c[2]) for c in kept)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        i += len(self) if i < 0 else 0
+        if not 0 <= i < len(self):
+            raise IndexError("trajectory index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        times, raw_traces, states = self.chunks[k]
+        j = i - self._ends[k] + len(states)
+        return LindbladSample(times[j], states[j], raw_traces[j])
+
+    def __iter__(self):
+        for times, raw_traces, states in self.chunks:
+            yield from map(LindbladSample, times, states, raw_traces)
+
+    def __repr__(self) -> str:
+        return f"Trajectory(len={len(self)})"
 
 
 def _map_matrix(flow: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
@@ -394,7 +445,7 @@ def evolve_lindblad(
     t_end: float,
     dt: float,
     sample_every: int = 1,
-) -> list[LindbladSample]:
+) -> Trajectory:
     """Integrate drho/dt = L rho with a fixed-step degree-4 Taylor propagator.
 
     Each step multiplies rho by T(dt L) = sum_{k<=4} (dt L)^k / k!, which for
@@ -416,10 +467,11 @@ def evolve_lindblad(
     the sample's time.
 
     Emitted states are validated SAMPLE_CHUNK at a time, with one
-    `hermitian_eig` solve per chunk.  The errors keep the order of the
-    trajectory: the first invalid state of a chunk is the one reported, and
-    the states pending before an interval that fails the drift check are
-    validated before that failure is raised.
+    `hermitian_eig` solve per chunk, and kept as that chunk's DensityStack in
+    the returned Trajectory.  The errors keep the order of the trajectory: the
+    first invalid state of a chunk is the one reported, and the states pending
+    before an interval that fails the drift check are validated before that
+    failure is raised.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     rho = as_square(d0.matrix, g.dim)
@@ -439,18 +491,18 @@ def evolve_lindblad(
             t += remainder
         return rho / raw_trace, raw_trace, abs(raw_trace - 1.0), t
 
-    samples: list[LindbladSample] = []
+    chunks: list[tuple[tuple[float, ...], tuple[float, ...], DensityStack]] = []
     chunk = np.empty((min(SAMPLE_CHUNK, 1 + len(starts)), g.dim, g.dim), dtype=complex)
     times: list[float] = []  # of the states pending in chunk[:len(times)]
     traces: list[float] = []
 
     def flush() -> None:
-        """Validate the pending states at once and emit them as samples."""
+        """Validate the pending states at once and keep them as one chunk."""
         if times:
             states, error = density_stack(chunk[: len(times)], 10.0 * MIN_EIGENVALUE_TOL)
-            samples.extend(map(LindbladSample, times, states, traces))
             if error is not None:
                 raise IntegrationError(f"emitted state invalid ({error})", times[len(states)]) from error
+            chunks.append((tuple(times), tuple(traces), states))
             times.clear()
             traces.clear()
 
@@ -488,7 +540,7 @@ def evolve_lindblad(
         n_steps,
         cumulative_drift,
     )
-    return samples
+    return Trajectory(chunks)
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:

@@ -35,7 +35,7 @@ from .bell import (
     singlet_variance,
 )
 from .bipartite import no_signalling_check, partial_trace_a, singlet
-from .channels import SAMPLE_CHUNK, LindbladGenerator, evolve_lindblad, step_schedule
+from .channels import LindbladGenerator, evolve_lindblad, step_schedule
 from .density import (
     DensityOperator,
     ProperMixture,
@@ -353,31 +353,30 @@ _TRAJECTORY_ROW = ",".join([_NUMBER] * len(TrajectoryRow._fields)) + "\n"
 
 
 def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:
-    """Integrate the scenario and tabulate its samples, SAMPLE_CHUNK rows at a
-    time: purity, entropy and entropy rate each take one call per chunk.
+    """Integrate the scenario and tabulate its samples one chunk of the
+    trajectory at a time, straight from the chunk's DensityStack: purity,
+    entropy and entropy rate each take one call per chunk.
 
     Raises IntegrationError, at the time of the first sample concerned, when
     the integration fails or a sample's entropy rate is not finite.
     """
     g = scenario.generator
-    samples = evolve_lindblad(
+    trajectory = evolve_lindblad(
         g, scenario.rho0, scenario.t_end, scenario.dt, sample_every=scenario.sample_every
     )
     rows = []
-    for start in range(0, len(samples), SAMPLE_CHUNK):
-        chunk = samples[start : start + SAMPLE_CHUNK]
-        states = [sample.state for sample in chunk]
+    for times, raw_traces, states in trajectory.chunks:
         try:
             rates = jump_entropy_rate(states, g.jump_ops)
         except ValidationError as exc:  # the entropy rate overflows: find the first such sample
-            for sample in chunk:
+            for t, state in zip(times, states):
                 try:
-                    jump_entropy_rate(sample.state, g.jump_ops)
+                    jump_entropy_rate(state, g.jump_ops)
                 except ValidationError:
                     break
-            raise IntegrationError(str(exc), sample.time) from exc
-        columns = ([s.time for s in chunk], [s.raw_trace for s in chunk], purity(states).tolist(),
-                   von_neumann_entropy(states).tolist(), [s.min_eigenvalue for s in chunk], rates.tolist())
+            raise IntegrationError(str(exc), t) from exc
+        columns = (times, raw_traces, purity(states).tolist(), von_neumann_entropy(states).tolist(),
+                   states.eigenvalues[:, 0].tolist(), rates.tolist())
         rows.extend(map(TrajectoryRow, *columns))
     return rows
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .linalg import (
     HermitianEig,
     apply_matrix_function,
     as_ket,
+    as_matrix,
     as_square,
     frozen,
     hermitian_eig,
@@ -78,12 +80,11 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim})"
 
 
-def _keep(
-    d: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray
-) -> DensityOperator:
-    object.__setattr__(d, "matrix", frozen(matrix))
-    object.__setattr__(d, "eigenvalues", frozen(eigenvalues))
-    object.__setattr__(d, "eigenvectors", frozen(eigenvectors))
+def _keep(d, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+    """Store the three arrays of a DensityOperator, or of a DensityStack, through frozen:
+    views of a validated stack's arrays pass without a copy."""
+    for name, a in zip(d.__slots__, (matrix, eigenvalues, eigenvectors)):  # its fields, in order
+        object.__setattr__(d, name, frozen(a))
     return d
 
 
@@ -96,6 +97,8 @@ def _validated(matrix, psd_atol: float, stack: bool = False) -> tuple[np.ndarray
     DensityOperator's message for one matrix; for a stack the message does
     not say which matrix failed (`density_stack` does)."""
     m = as_square(matrix, stack=stack)
+    if stack and m.ndim != 3:
+        raise ShapeError(f"expected a (B, n, n) stack of matrices, got shape {m.shape}")
     require_close(lambda: np.trace(m, axis1=-2, axis2=-1) - 1.0, TRACE_ATOL, "density trace must be 1")
     try:
         eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
@@ -109,31 +112,72 @@ def _validated(matrix, psd_atol: float, stack: bool = False) -> tuple[np.ndarray
     return hermitized, eig
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class DensityStack(Sequence[DensityOperator]):
+    """A validated stack of B density operators of one dimension.
+
+    Construction checks a (B, n, n) stack of matrices as DensityOperator checks
+    one, with one eigensolve for the whole stack; a failure raises
+    ValidationError without saying which matrix failed (`density_stack` says).
+    The stack keeps the hermitized matrices (B, n, n), their ascending
+    eigenvalues (B, n) and eigenvectors (B, n, n), all read-only.  It reads as
+    a sequence of DensityOperator views into these arrays: len, index and
+    iteration; a slice is a DensityStack view.
+    """
+
+    matrices: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def __init__(self, matrices, psd_atol: float = PSD_ATOL):
+        hermitized, eig = _validated(matrices, psd_atol, stack=True)
+        _keep(self, hermitized, eig.eigenvalues, eig.eigenvectors)
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = DensityStack
+        else:
+            view, index = DensityOperator, operator.index(index)
+        arrays = self.matrices[index], self.eigenvalues[index], self.eigenvectors[index]
+        return _keep(object.__new__(view), *arrays)
+
+    def __repr__(self) -> str:
+        return f"DensityStack(len={len(self)}, dim={self.dim})"
+
+
 def density_stack(
     matrices: np.ndarray, psd_atol: float = PSD_ATOL
-) -> tuple[list[DensityOperator], ValidationError | None]:
+) -> tuple[DensityStack, ValidationError | None]:
     """Validate a (B, n, n) stack of density matrices with one eigensolve.
 
-    Returns the density operators of the matrices before the first invalid
-    one, and that matrix's ValidationError with the message DensityOperator
-    gives it (None when every matrix is valid).  The operators of a valid
-    stack hold read-only views into one hermitized stack and its spectra.
+    Returns the DensityStack of the matrices before the first invalid one, and
+    that matrix's ValidationError with the message DensityOperator gives it
+    (None, and the whole stack, when every matrix is valid).
     """
     try:
-        hermitized, eig = _validated(matrices, psd_atol, stack=True)
+        return DensityStack(matrices, psd_atol), None
     except ValidationError:  # find the first invalid matrix: each checked alone
         states = []
         for m in matrices:
             try:
                 states.append(DensityOperator(m, psd_atol))
             except ValidationError as exc:
-                return states, exc
+                if states:
+                    return stacked(states), exc
+                n = len(m)
+                none = np.empty((0, n, n), dtype=complex)  # no valid matrix before m
+                return _keep(object.__new__(DensityStack), none, np.empty((0, n)), none), exc
         raise
-    arrays = zip(hermitized, eig.eigenvalues, eig.eigenvectors)
-    return [_keep(object.__new__(DensityOperator), *views) for views in arrays], None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProperMixture:
     """A mixture sum_k p_k |ket_k><ket_k| with normalized, possibly
     non-orthogonal kets, built from (p_k, ket_k) pairs and kept as two
@@ -172,18 +216,28 @@ def mixture_to_density(m: ProperMixture) -> DensityOperator:
 States = DensityOperator | Sequence[DensityOperator]  # one state, or a sequence of them
 
 
-def stacked(d: States, *attrs: str) -> tuple[np.ndarray, ...]:
-    """The named arrays of one density operator, each with a leading axis of
-    length 1, or of a non-empty sequence of density operators of one dimension,
-    each stacked (B, ...): the one input of the per-state kernels."""
-    states = [d] if isinstance(d, DensityOperator) else list(d)
-    if not states or any(s.dim != states[0].dim for s in states):
-        raise ShapeError("expected a non-empty sequence of density operators of one dimension")
-    return tuple(np.array([getattr(s, attr) for s in states]) for attr in attrs)
+def stacked(d: States) -> DensityStack:
+    """The states as one non-empty DensityStack, the one input of the per-state
+    kernels: a DensityStack as it is; one density operator as a stack of one,
+    viewing its arrays; a sequence of density operators of one dimension
+    stacked anew."""
+    if isinstance(d, DensityOperator):
+        d = _keep(object.__new__(DensityStack), d.matrix[None], d.eigenvalues[None], d.eigenvectors[None])
+    elif not isinstance(d, DensityStack):
+        states = list(d)
+        if any(s.dim != states[0].dim for s in states):
+            raise ShapeError("expected density operators of one dimension")
+        arrays = [np.array([getattr(s, a) for s in states]) for a in DensityOperator.__slots__]
+        for a in arrays:
+            a.setflags(write=False)  # built here, so the stack keeps them without a copy
+        d = _keep(object.__new__(DensityStack), *arrays)
+    if not len(d):
+        raise ShapeError("expected a non-empty sequence of density operators")
+    return d
 
 
 def per_state(d: States, values: np.ndarray) -> float | np.ndarray:
-    """A per-state kernel's (B,) result on `stacked(d, ...)`: a float for one
+    """A per-state kernel's (B,) result on `stacked(d)`: a float for one
     density operator, the array for a sequence of them."""
     return float(values[0]) if isinstance(d, DensityOperator) else values
 
@@ -191,28 +245,33 @@ def per_state(d: States, values: np.ndarray) -> float | np.ndarray:
 def purity(d: States) -> float | np.ndarray:
     """Tr(rho^2); equals 1 exactly for pure states, less for mixtures.
 
-    Of one DensityOperator, a float; of a sequence of them, an array holding
-    each state's value, bit for bit the value it gets alone."""
-    (m,) = stacked(d, "matrix")
+    Of one DensityOperator, a float; of a sequence of them (a DensityStack
+    included), an array holding each state's value, bit for bit the value it
+    gets alone."""
+    m = stacked(d).matrices
     return per_state(d, np.trace(m @ m, axis1=1, axis2=2).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramFactor:
     """Scaled coefficient matrix of a proper mixture in an orthonormal basis.
 
     Row k holds sqrt(p_k) times the expansion coefficients of ket k, so the
     squared norm of row k is the weight p_k and
     rho_mn = sum_k coeff[k, m] conj(coeff[k, n]) in the stored basis.  Both
-    arrays are kept read-only.
+    arrays, the basis (n, n) and the coefficients (K, n), are kept read-only.
     """
 
     coeff: np.ndarray
     basis: np.ndarray  # columns are the basis kets
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", frozen(np.asarray(self.coeff, dtype=complex)))
-        object.__setattr__(self, "basis", frozen(np.asarray(self.basis, dtype=complex)))
+        basis = as_square(self.basis)
+        coeff = as_matrix(self.coeff)
+        if coeff.shape[1] != len(basis):
+            raise ShapeError(f"expected a (K, {len(basis)}) coefficient matrix, got shape {coeff.shape}")
+        object.__setattr__(self, "coeff", frozen(coeff))
+        object.__setattr__(self, "basis", frozen(basis))
 
     @property
     def num_terms(self) -> int:

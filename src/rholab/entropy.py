@@ -7,9 +7,10 @@ and emit a RuntimeWarning when an input is rank-deficient, since log(rho)
 is undefined on the kernel.
 
 `von_neumann_entropy`, `entropy_production` and `jump_entropy_rate` take one
-DensityOperator and return a float, or a sequence of them and return an array
-with one value per state.  Both forms run one kernel on the states' stacked
-spectra, and a state's value is the same bit for bit in either form.
+DensityOperator and return a float, or a sequence of them (a DensityStack
+passes as it is) and return an array with one value per state.  Both forms run
+one kernel on the states' stacked spectra, and a state's value is the same bit
+for bit in either form.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ EIGENVALUE_FLOOR = 1e-14
 
 def von_neumann_entropy(d: States) -> float | np.ndarray:
     """S(rho) = -Tr(rho log rho) = -sum p_i log p_i, in nats."""
-    (p,) = stacked(d, "eigenvalues")
+    p = stacked(d).eigenvalues
     p = np.where(p > EIGENVALUE_FLOOR, p, 1.0)  # 1 log 1 = 0: the 0 log 0 = 0 convention
     return per_state(d, np.maximum(0.0 - np.sum(p * np.log(p), axis=-1), 0.0))
 
@@ -86,8 +87,9 @@ def entropy_production(d: States, jump_ops) -> float | np.ndarray:
     Each factor pair has the same sign, hence the non-negativity; this is
     the dissipative entropy rate of the jump part of the Lindblad flow.
     """
-    p, v = stacked(d, "eigenvalues", "eigenvectors")
-    ops = as_square_stack(jump_ops, p.shape[-1])
+    s = stacked(d)
+    p, v = s.eigenvalues, s.eigenvectors
+    ops = as_square_stack(jump_ops, s.dim)
     if len(ops):  # as_square rejects an empty stack; an empty set is Hermitian
         require_hermitian(ops, stack=True)
     p = _floored(p)
@@ -103,7 +105,8 @@ def jump_entropy_rate(d: States, jump_ops) -> float | np.ndarray:
     in the eigenbasis of rho.  Reduces to `entropy_production` when every
     jump operator is Hermitian; carries no sign guarantee in general.
     """
-    p, v = stacked(d, "eigenvalues", "eigenvectors")
-    ops = as_square_stack(jump_ops, p.shape[-1])
+    s = stacked(d)
+    p, v = s.eigenvalues, s.eigenvectors
+    ops = as_square_stack(jump_ops, s.dim)
     p = _floored(p)
     return _rate(d, ops, p, v, p[:, None, :])

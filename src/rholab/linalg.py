@@ -192,7 +192,7 @@ def require_hermitian(a, dim: int | None = None, *, stack: bool = False) -> np.n
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianEig:
     """Full spectrum of a Hermitian matrix, or of each matrix of a stack.
 
@@ -227,14 +227,15 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray
     return tuple(rounds), frozen(upper), frozen(np.eye(n, dtype=complex))
 
 
+@functools.cache
 def _stacked(n: int, count: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """_round_robin(n) for a C-contiguous stack of `count` n x n matrices: each flat-index
-    table repeated per matrix and shifted by b n^2 for matrix b, the upper triangle as one
-    row per matrix, and the identity stacked."""
+    """_round_robin(n) for a C-contiguous stack of `count` n x n matrices, read-only: each
+    flat-index table repeated per matrix and shifted by b n^2 for matrix b, the upper
+    triangle as one row per matrix, and the identity stacked."""
     rounds, upper, identity = _round_robin(n)
     shift = n * n * np.arange(count)[:, None]
-    return (tuple((idx[:, None, :] + shift).reshape(4, -1) for idx in rounds),
-            upper + shift, np.repeat(identity[None], count, axis=0))
+    return (tuple(frozen((idx[:, None, :] + shift).reshape(4, -1)) for idx in rounds),
+            frozen(upper + shift), frozen(np.repeat(identity[None], count, axis=0)))
 
 
 def hermitian_eig(a) -> HermitianEig:
@@ -267,11 +268,10 @@ def hermitian_eig(a) -> HermitianEig:
         work = (m + m.conj().swapaxes(-1, -2)) / 2.0
         vecs = eye
         for _ in range(_MAX_SWEEPS):
-            off = work.take(upper)
-            if m.ndim == 2:
-                off2 = 2.0 * np.vdot(off, off).real
-            else:  # the matrices that pass the stop test leave at this sweep boundary
-                off2 = 2.0 * np.array([np.vdot(row, row).real for row in off])  # each as if alone
+            # Each matrix's squared off-diagonal norm by one row-wise sum, on both paths: a
+            # matrix of a stack gets the value it gets alone, so it stops where it stops alone.
+            off2 = 2.0 * np.add.reduce(np.square(work.take(upper).view(float)), -1)
+            if m.ndim == 3:  # the matrices that pass the stop test leave at this sweep boundary
                 done = off2 < _JACOBI_OFF_TOL**2
                 values[rest[done]] = work[done].diagonal(0, -2, -1).real
                 vectors[rest[done]] = vecs[done]
@@ -306,8 +306,9 @@ def hermitian_eig(a) -> HermitianEig:
         values, vectors = values[order], vecs.take(order, -1)  # take: a C-ordered copy
     else:
         order = np.argsort(values, axis=-1, kind="stable")
-        values = np.take_along_axis(values, order, -1)
-        vectors = np.take_along_axis(vectors, order[:, None, :], -1)
+        row = n * np.arange(len(m))[:, None]  # b n: where matrix b's values start
+        values = values.take(row + order)  # flat: b n + order[b, j]
+        vectors = vectors.take(n * (row + np.arange(n))[:, :, None] + order[:, None, :])
     if not np.isfinite(values).all():
         raise ArithmeticError("Jacobi iteration overflowed: the eigenvalues are not finite")
     values.setflags(write=False)

@@ -5,12 +5,14 @@ import pytest
 
 from rholab import (
     DensityOperator,
+    DensityStack,
     IntegrationError,
     KrausChannel,
     LindbladGenerator,
     NotCompletelyPositiveError,
     ShapeError,
     Superoperator,
+    Trajectory,
     ValidationError,
     eigenmatrix_decompose,
     evolve_lindblad,
@@ -630,6 +632,58 @@ class TestEvolveLindblad:
         samples = evolve_lindblad(g, random_density(rng, dim), 0.25, 0.1)
         assert built == [g] and len(samples) == 4
         assert len(applied) == (8 if dim == 2 else 12)
+
+
+class TestTrajectory:
+    @staticmethod
+    def _two_chunks() -> Trajectory:
+        # 21 samples: one chunk of SAMPLE_CHUNK states and one of five.
+        rng = np.random.default_rng(147)
+        g = LindbladGenerator(random_hermitian(rng, 3), [0.3 * random_complex(rng, (3, 3))])
+        return evolve_lindblad(g, random_density(rng, 3), 0.2, 0.01)
+
+    def test_reads_like_a_list_of_samples(self):
+        trajectory = self._two_chunks()
+        assert isinstance(trajectory, Trajectory) and len(trajectory) == 21
+        assert [len(states) for _, _, states in trajectory.chunks] == [channels.SAMPLE_CHUNK, 5]
+        samples = list(trajectory)
+        assert len(samples) == 21
+        assert [s.time for s in samples] == pytest.approx([0.01 * i for i in range(21)], abs=1e-15)
+        reads = {
+            "index": (trajectory[3], samples[3]),
+            "last": (trajectory[-1], samples[20]),
+            "first of chunk 2": (trajectory[channels.SAMPLE_CHUNK], samples[channels.SAMPLE_CHUNK]),
+            "negative": (trajectory[-21], samples[0]),
+        }
+        for what, (got, want) in reads.items():
+            assert (got.time, got.raw_trace) == (want.time, want.raw_trace), what
+            assert np.array_equal(got.state.matrix, want.state.matrix), what
+        part = trajectory[3:19:2]
+        assert isinstance(part, list) and [s.time for s in part] == [s.time for s in samples[3:19:2]]
+        for i in (-22, 21):
+            with pytest.raises(IndexError):
+                trajectory[i]
+
+    def test_states_equal_density_operators_of_the_same_matrices(self):
+        trajectory = self._two_chunks()
+        for sample in trajectory[::4] + [trajectory[-1]]:
+            alone = DensityOperator(sample.state.matrix, 10.0 * channels.MIN_EIGENVALUE_TOL)
+            for attr in ("matrix", "eigenvalues", "eigenvectors"):
+                assert np.array_equal(getattr(sample.state, attr), getattr(alone, attr)), attr
+        times, raw_traces, states = trajectory.chunks[1]
+        assert isinstance(states, DensityStack) and len(times) == len(raw_traces) == 5
+        assert np.shares_memory(trajectory[-1].state.matrix, states.matrices)
+
+    def test_is_read_only_and_checks_its_chunks(self):
+        trajectory = self._two_chunks()
+        with pytest.raises(AttributeError):
+            trajectory.chunks = ()
+        times, raw_traces, states = trajectory.chunks[0]
+        with pytest.raises(ShapeError):
+            Trajectory([(times[:-1], raw_traces, states)])
+        with pytest.raises(ShapeError):
+            Trajectory([(times, raw_traces, list(states))])
+        assert len(Trajectory([])) == 0 and list(Trajectory([])) == []
 
 
 class TestLindbladSpectrum:

@@ -374,6 +374,20 @@ class TestEvolve:
         assert len(rows) > SAMPLE_CHUNK and len(rows) % SAMPLE_CHUNK
         assert [tuple(row) for row in rows] == expected
 
+    def test_rows_build_no_per_sample_objects(self, monkeypatch):
+        # The rows are computed from each chunk's stacks; reading the trajectory
+        # sample by sample would build one LindbladSample per row.
+        built = []
+        sample_class = rholab.channels.LindbladSample
+        monkeypatch.setattr(rholab.channels, "LindbladSample", lambda *a: built.append(a) or sample_class(*a))
+        scenario = load_scenario(str(REPO / "scenarios" / "amplitude_damping.json"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = trajectory_rows(scenario)
+        assert len(rows) > SAMPLE_CHUNK and built == []
+        evolve_lindblad(scenario.generator, scenario.rho0, scenario.t_end, scenario.dt)[0]
+        assert len(built) == 1  # the spy sees a sample that is read
+
     def test_unwritable_output(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")
         out = tmp_path / "missing" / "t.csv"

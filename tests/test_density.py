@@ -5,6 +5,7 @@ import pytest
 
 from rholab import (
     DensityOperator,
+    DensityStack,
     ProperMixture,
     ShapeError,
     ValidationError,
@@ -21,7 +22,7 @@ from rholab import (
     spin_half_basis,
 )
 from rholab import linalg
-from rholab.density import ZERO_WEIGHT_TOL, density_stack
+from rholab.density import ZERO_WEIGHT_TOL, density_stack, stacked
 from conftest import (
     random_density,
     random_hermitian,
@@ -107,8 +108,67 @@ class TestDensityStack:
         with pytest.raises(ValidationError) as alone:
             DensityOperator(stack[1])
         states, error = density_stack(stack)
+        assert isinstance(states, DensityStack)
         assert len(states) == 1 and np.array_equal(states[0].matrix, valid)
         assert type(error) is type(alone.value) and str(error) == str(alone.value)
+
+    def test_an_invalid_first_matrix_leaves_an_empty_stack(self):
+        states, error = density_stack(np.array([INVALID["negative"], np.eye(3) / 3.0]))
+        assert isinstance(states, DensityStack) and len(states) == 0 and list(states) == []
+        assert states.matrices.shape == (0, 3, 3) and states.eigenvalues.shape == (0, 3)
+        assert isinstance(error, ValidationError)
+
+    def test_reads_as_a_sequence_of_density_operators(self):
+        rng = np.random.default_rng(30)
+        matrices = np.array([random_density(rng, 3).matrix for _ in range(5)])
+        stack = DensityStack(matrices)
+        alone = [DensityOperator(m) for m in matrices]
+        reads = {
+            "iteration": (list(stack), alone),
+            "index": ([stack[0], stack[3]], [alone[0], alone[3]]),
+            "negative index": ([stack[-1], stack[-5]], [alone[-1], alone[-5]]),
+            "slice": (list(stack[1:5:2]), alone[1:5:2]),
+        }
+        assert len(stack) == 5 and stack.dim == 3
+        for what, (got, want) in reads.items():
+            assert all(type(d) is DensityOperator for d in got), what
+            assert len(got) == len(want), what
+            for d, a in zip(got, want):
+                for attr in ("matrix", "eigenvalues", "eigenvectors"):
+                    assert np.array_equal(getattr(d, attr), getattr(a, attr)), (what, attr)
+                    assert np.shares_memory(getattr(d, attr), stack.matrices if attr == "matrix"
+                                            else getattr(stack, attr)), (what, attr)
+        with pytest.raises(IndexError):
+            stack[5]
+        with pytest.raises(TypeError):
+            stack[np.array([0, 1])]  # one state, or a slice; no fancy indexing
+
+    def test_passes_through_stacked_and_slices_are_views(self):
+        rng = np.random.default_rng(31)
+        stack = DensityStack(np.array([random_density(rng, 2).matrix for _ in range(4)]))
+        part = stack[1:3]
+        assert isinstance(part, DensityStack) and len(part) == 2
+        assert stacked(stack) is stack and stacked(part) is part
+        for attr in ("matrices", "eigenvalues", "eigenvectors"):
+            whole, view = getattr(stack, attr), getattr(part, attr)
+            assert np.shares_memory(view, whole) and not view.flags.writeable
+            assert np.array_equal(view, whole[1:3])
+        assert purity(part).tolist() == purity(stack).tolist()[1:3]
+        with pytest.raises(ShapeError):
+            purity(stack[:0])
+
+    def test_is_read_only(self):
+        stack = DensityStack(np.array([np.eye(2) / 2.0]))
+        with pytest.raises(AttributeError):
+            stack.matrices = np.zeros((1, 2, 2))
+        with pytest.raises(ValueError):
+            stack.eigenvalues[0, 0] = 1.0
+
+    def test_construction_checks_the_whole_stack(self):
+        with pytest.raises(ShapeError, match=r"expected a \(B, n, n\) stack"):
+            DensityStack(np.eye(2) / 2.0)
+        with pytest.raises(ValidationError, match="density is not positive"):
+            DensityStack(np.array([np.eye(3) / 3.0, INVALID["negative"]]))
 
 
 class TestMixtureToDensity:

@@ -8,6 +8,7 @@ import pytest
 import rholab.linalg
 from rholab import (
     DensityOperator,
+    DensityStack,
     LindbladGenerator,
     ShapeError,
     ValidationError,
@@ -215,6 +216,25 @@ class TestSequenceForm:
                 assert isinstance(values, np.ndarray) and values.shape == (len(states),), name
                 assert all(type(x) is float for x in singles), name
                 assert values.tolist() == singles, name
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_a_density_stack_equals_the_list_of_its_states(self, n):
+        rng = np.random.default_rng(121 + n)
+        stack = DensityStack(np.array([d.matrix for d in _mixed_ranks(rng, n)]))
+        general = [random_complex(rng, (n, n)) for _ in range(3)]
+        hermitian = [random_hermitian(rng, n) for _ in range(2)]
+        calls = {
+            "purity": purity,
+            "von_neumann_entropy": von_neumann_entropy,
+            "jump_entropy_rate": lambda d: jump_entropy_rate(d, general),
+            "entropy_production": lambda d: entropy_production(d, hermitian),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the pure and rank-2 states
+            for name, call in calls.items():
+                values = call(stack)
+                assert isinstance(values, np.ndarray) and values.shape == (len(stack),), name
+                assert values.tolist() == call(list(stack)).tolist() == [call(d) for d in stack], name
 
     def test_mixed_ranks_warn_once_with_the_one_state_message(self):
         rng = np.random.default_rng(118)

@@ -7,6 +7,7 @@ from rholab import (
     BipartiteKet,
     BipartiteSpace,
     DensityOperator,
+    DensityStack,
     DomainError,
     GramFactor,
     KrausChannel,
@@ -475,12 +476,26 @@ class TestDimensionAgreement:
         with pytest.raises(ShapeError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
             _dimension_mismatches()[name]()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SchmidtForm([1.0, 0.5], [[1, 0]], [[0, 1], [1, 0]]),  # one a-ket, two terms
+            lambda: GramFactor(np.ones((2, 3)), np.eye(2)),  # three coefficients per row, n = 2
+            lambda: GramFactor(np.ones((2, 2)), np.ones((2, 3))),  # a basis that is not square
+        ],
+        ids=["schmidt-rows", "gram-columns", "gram-basis"],
+    )
+    def test_inconsistent_array_shapes_rejected_at_construction(self, build):
+        with pytest.raises(ShapeError):
+            build()
+
 
 def _built_from_caller_arrays():
     """Every value object that stores arrays, built from writable caller
     arrays: name -> (the caller's arrays, a build returning the object and the
     names of its array attributes)."""
     rho = np.diag([0.25, 0.75]).astype(complex)
+    stack = np.array([rho, np.eye(2) / 2.0])
     amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
     tensor = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)
     k0, k1 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
@@ -493,6 +508,10 @@ def _built_from_caller_arrays():
         "DensityOperator": (
             [rho],
             lambda: (DensityOperator(rho), ("matrix", "eigenvalues", "eigenvectors")),
+        ),
+        "DensityStack": (
+            [stack],
+            lambda: (DensityStack(stack), ("matrices", "eigenvalues", "eigenvectors")),
         ),
         "BipartiteKet": ([amps], lambda: (BipartiteKet(BipartiteSpace(2, 2), amps), ("amplitudes",))),
         "Superoperator": ([tensor], lambda: (Superoperator(2, tensor), ("tensor",))),
@@ -539,6 +558,7 @@ class TestOwnership:
     def test_constants_are_read_only(self):
         spin_one = spin_one_set()
         rounds, upper, identity = linalg._round_robin(4)
+        stacked_rounds, stacked_upper, stacked_identity = linalg._stacked(4, 3)  # cached too
         arrays = [
             *spin_half_basis().axis_pair("y"),
             spin_one.sx,
@@ -548,6 +568,9 @@ class TestOwnership:
             *rounds,
             upper,
             identity,
+            *stacked_rounds,
+            stacked_upper,
+            stacked_identity,
         ]
         assert not any(a.flags.writeable for a in arrays)
 
@@ -575,11 +598,11 @@ class TestOwnership:
         kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
         gram_factor(mixture, np.eye(2))
         schmidt(ket)
-        # 3 + 2 x 3 arrays of the density operators, 3 of the generator, the caller's Kraus
-        # set as one stack, the superoperator's tensor, its sorted eigenvalues and
+        # 3 arrays of the density operator, 3 of the density stack, 3 of the generator, the
+        # caller's Kraus set as one stack, the superoperator's tensor, its sorted eigenvalues and
         # eigenmatrix stack, the stack of Kraus operators built from its spectrum, the
         # Gram factor's coefficients and basis, and the Schmidt form's three arrays.
-        assert len(stored) == 22
+        assert len(stored) == 19
         assert all(np.shares_memory(out, a) for a, out in stored)
         spin_one = spin_one_set()
         constants = [
@@ -590,6 +613,27 @@ class TestOwnership:
             *simultaneous_eigenbasis(),
         ]
         assert all(linalg.frozen(a) is a for a in constants)
+
+
+def _array_value_objects():
+    """A build of every value object that holds arrays, each call a new object
+    of the same value."""
+    builds = {name: lambda b=build: b()[0] for name, (_, build) in _built_from_caller_arrays().items()}
+    builds["HermitianEig"] = lambda: hermitian_eig(pauli("x"))
+    builds["Trajectory"] = lambda: evolve_lindblad(
+        LindbladGenerator(pauli("z"), [pauli("x")]), DensityOperator(np.eye(2) / 2.0), 0.2, 0.1
+    )
+    return builds
+
+
+@pytest.mark.parametrize("name", list(_array_value_objects()))
+def test_array_value_objects_compare_and_hash_by_identity(name):
+    # Comparing their arrays field by field would raise (the truth value of an
+    # array is ambiguous), and arrays are unhashable.
+    build = _array_value_objects()[name]
+    a, b = build(), build()
+    assert a == a and not a == b and a != b
+    assert {a: 1, b: 2}[a] == 1
 
 
 class TestKetDimension:
