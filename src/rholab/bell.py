@@ -145,7 +145,7 @@ def empirical_correlation(events: np.recarray) -> float:
 _GHZ_LABELS = ("xyy", "yxy", "yyx", "xxx")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhzReport:
     """Stabilizer eigenvalues of the three-spin state 2^{-1/2}(|---> - |+++>).
 
@@ -201,7 +201,7 @@ def ghz_check(atol: float = 1e-12) -> GhzReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoCloningReport:
     """Linear basis-cloning map applied to a superposition.
 

@@ -81,7 +81,7 @@ SAMPLE_CHUNK = 16
 # Largest dimension at which the integrator builds the N^2 x N^2 propagator
 # matrix T(dt L).  Above it the same polynomial is applied in operator form:
 # at d = 16, T has 65,536 complex entries (1 MB) and building it peaks near
-# 5.2 MB, about eleven times what a whole d = 16 run otherwise holds at once.
+# 4.2 MB (tracemalloc), about nine times what a whole d = 16 run otherwise holds.
 PROPAGATOR_MATRIX_MAX_DIM = 8
 
 
@@ -218,25 +218,27 @@ class LindbladGenerator:
     """Generator data: a Hamiltonian and a set of jump operators, kept as one
     read-only (K, n, n) array (shape (0, n, n) when there are none).
 
-    half_gram = 1/2 sum_k L^k(dag) L^k, the anticommutator term of the dissipator, is
-    derived once here (and checked finite); the flow folds it into the effective
-    non-Hermitian Hamiltonian K = -iH - half_gram.
+    The effective non-Hermitian Hamiltonian K = -iH - 1/2 sum_k L^k(dag) L^k is derived
+    once here (and checked finite).  K and the jump stack are the one generator data
+    that both evaluators read: the flow `_generator_flow` and the supermatrix
+    `generator_matrix`.
     """
 
     hamiltonian: np.ndarray
     jump_ops: np.ndarray
-    half_gram: np.ndarray = field(repr=False)
+    effective_hamiltonian: np.ndarray = field(repr=False)
 
     def __init__(self, hamiltonian, jump_ops=()):
         h = frozen(require_hermitian(hamiltonian))
         ops = frozen(as_square_stack(jump_ops, h.shape[0]))
-        half_gram = require_finite(
-            lambda: 0.5 * (ops.conj().swapaxes(1, 2) @ ops).sum(0), "jump operator sum 1/2 L(dag)L"
+        k = require_finite(
+            lambda: -1j * h - 0.5 * (ops.conj().swapaxes(1, 2) @ ops).sum(0),
+            "effective Hamiltonian -iH - 1/2 sum L(dag)L",
         )
-        half_gram.setflags(write=False)
+        k.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jump_ops", ops)
-        object.__setattr__(self, "half_gram", frozen(half_gram))
+        object.__setattr__(self, "effective_hamiltonian", frozen(k))
 
     @property
     def dim(self) -> int:
@@ -244,28 +246,22 @@ class LindbladGenerator:
 
 
 def _generator_flow(g: LindbladGenerator) -> Callable[[np.ndarray], np.ndarray]:
-    """The flow rho -> K rho + rho K(dag) + sum_k L^k rho L^k(dag) in effective-Hamiltonian
-    form, K = -iH - 1/2 sum_k L^k(dag) L^k, with K, K(dag) and the jump columns built once.
+    """The flow rho -> K rho + rho K(dag) + sum_k L^k rho L^k(dag) on one matrix, with K
+    the generator's effective Hamiltonian, and K(dag) and the jump columns built once.
 
-    On one matrix the jump sum is two matrix products: the column C of the stacked L^k
-    times rho, regrouped into the row (L^1 rho | ... | L^K rho), times the column of the
-    L^k(dag).  On a stack of matrices the jump terms are added one operator at a time:
-    all at once would hold K stacks, 8 MB for generator_matrix at d = 16, K = 8.
+    The jump sum is two matrix products: the column C of the stacked L^k times rho,
+    regrouped into the row (L^1 rho | ... | L^K rho), times the column of the L^k(dag).
     """
     n, m = g.dim, len(g.jump_ops) * g.dim
-    k = -1j * g.hamiltonian - g.half_gram
+    k = g.effective_hamiltonian
     k_dag = k.conj().T.copy()
     column = g.jump_ops.reshape(m, n)  # L^1 over L^2 over ...: a view
     column_dag = g.jump_ops.conj().swapaxes(1, 2).reshape(m, n)
 
     def flow(rho: np.ndarray) -> np.ndarray:
         out = k @ rho + rho @ k_dag
-        if rho.ndim == 2:
-            row = (column @ rho).reshape(-1, n, n).swapaxes(0, 1).reshape(n, m)
-            out += row @ column_dag
-            return out
-        for op, op_dag in zip(g.jump_ops, column_dag.reshape(-1, n, n)):
-            out += op @ rho @ op_dag
+        row = (column @ rho).reshape(-1, n, n).swapaxes(0, 1).reshape(n, m)
+        out += row @ column_dag
         return out
 
     return flow
@@ -275,9 +271,9 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
     """The instantaneous flow
 
         -i[H, rho] + sum_k (L^k rho L^k(dag) - 1/2 {L^k(dag) L^k, rho})
-          = K rho + rho K(dag) + sum_k L^k rho L^k(dag),  K = -iH - 1/2 sum_k L^k(dag) L^k.
+          = K rho + rho K(dag) + sum_k L^k rho L^k(dag),
 
-    The output is Hermitian and traceless.
+    with K the generator's `effective_hamiltonian`.  The output is Hermitian and traceless.
     """
     return _generator_flow(g)(as_square(d.matrix, g.dim))
 
@@ -350,53 +346,44 @@ class Trajectory(Sequence[LindbladSample]):
         return f"Trajectory(len={len(self)})"
 
 
-def _map_matrix(flow: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
-    """The N^2 x N^2 matrix over row-major rho of a linear map that accepts a
-    stack of matrices: column (k, l) is the image of the basis matrix E_kl."""
-    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    return flow(basis).reshape(n * n, n * n).T
+def _taylor_polynomial(flow: Callable, rho: np.ndarray, h: float) -> np.ndarray:
+    """T(hL) rho = rho + hL(rho + hL/2 (rho + hL/3 (rho + hL/4 rho))), the degree-4 Taylor
+    polynomial by Horner, with `flow` applying L."""
+    out = rho
+    for k in (4, 3, 2, 1):
+        out = rho + (h / k) * flow(out)
+    return out
 
 
 def _taylor_propagator(
     g: LindbladGenerator, dt: float, remainder: float = 0.0
 ) -> Callable[..., np.ndarray]:
     """The map (rho, full, last) -> T(remainder L)^[last] T(dt L)^full rho,
-    with T(A) = I + A + A^2/2 + A^3/6 + A^4/24 evaluated by Horner as
-    I + A(I + A/2 (I + A/3 (I + A/4))).
+    with T(A) = I + A + A^2/2 + A^3/6 + A^4/24 (`_taylor_polynomial`).
 
     For a time-independent generator T(dt L) is exactly the polynomial one
-    classical RK4 step evaluates.  A step applies the generator four times; up
+    classical RK4 step evaluates.  A step applies the generator four times.  Up
     to PROPAGATOR_MATRIX_MAX_DIM each step length is tabulated once as the
-    matrix T, and T(remainder L)^[last] T(dt L)^full is then one matvec on
-    row-major rho, its power taken once per distinct `full` by repeated
-    squaring.  Above that size it is `full` (plus `last`) operator-form steps,
-    so no N^2 x N^2 array is built.
+    matrix T, the polynomial of the supermatrix `generator_matrix` applied to
+    the N^2 x N^2 identity, and T(remainder L)^[last] T(dt L)^full is then one
+    matvec on row-major rho, its power taken once per distinct `full` by
+    repeated squaring.  Above that size it is `full` (plus `last`) steps of the
+    flow `_generator_flow`, so no N^2 x N^2 array is built.
     """
-
-    flow = _generator_flow(g)
-
-    def taylor_step(h: float) -> Callable[[np.ndarray], np.ndarray]:
-        def step(rho: np.ndarray) -> np.ndarray:
-            out = rho
-            for k in (4, 3, 2, 1):
-                out = rho + (h / k) * flow(out)
-            return out
-
-        return step
-
-    full_step, last_step = taylor_step(dt), taylor_step(remainder)
     n = g.dim
     if n > PROPAGATOR_MATRIX_MAX_DIM:
+        flow = _generator_flow(g)
 
         def propagate(rho: np.ndarray, full: int, last: bool) -> np.ndarray:
             for _ in range(full):
-                rho = full_step(rho)
-            return last_step(rho) if last else rho
+                rho = _taylor_polynomial(flow, rho, dt)
+            return _taylor_polynomial(flow, rho, remainder) if last else rho
 
         return propagate
 
-    t_full = _map_matrix(full_step, n)
-    t_last = _map_matrix(last_step, n) if remainder > 0.0 else None
+    g_mat, eye = generator_matrix(g), np.eye(n * n, dtype=complex)
+    t_full = _taylor_polynomial(g_mat.__matmul__, eye, dt)
+    t_last = _taylor_polynomial(g_mat.__matmul__, eye, remainder) if remainder > 0.0 else None
 
     @functools.cache
     def power(full: int, last: bool) -> np.ndarray:
@@ -544,8 +531,16 @@ def evolve_lindblad(
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:
-    """The N^2 x N^2 matrix over row-major rho of the flow `lindblad_apply` evaluates."""
-    return _map_matrix(_generator_flow(g), g.dim)
+    """The N^2 x N^2 matrix K (x) I + I (x) conj(K) + sum_k L^k (x) conj(L^k) over
+    row-major rho of the flow `lindblad_apply` evaluates, from vec(A rho B) =
+    (A (x) B^T) vec(rho): entry [(m, n), (k, l)] is sum_j A_j[m, k] B_j^T[n, l] over
+    the stacked pairs (K, I, L^1, ...) and (I, conj(K), conj(L^1), ...), one batched
+    small product per (m, n) written straight into the (m, n, k, l) layout."""
+    n = g.dim
+    eye, k = np.eye(n)[None], g.effective_hamiltonian[None]
+    left = np.concatenate([k, eye, g.jump_ops]).transpose(1, 2, 0)  # [m, k, j]
+    right = np.concatenate([eye, k.conj(), g.jump_ops.conj()]).transpose(1, 0, 2)  # [n, j, l]
+    return (left[:, None] @ right).reshape(n * n, n * n)
 
 
 def lindblad_spectrum(g: LindbladGenerator) -> list[tuple[complex, np.ndarray]]:

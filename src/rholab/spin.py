@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .linalg import hermitian_eig
 
 UNIT_ATOL = 1e-12
@@ -40,23 +40,35 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
+def _require_real(components) -> None:
+    # A complex component would pass the norm check unconjugated: (1, 1j, 1) sums to 1.
+    if any(map(np.iscomplexobj, components)):
+        raise ValidationError(f"components must be real, got {tuple(components)!r}")
+
+
 @dataclass(frozen=True)
 class UnitVector3:
-    """A unit vector in coordinate space, e.g. a detector orientation."""
+    """A unit vector in coordinate space, e.g. a detector orientation; a complex
+    component raises ValidationError."""
 
     nx: float
     ny: float
     nz: float
 
     def __post_init__(self):
+        _require_real((self.nx, self.ny, self.nz))
         norm_sq = self.nx**2 + self.ny**2 + self.nz**2
         if not abs(norm_sq - 1.0) <= 2.0 * UNIT_ATOL:  # also rejects NaN
             raise ValidationError(f"not a unit vector: |n|^2 = {norm_sq!r}")
 
     @classmethod
     def from_iterable(cls, values) -> "UnitVector3":
-        nx, ny, nz = (float(v) for v in values)
-        return cls(nx, ny, nz)
+        """From three real numbers or numeric strings; any other count raises ShapeError."""
+        components = np.asarray(tuple(values))
+        if components.shape != (3,):
+            raise ShapeError(f"expected 3 components, got shape {components.shape}")
+        _require_real(components)
+        return cls(*map(float, components))
 
     @classmethod
     def from_spherical(cls, theta: float, phi: float) -> "UnitVector3":
@@ -74,7 +86,7 @@ Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinHalfBasis:
     """The six spin-1/2 kets |x+->, |y+->, |z+-> as 1-D amplitude arrays."""
 
@@ -135,7 +147,7 @@ def sigma_n_eigenkets(n: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
     return _fix_phase(plus), _fix_phase(minus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinOneSet:
     """Spin-1 matrices, their squares, and the nine eigenprojectors P[axis, value]."""
 

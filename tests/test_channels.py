@@ -314,18 +314,19 @@ class TestLindbladApply:
     @pytest.mark.parametrize("k", [0, 1, 3, 8])
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_flow_equals_the_term_by_term_sum(self, n, k):
-        # Effective-Hamiltonian form with the jump sum as two matrix products, on one
-        # matrix and on the basis stack of _map_matrix, against the commutator plus
+        # The two evaluators of K and the jump stack, the flow on one matrix (its jump
+        # sum as two matrix products) and the supermatrix, against the commutator plus
         # dissipator written out one operator at a time.
         rng = np.random.default_rng(140 + 10 * n + k)
         h = random_hermitian(rng, n)
         jumps = [random_complex(rng, (n, n)) for _ in range(k)]
-        flow = channels._generator_flow(LindbladGenerator(h, jumps))
+        g = LindbladGenerator(h, jumps)
+        flow = channels._generator_flow(g)
         rho = random_density(rng, n).matrix
         cases = [
             (flow(rho), explicit_flow(h, jumps, rho)),
             (
-                channels._map_matrix(flow, n),
+                generator_matrix(g),
                 np.column_stack([explicit_flow(h, jumps, e).reshape(-1) for e in basis_matrices(n)]),
             ),
         ]
@@ -479,11 +480,8 @@ class TestEvolveLindblad:
         h = scale * random_hermitian(rng, dim)
         jumps = [scale * random_complex(rng, (dim, dim)) for _ in range(2)]
         d0 = random_density(rng, dim)
-        built, generator_built = [], []
-        real_map_matrix, real_generator_matrix = channels._map_matrix, channels.generator_matrix
-        monkeypatch.setattr(
-            channels, "_map_matrix", lambda flow, n: built.append(n) or real_map_matrix(flow, n)
-        )
+        generator_built = []
+        real_generator_matrix = channels.generator_matrix
         monkeypatch.setattr(
             channels,
             "generator_matrix",
@@ -492,9 +490,9 @@ class TestEvolveLindblad:
         samples = evolve_lindblad(
             LindbladGenerator(h, jumps), d0, 0.105, 0.01, sample_every=sample_every
         )
-        # One T per step length up to d = 8; no N^2 x N^2 array at d = 16.
-        assert built == ([] if dim == 16 else [dim, dim])
-        assert generator_built == []
+        # Up to d = 8 one supermatrix per run, from which T of both step lengths is
+        # tabulated; no N^2 x N^2 array at d = 16.
+        assert generator_built == ([] if dim == 16 else [dim])
         expected = rk4_trajectory(h, jumps, d0.matrix, 0.105, 0.01, sample_every)
         assert [s.time for s in samples] == pytest.approx([t for t, _ in expected], abs=1e-15)
         assert samples[-1].time == pytest.approx(0.105, abs=1e-15)
@@ -616,10 +614,11 @@ class TestEvolveLindblad:
 
     @pytest.mark.parametrize("dim", [2, 16])
     def test_flow_built_once_per_run(self, monkeypatch, dim):
-        # d = 2 applies the flow to the basis stack to tabulate T, a remainder step
-        # included; d = 16 applies it four times per operator-form step.
-        built, applied = [], []
-        build = channels._generator_flow
+        # d = 2 builds the supermatrix once and tabulates T from it, a remainder step
+        # included, without the flow; d = 16 builds the flow once and applies it four
+        # times per operator-form step.
+        built, applied, matrices = [], [], []
+        build, build_matrix = channels._generator_flow, channels.generator_matrix
 
         def spy(g):
             built.append(g)
@@ -627,11 +626,15 @@ class TestEvolveLindblad:
             return lambda rho: applied.append(rho.shape) or flow(rho)
 
         monkeypatch.setattr(channels, "_generator_flow", spy)
+        monkeypatch.setattr(channels, "generator_matrix", lambda g: matrices.append(g) or build_matrix(g))
         rng = np.random.default_rng(146)
         g = LindbladGenerator(random_hermitian(rng, dim), [0.1 * random_complex(rng, (dim, dim))])
         samples = evolve_lindblad(g, random_density(rng, dim), 0.25, 0.1)
-        assert built == [g] and len(samples) == 4
-        assert len(applied) == (8 if dim == 2 else 12)
+        assert len(samples) == 4
+        if dim == 2:
+            assert matrices == [g] and built == []
+        else:
+            assert matrices == [] and built == [g] and len(applied) == 12
 
 
 class TestTrajectory:

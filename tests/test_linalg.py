@@ -26,6 +26,7 @@ from rholab import (
     evolve_lindblad,
     evolve_unitary,
     expectation,
+    ghz_check,
     gram_factor,
     hermitian_eig,
     jump_entropy_rate,
@@ -33,6 +34,7 @@ from rholab import (
     kron,
     lindblad_apply,
     matmul,
+    no_cloning_demo,
     overlap_residue,
     partial_trace_a,
     partial_trace_b,
@@ -421,7 +423,7 @@ class TestEntryValidation:
             "require_unit_ket",
             "DensityOperator-trace",
             "DensityOperator-spectrum",
-            "LindbladGenerator-half_gram",
+            "LindbladGenerator-effective_hamiltonian",
             "entropy_production",
             "jump_entropy_rate",
             "entropy_production-rate",
@@ -537,7 +539,7 @@ def _built_from_caller_arrays():
         ),
         "LindbladGenerator": (
             [h, jump],
-            lambda: (LindbladGenerator(h, [jump]), ("hamiltonian", "jump_ops", "half_gram")),
+            lambda: (LindbladGenerator(h, [jump]), ("hamiltonian", "jump_ops", "effective_hamiltonian")),
         ),
     }
 
@@ -616,10 +618,14 @@ class TestOwnership:
 
 
 def _array_value_objects():
-    """A build of every value object that holds arrays, each call a new object
-    of the same value."""
+    """A build of every value object that holds arrays (or dicts), each call a new
+    object of the same value."""
     builds = {name: lambda b=build: b()[0] for name, (_, build) in _built_from_caller_arrays().items()}
     builds["HermitianEig"] = lambda: hermitian_eig(pauli("x"))
+    builds["SpinHalfBasis"] = spin_half_basis
+    builds["SpinOneSet"] = spin_one_set
+    builds["GhzReport"] = ghz_check
+    builds["NoCloningReport"] = no_cloning_demo
     builds["Trajectory"] = lambda: evolve_lindblad(
         LindbladGenerator(pauli("z"), [pauli("x")]), DensityOperator(np.eye(2) / 2.0), 0.2, 0.1
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rholab import (
+    ShapeError,
     UnitVector3,
     ValidationError,
     X_AXIS,
@@ -59,6 +60,29 @@ class TestUnitVector:
     def test_rejects_nan(self, coords):
         with pytest.raises(ValidationError):
             UnitVector3(*coords)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: UnitVector3(1, 1j, 1),  # |n|^2 summed unconjugated is 1
+            lambda: UnitVector3(0.0, 0.0, np.complex128(1.0)),
+            lambda: UnitVector3.from_iterable(np.array([0, 0, 1 + 0j])),
+            lambda: UnitVector3.from_iterable([1, 1j, 1]),
+        ],
+        ids=["complex", "numpy-complex", "from_iterable-complex-array", "from_iterable-complex"],
+    )
+    def test_rejects_complex_component(self, build):
+        with pytest.raises(ValidationError, match="must be real"):
+            build()
+
+    @pytest.mark.parametrize("values", [[1, 0], [0, 0, 1, 0], [], [[0, 0, 1]]])
+    def test_from_iterable_needs_three_components(self, values):
+        with pytest.raises(ShapeError):
+            UnitVector3.from_iterable(values)
+
+    def test_from_iterable_takes_real_numbers_and_numeric_strings(self):
+        for values in ([0, 0, 1], np.array([0.0, 0.0, 1.0]), ["0", "0", "1"], iter((0.0, 0.0, 1.0))):
+            assert UnitVector3.from_iterable(values) == Z_AXIS
 
     def test_spherical(self):
         n = UnitVector3.from_spherical(0.7, 1.3)
