@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityOperator
+from .density import DensityOperator, _with_spectrum
 from .errors import ShapeError, ValidationError
-from .linalg import (as_ket, as_square, frozen, hermitian_eig, in_basis, max_deviation, pinch,
+from .linalg import (as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis, max_deviation, pinch,
                      require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
@@ -59,7 +59,23 @@ class BipartiteKet:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self) -> DensityOperator:
-        return DensityOperator(self.projector())
+        """The pure state |k><k|, with its spectrum in closed form, no eigensolve:
+        eigenvalue <k|k> on u = k/|k| and 0 on the other columns of the
+        Householder reflector H = I - 2 v v^dag/|v|^2, v = u + phase(u_n) e_n
+        (phase 1 where u_n = 0), which maps u to -phase(u_n) e_n; column n, a
+        multiple of u, is replaced by u."""
+        k = self.amplitudes
+        norm2 = np.vdot(k, k).real
+        u = k / math.sqrt(norm2)
+        v = u.copy()
+        v[-1] += u[-1] / abs(u[-1]) if u[-1] else 1.0
+        vectors = np.eye(k.size, dtype=complex) - np.outer(v, v.conj() * (2.0 / np.vdot(v, v).real))
+        vectors[:, -1] = u
+        values = np.zeros(k.size)
+        values[-1] = norm2
+        for a in (values, vectors):
+            a.setflags(write=False)  # built here, so the state keeps them without a copy
+        return _with_spectrum(self.projector(), values, vectors)
 
 
 def product_state(a_ket, b_ket) -> BipartiteKet:
@@ -184,8 +200,9 @@ def overlap_residue(alpha: complex, psi1: BipartiteKet, beta: complex, psi2: Bip
 
 
 def _ket_dim(basis) -> int:
-    if len(basis) == 0:
-        raise ValidationError("basis must not be empty")
+    """The size of a basis's first ket; require_basis then checks every ket against it."""
+    if not np.iterable(basis) or len(basis) == 0:
+        as_kets(basis)  # raises: ShapeError for a scalar, ValidationError for no kets
     return as_ket(basis[0]).size
 
 

@@ -346,11 +346,14 @@ class Trajectory(Sequence[LindbladSample]):
         return f"Trajectory(len={len(self)})"
 
 
-def _taylor_polynomial(flow: Callable, rho: np.ndarray, h: float) -> np.ndarray:
+def _taylor_polynomial(
+    flow: Callable, rho: np.ndarray, h: float, flow_rho: np.ndarray | None = None
+) -> np.ndarray:
     """T(hL) rho = rho + hL(rho + hL/2 (rho + hL/3 (rho + hL/4 rho))), the degree-4 Taylor
-    polynomial by Horner, with `flow` applying L."""
-    out = rho
-    for k in (4, 3, 2, 1):
+    polynomial by Horner, with `flow` applying L; `flow_rho`, where the caller has it, is
+    flow(rho), which is then not computed."""
+    out = rho + (h / 4) * (flow(rho) if flow_rho is None else flow_rho)
+    for k in (3, 2, 1):
         out = rho + (h / k) * flow(out)
     return out
 
@@ -382,8 +385,8 @@ def _taylor_propagator(
         return propagate
 
     g_mat, eye = generator_matrix(g), np.eye(n * n, dtype=complex)
-    t_full = _taylor_polynomial(g_mat.__matmul__, eye, dt)
-    t_last = _taylor_polynomial(g_mat.__matmul__, eye, remainder) if remainder > 0.0 else None
+    t_full = _taylor_polynomial(g_mat.__matmul__, eye, dt, g_mat)  # g_mat @ eye is g_mat
+    t_last = _taylor_polynomial(g_mat.__matmul__, eye, remainder, g_mat) if remainder > 0.0 else None
 
     @functools.cache
     def power(full: int, last: bool) -> np.ndarray:

@@ -88,28 +88,43 @@ def _keep(d, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarr
     return d
 
 
-def _validated(matrix, psd_atol: float, stack: bool = False) -> tuple[np.ndarray, HermitianEig]:
+def _validated(
+    matrix, psd_atol: float, stack: bool = False, eig: HermitianEig | None = None
+) -> tuple[np.ndarray, HermitianEig]:
     """The density-operator checks, on one matrix or, with `stack`, on every
     matrix of a (B, n, n) stack at once: finite entries, unit trace,
     hermiticity (in `hermitian_eig`), a computable spectrum and the floor
     -psd_atol on the smallest eigenvalue.  Returns the hermitized matrices,
     read-only, and their spectra.  A failure raises ValidationError, with
     DensityOperator's message for one matrix; for a stack the message does
-    not say which matrix failed (`density_stack` does)."""
+    not say which matrix failed (`density_stack` does).  With `eig`, the
+    spectrum of the hermitized matrix as its construction gives it, nothing is
+    solved: the floor is checked on those eigenvalues, and they are returned."""
     m = as_square(matrix, stack=stack)
     if stack and m.ndim != 3:
         raise ShapeError(f"expected a (B, n, n) stack of matrices, got shape {m.shape}")
     require_close(lambda: np.trace(m, axis1=-2, axis2=-1) - 1.0, TRACE_ATOL, "density trace must be 1")
-    try:
-        eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
-    except ArithmeticError as exc:  # entries near the float limit
-        raise ValidationError(f"density spectrum not computable ({exc})") from exc
+    if eig is None:
+        try:
+            eig = hermitian_eig(m)  # the hermiticity check; it solves the hermitized m
+        except ArithmeticError as exc:  # entries near the float limit
+            raise ValidationError(f"density spectrum not computable ({exc})") from exc
     min_eig = float(eig.eigenvalues[..., 0].min())
     if min_eig < -psd_atol:
         raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
     hermitized = (m + m.conj().swapaxes(-1, -2)) / 2.0
     hermitized.setflags(write=False)
     return hermitized, eig
+
+
+def _with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> DensityOperator:
+    """The DensityOperator of a matrix whose construction gives its spectrum:
+    ascending eigenvalues and orthonormal eigenvectors (columns) of the
+    hermitized matrix, to roundoff.  It is checked as DensityOperator checks a
+    matrix, except that no eigensolve runs: the hermiticity the solve checks
+    is the construction's, and the floor is checked on the given eigenvalues."""
+    hermitized, eig = _validated(matrix, PSD_ATOL, eig=HermitianEig(eigenvalues, eigenvectors))
+    return _keep(object.__new__(DensityOperator), hermitized, eig.eigenvalues, eig.eigenvectors)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -325,13 +340,16 @@ def evolve_unitary(d: DensityOperator, h, t: float) -> DensityOperator:
     """Hamiltonian evolution rho(t) = e^{-iHt} rho e^{iHt}.
 
     Built from the spectral calculus of H, so trace, purity and the full
-    spectrum are preserved to roundoff.
+    spectrum are preserved to roundoff: the result keeps rho's eigenvalues,
+    with eigenvectors U V, and only H is solved.
     """
     if not -math.inf < t < math.inf:
         raise ValidationError(f"t must be finite, got {t!r}")
     hm = require_hermitian(h, d.dim)
     u = apply_matrix_function(hm, lambda lam: cmath.exp(-1j * lam * t))
-    return DensityOperator(u @ d.matrix @ u.conj().T)
+    vectors = u @ d.eigenvectors
+    vectors.setflags(write=False)  # built here, so the state keeps it without a copy
+    return _with_spectrum(u @ d.matrix @ u.conj().T, d.eigenvalues, vectors)
 
 
 def measurement_channel(d: DensityOperator, basis) -> DensityOperator:

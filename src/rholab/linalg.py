@@ -127,13 +127,21 @@ def require_unit_ket(v, what: str = "ket", dim: int | None = None) -> np.ndarray
     return k
 
 
-def require_basis(basis, dim: int) -> np.ndarray:
-    """Stack basis kets as columns and require an orthonormal complete set
-    in dimension dim."""
+def as_kets(basis, dim: int | None = None) -> list[np.ndarray]:
+    """The kets of a basis, each coerced by as_ket(k, dim): a scalar, which
+    holds no kets, raises ShapeError, and an empty basis ValidationError."""
+    if not np.iterable(basis):
+        raise ShapeError(f"expected a basis (a sequence of kets), got {type(basis).__name__}")
     kets = [as_ket(k, dim) for k in basis]
     if not kets:
         raise ValidationError("basis must not be empty")
-    b = np.column_stack(kets)
+    return kets
+
+
+def require_basis(basis, dim: int) -> np.ndarray:
+    """Stack basis kets as columns and require an orthonormal complete set
+    in dimension dim."""
+    b = np.column_stack(as_kets(basis, dim))
     if b.shape[1] != dim:
         raise ValidationError(f"basis is incomplete: {b.shape[1]} kets in dimension {dim}")
     require_close(lambda: b.conj().T @ b - np.eye(dim), BASIS_ATOL, "basis is not orthonormal")
@@ -227,15 +235,27 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray
     return tuple(rounds), frozen(upper), frozen(np.eye(n, dtype=complex))
 
 
-@functools.cache
+# n -> _stacked's tables for the largest stack of n x n matrices solved so far; a smaller stack
+# uses prefix views, so the process keeps one set of tables per n.
+_STACKED: dict[int, tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]] = {}
+
+
 def _stacked(n: int, count: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """_round_robin(n) for a C-contiguous stack of `count` n x n matrices, read-only: each
     flat-index table repeated per matrix and shifted by b n^2 for matrix b, the upper
     triangle as one row per matrix, and the identity stacked."""
-    rounds, upper, identity = _round_robin(n)
-    shift = n * n * np.arange(count)[:, None]
-    return (tuple(frozen((idx[:, None, :] + shift).reshape(4, -1)) for idx in rounds),
+    tables = _STACKED.get(n)
+    if tables is None or len(tables[2]) < count:
+        rounds, upper, identity = _round_robin(n)
+        shift = n * n * np.arange(count)[:, None]
+        tables = _STACKED[n] = (
+            tuple(frozen((idx[:, None, :] + shift).reshape(4, -1)) for idx in rounds),
             frozen(upper + shift), frozen(np.repeat(identity[None], count, axis=0)))
+    rounds, upper, identity = tables
+    if count == len(identity):
+        return tables
+    pairs = len(rounds[0][0]) // len(identity)  # per matrix and round: matrix b's columns come b-th
+    return tuple(idx[:, : count * pairs] for idx in rounds), upper[:count], identity[:count]
 
 
 def hermitian_eig(a) -> HermitianEig:

@@ -13,7 +13,9 @@ identities exported here are basis-order consistent.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,35 +42,39 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
-def _require_real(components) -> None:
-    # A complex component would pass the norm check unconjugated: (1, 1j, 1) sums to 1.
-    if any(map(np.iscomplexobj, components)):
-        raise ValidationError(f"components must be real, got {tuple(components)!r}")
-
-
 @dataclass(frozen=True)
 class UnitVector3:
-    """A unit vector in coordinate space, e.g. a detector orientation; a complex
-    component raises ValidationError."""
+    """A unit vector in coordinate space, e.g. a detector orientation; a
+    component that is not a real number (complex, a string, None) raises
+    ValidationError."""
 
     nx: float
     ny: float
     nz: float
 
     def __post_init__(self):
-        _require_real((self.nx, self.ny, self.nz))
+        components = (self.nx, self.ny, self.nz)
+        # A complex component would pass the norm check unconjugated: (1, 1j, 1) sums to 1.
+        if not all(isinstance(c, numbers.Real) for c in components):
+            raise ValidationError(f"components must be real numbers, got {components!r}")
         norm_sq = self.nx**2 + self.ny**2 + self.nz**2
         if not abs(norm_sq - 1.0) <= 2.0 * UNIT_ATOL:  # also rejects NaN
             raise ValidationError(f"not a unit vector: |n|^2 = {norm_sq!r}")
 
     @classmethod
     def from_iterable(cls, values) -> "UnitVector3":
-        """From three real numbers or numeric strings; any other count raises ShapeError."""
+        """From three real numbers or numeric strings; any other count raises
+        ShapeError, and any other component ValidationError."""
         components = np.asarray(tuple(values))
         if components.shape != (3,):
             raise ShapeError(f"expected 3 components, got shape {components.shape}")
-        _require_real(components)
-        return cls(*map(float, components))
+        reals = None
+        if not np.iscomplexobj(components):  # float() would drop the imaginary part
+            with contextlib.suppress(TypeError, ValueError):  # float(None), float("x")
+                reals = [float(c) for c in components]
+        if reals is None:
+            raise ValidationError(f"components must be real numbers, got {tuple(components)!r}")
+        return cls(*reals)
 
     @classmethod
     def from_spherical(cls, theta: float, phi: float) -> "UnitVector3":

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import signal
+import sys
 from contextlib import contextmanager
 
 import numpy as np
 
+import rholab
 from rholab import DensityOperator, KrausChannel, ProperMixture, UnitVector3
 
 
@@ -83,3 +85,21 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Route every rholab module's binding of `hermitian_eig` through a spy;
+    the returned list gains one entry per call."""
+    calls = []
+    original = rholab.linalg.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rholab" or name.startswith("rholab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -25,7 +25,9 @@ from rholab import (
     von_neumann_entropy,
 )
 from rholab.bipartite import SCHMIDT_RANK_TOL
+from rholab.density import _with_spectrum
 from conftest import (
+    count_eigensolves,
     random_complex,
     random_density,
     random_ket,
@@ -79,6 +81,48 @@ class TestSinglet:
         form = schmidt(singlet())
         assert form.rank == 2
         assert np.allclose(form.coefficients, [SQRT1_2, SQRT1_2], atol=1e-12)
+
+
+class TestPureDensity:
+    @pytest.mark.parametrize("space", [(1, 2), (2, 2), (4, 4)], ids=["d2", "d4", "d16"])
+    @pytest.mark.parametrize("case", ["random", "last-amplitude-zero", "basis-ket", "norm-above-1", "norm-below-1"])
+    def test_closed_form_spectrum(self, space, case):
+        # Eigenvalue <k|k> on k/|k| and 0 on a Householder completion: the
+        # eigenpairs of the matrix DensityOperator validates, with no eigensolve.
+        rng = np.random.default_rng(70 + sum(space))
+        n = space[0] * space[1]
+        amps = random_ket(rng, n)
+        if case == "last-amplitude-zero":
+            amps[-1] = 0.0
+            amps /= np.linalg.norm(amps)
+        elif case == "basis-ket":
+            amps = 1j * np.eye(n)[-1]
+        elif case.startswith("norm"):
+            amps *= 1.0 + (1e-13 if case.endswith("above-1") else -1e-13)
+        ket = BipartiteKet(BipartiteSpace(*space), amps)
+        d = ket.density()
+        values, vectors = d.eigenvalues, d.eigenvectors
+        assert np.max(np.abs(values - np.linalg.eigvalsh(d.matrix))) <= 1e-13
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) <= 1e-14
+        assert np.max(np.abs((vectors * values) @ vectors.conj().T - d.matrix)) <= 1e-14
+        assert d.matrix.tobytes() == DensityOperator(ket.projector()).matrix.tobytes()
+        assert not any(a.flags.writeable for a in (d.matrix, values, vectors))
+
+    def test_runs_no_eigensolve(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        singlet().density()
+        BipartiteKet(BipartiteSpace(4, 4), random_ket(np.random.default_rng(75), 16)).density()
+        assert calls == []
+        DensityOperator(singlet().projector())  # the patch does reach the eigensolver
+        assert calls == [1]
+
+    def test_closed_form_keeps_the_trace_check_and_the_floor(self):
+        # A BipartiteKet is normalized, so the constructor is fed directly.
+        swap = np.eye(2, dtype=complex)[::-1]
+        with pytest.raises(ValidationError, match="trace must be 1"):
+            _with_spectrum(np.diag([0.0, 2.0]), np.array([0.0, 2.0]), np.eye(2, dtype=complex))
+        with pytest.raises(ValidationError, match="not positive"):
+            _with_spectrum(np.diag([1.5, -0.5]), np.array([-0.5, 1.5]), swap)
 
 
 class TestSchmidt:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from rholab import (
 )
 from rholab import channels
 from rholab.channels import MAX_SAMPLES, MAX_STEPS, step_schedule
+from rholab.cli import load_scenario
 from conftest import (
     random_density,
     random_hermitian,
@@ -40,6 +42,7 @@ from conftest import (
     time_limit,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 KETS = spin_half_basis()
 
 
@@ -516,6 +519,24 @@ class TestEvolveLindblad:
         samples = evolve_lindblad(g, random_density(rng, dim), 0.105, 0.01, sample_every=4)
         assert len(samples) == 4
         assert len(applied) == 3
+
+    @pytest.mark.parametrize("source", ["dephasing", "precession", "amplitude_damping", 2, 4, 8])
+    def test_taylor_table_equals_horner_on_the_identity(self, source):
+        # T starts Horner from I + (h/4) G, not from G @ I; T stays the same bytes,
+        # and the propagator's one-step matvec reads T's columns back exactly.
+        if isinstance(source, str):
+            g = load_scenario(str(REPO / "scenarios" / f"{source}.json")).generator
+        else:
+            rng = np.random.default_rng(170 + source)
+            g = LindbladGenerator(random_hermitian(rng, source), [random_complex(rng, (source, source))])
+        g_mat, n = generator_matrix(g), g.dim
+        eye = np.eye(n * n, dtype=complex)
+        for h in (0.001, 0.01, 0.37):
+            old = channels._taylor_polynomial(g_mat.__matmul__, eye, h)  # first product g_mat @ eye
+            assert channels._taylor_polynomial(g_mat.__matmul__, eye, h, g_mat).tobytes() == old.tobytes()
+            propagate = channels._taylor_propagator(g, h)
+            columns = [propagate(e.reshape(n, n), 1, False).reshape(-1) for e in eye]
+            assert np.array_equal(np.column_stack(columns), old)
 
     def test_step_cap(self):
         assert step_schedule(MAX_STEPS * 0.5, 0.5, MAX_STEPS) == (MAX_STEPS, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -430,6 +431,15 @@ class TestSample:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_pinned_event_stream(self, tmp_path):
+        # Pinned from the singlet density validated by an eigensolve: its closed-form
+        # spectrum leaves the matrix, so the joint law and the events, the same bytes.
+        out = tmp_path / "events.csv"
+        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", "1000", "--seed", "42"]
+        assert main(args + ["--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"
 
     def test_default_seed_is_42(self, tmp_path):
         out = tmp_path / "events.csv"

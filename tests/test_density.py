@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rholab import (
 from rholab import linalg
 from rholab.density import ZERO_WEIGHT_TOL, density_stack, stacked
 from conftest import (
+    count_eigensolves,
     random_density,
     random_hermitian,
     random_ket,
@@ -450,6 +452,23 @@ class TestEvolveUnitary:
             after = hermitian_eig(out.matrix).eigenvalues
             assert np.max(np.abs(before - after)) < 1e-10
             assert abs(np.trace(out.matrix) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_keeps_the_spectrum_and_solves_only_h(self, n, monkeypatch):
+        # The eigenvalues of rho and the eigenvectors U V: one solve, that of H.
+        rng = np.random.default_rng(50 + n)
+        d, h = random_density(rng, n), random_hermitian(rng, n)
+        calls = count_eigensolves(monkeypatch)
+        out = evolve_unitary(d, h, 0.7)
+        assert calls == [1]
+        values, vectors = out.eigenvalues, out.eigenvectors
+        assert values.tobytes() == d.eigenvalues.tobytes()
+        assert np.max(np.abs(values - np.linalg.eigvalsh(out.matrix))) <= 1e-13
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) <= 1e-13
+        assert np.max(np.abs((vectors * values) @ vectors.conj().T - out.matrix)) <= 1e-13
+        u = linalg.apply_matrix_function(h, lambda lam: cmath.exp(-1j * lam * 0.7))  # as evolve_unitary
+        assert out.matrix.tobytes() == DensityOperator(u @ d.matrix @ u.conj().T).matrix.tobytes()
+        assert not any(a.flags.writeable for a in (out.matrix, values, vectors))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_time_before_solving(self, t, monkeypatch):

@@ -2,16 +2,15 @@
 `linalg.pinch`; these tests hold it to the per-projector formulas
 sum_m R_m rho R_m and <a_m b_n|rho|a_m b_n>, written out term by term."""
 
-import sys
-
 import numpy as np
 import pytest
 
-import rholab
 from rholab import (
     DensityOperator,
+    ProperMixture,
     ShapeError,
     ValidationError,
+    gram_factor,
     local_measurement,
     measurement_channel,
     measurement_probabilities,
@@ -20,7 +19,7 @@ from rholab import (
 )
 from rholab.bipartite import BipartiteSpace
 from rholab.linalg import pinch
-from conftest import random_density, random_unitary
+from conftest import count_eigensolves, random_density, random_unitary
 
 SHAPES = [(2, 2), (2, 3), (3, 2), (4, 4)]
 SIDES = ["a", "b", "both"]
@@ -140,18 +139,7 @@ def test_no_signalling_check_builds_no_state(monkeypatch):
     d = random_density(rng, 4)
     basis_a = random_basis(rng, 2)
 
-    calls = []
-    original = rholab.linalg.hermitian_eig
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "rholab" or name.startswith("rholab."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = count_eigensolves(monkeypatch)
     no_signalling_check(d, basis_a)
     assert calls == []
     local_measurement(d, basis_a=basis_a)  # the patch does reach the eigensolver
@@ -186,3 +174,21 @@ class TestBadBases:
         qutrit = list(np.eye(3, dtype=complex))
         with pytest.raises(ShapeError):
             measure(d, qutrit)
+
+
+@pytest.mark.parametrize("scalar", [0, 1.5, np.float64(1.0), np.array(2.0)], ids=["int", "float", "numpy", "0-d"])
+@pytest.mark.parametrize(
+    "measure",
+    [
+        measurement_channel,
+        lambda d, basis: local_measurement(d, basis_a=basis),
+        lambda d, basis: local_measurement(d, basis_b=basis),
+        lambda d, basis: measurement_probabilities(d, basis, basis),
+        no_signalling_check,
+        lambda d, basis: gram_factor(ProperMixture([(1.0, d.eigenvectors[:, 0])]), basis),
+    ],
+    ids=["channel", "local_a", "local_b", "probabilities", "no_signalling", "gram_factor"],
+)
+def test_scalar_basis_raises_shape_error(measure, scalar):
+    with pytest.raises(ShapeError, match="expected a basis"):
+        measure(DensityOperator(np.eye(4) / 4), scalar)

@@ -75,6 +75,21 @@ class TestUnitVector:
         with pytest.raises(ValidationError, match="must be real"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: UnitVector3("1", 0, 0),
+            lambda: UnitVector3(0, None, 1),
+            lambda: UnitVector3(0, 0, [1.0]),
+            lambda: UnitVector3.from_iterable(["1", None, 0]),
+            lambda: UnitVector3.from_iterable(["x", "0", "1"]),
+        ],
+        ids=["string", "none", "list", "from_iterable-none", "from_iterable-non-numeric-string"],
+    )
+    def test_rejects_non_numeric_component(self, build):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            build()
+
     @pytest.mark.parametrize("values", [[1, 0], [0, 0, 1, 0], [], [[0, 0, 1]]])
     def test_from_iterable_needs_three_components(self, values):
         with pytest.raises(ShapeError):
