@@ -16,8 +16,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, NamedTuple, Sequence, TextIO
+from itertools import chain, islice
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -399,6 +399,24 @@ def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
     return True
 
 
+# Rows joined per write.  TextIOWrapper.writelines encodes and buffers each
+# line on its own; one write per joined block costs one encode.  On a 2-core
+# Xeon VM (Python 3.11), writing 50,000 event rows of 131 bytes took 12.7-22.5
+# ms (min-median of 60) line by line, and in blocks of 256, 1024, 4096 and
+# 16384 rows 10.5-16.9, 10.7-14.1, 7.5-13.8 and 13.9-19.7 ms, at tracemalloc
+# peaks of 0.07, 0.27, 1.08 and 4.3 MB: 1024 is as fast as 4096 at a quarter
+# of the memory.  At 10^6 rows it took 235-281 ms against 277-394 ms.
+_WRITE_BLOCK = 1024
+
+
+def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
+    """fh.writelines(lines) with the same bytes, in one fh.write per block of
+    _WRITE_BLOCK lines."""
+    it = iter(lines)
+    for block in iter(lambda: list(islice(it, _WRITE_BLOCK)), []):
+        fh.write("".join(block))
+
+
 def cmd_evolve(scenario_path: str, output_path: str) -> int:
     try:
         scenario = load_scenario(scenario_path)
@@ -413,7 +431,7 @@ def cmd_evolve(scenario_path: str, output_path: str) -> int:
 
     def write(fh: TextIO) -> None:
         fh.write(TRAJECTORY_HEADER + "\n")
-        fh.writelines(_TRAJECTORY_ROW % row for row in rows)
+        _write_lines(fh, (_TRAJECTORY_ROW % row for row in rows))
 
     if not _write_output(output_path, write):
         return 2
@@ -453,7 +471,7 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
         fh.write(f"# seed={seed} n={n}\n")
         fh.write(EVENT_HEADER + "\n")
         codes = 2 * (events.outcome_a < 0) + (events.outcome_b < 0)
-        fh.writelines(map(rows.__getitem__, codes.tolist()))
+        _write_lines(fh, map(rows.__getitem__, codes.tolist()))
         fh.write(
             f"# summary empirical_correlation={_fmt(empirical)} "
             f"analytic_correlation={_fmt(analytic)}\n"

@@ -27,10 +27,19 @@ _JACOBI_OFF_TOL = 1e-13
 _MAX_SWEEPS = 100
 
 
+def _complex_array(a, what: str) -> np.ndarray:
+    """np.asarray(a, dtype=complex), raising ValidationError where numpy cannot
+    read a as complex: ragged nesting, or an entry that is not a number."""
+    try:
+        return np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers readable as complex: {exc}") from exc
+
+
 def as_matrix(a, *, stack: bool = False) -> np.ndarray:
     """Coerce to a 2-D complex array with finite entries; with `stack`, a 3-D
     stack of such matrices is accepted as well."""
-    m = np.asarray(a, dtype=complex)
+    m = _complex_array(a, "matrix entries")
     if m.ndim != 2 and not (stack and m.ndim == 3):
         want = "a 2-D matrix or a 3-D stack of them" if stack else "a 2-D matrix"
         raise ShapeError(f"expected {want}, got ndim={m.ndim}")
@@ -109,7 +118,7 @@ def require_close(diff: Callable[[], np.ndarray], atol: float, what: str) -> Non
 def as_ket(v, dim: int | None = None) -> np.ndarray:
     """Coerce to a non-empty 1-D complex column of finite amplitudes, dim of
     them if dim is given: the one check of a ket against a dimension."""
-    k = np.asarray(v, dtype=complex)
+    k = _complex_array(v, "ket amplitudes")
     if k.ndim == 2 and 1 in k.shape:
         k = k.reshape(-1)
     if k.ndim != 1 or k.size == 0 or dim is not None and k.size != dim:
@@ -178,8 +187,10 @@ def trace(a) -> complex:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product: each entry of a multiplies the whole of b."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product: each entry of a multiplies the whole of b.  A product
+    that overflows raises ValidationError."""
+    a, b = as_matrix(a), as_matrix(b)
+    return require_finite(lambda: np.kron(a, b), "Kronecker product")
 
 
 def dyad(psi, phi) -> np.ndarray:

@@ -17,15 +17,17 @@ from rholab import (
     DetectorPair,
     LindbladGenerator,
     UnitVector3,
+    empirical_correlation,
     evolve_lindblad,
     joint_outcome_probabilities,
     jump_entropy_rate,
     purity,
+    sample_events,
     von_neumann_entropy,
 )
 from rholab.bell import MAX_EVENTS
 from rholab.channels import SAMPLE_CHUNK
-from rholab.cli import main, load_scenario, trajectory_rows, ScenarioError
+from rholab.cli import EVENT_HEADER, main, load_scenario, trajectory_rows, ScenarioError
 from conftest import time_limit
 
 REPO = Path(__file__).resolve().parents[1]
@@ -67,6 +69,22 @@ def reference_event_file(a_text, b_text, n, seed):
     empirical = float(np.mean([oa * ob for oa, ob in outcomes]))
     lines.append(
         f"# summary empirical_correlation={empirical:.17g} "
+        f"analytic_correlation={-a.dot(b):.17g}\n"
+    )
+    return "".join(lines)
+
+
+def event_file_from_sample_events(a_text, b_text, n, seed):
+    """The event CSV of `rholab sample`, one row per event of bell.sample_events."""
+    a = UnitVector3(*(float(x) for x in a_text.split(",")))
+    b = UnitVector3(*(float(x) for x in b_text.split(",")))
+    events = sample_events(DetectorPair(a, b), n, seed)
+    orientations = ",".join(f"{x:.17g}" for x in (a.nx, a.ny, a.nz, b.nx, b.ny, b.nz))
+    lines = [f"# seed={seed} n={n}\n", EVENT_HEADER + "\n"]
+    for oa, ob in zip(events.outcome_a.tolist(), events.outcome_b.tolist()):
+        lines.append(f"{orientations},{oa},{ob}\n")
+    lines.append(
+        f"# summary empirical_correlation={empirical_correlation(events):.17g} "
         f"analytic_correlation={-a.dot(b):.17g}\n"
     )
     return "".join(lines)
@@ -406,6 +424,21 @@ class TestEvolve:
         assert out.read_text().startswith("t,trace_re,")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.csv"]
 
+    def test_block_written_rows_equal_per_row_writes(self, tmp_path):
+        # 2001 rows: one full block of the writer and a partial second.
+        scenario = json.loads((REPO / "scenarios" / "dephasing.json").read_text())
+        path = write_scenario(tmp_path / "s.json", **{**scenario, "dt": 0.001, "sample_every": 1})
+        out, expected = tmp_path / "t.csv", tmp_path / "expected.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
+            rows = trajectory_rows(load_scenario(str(path)))
+        assert len(rows) == 2001
+        with open(expected, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(rows[0]._fields) + "\n")
+            fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestSample:
     def test_aligned_detectors_opposite_outcomes(self, tmp_path):
@@ -432,14 +465,29 @@ class TestSample:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_pinned_event_stream(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n, sha256",
+        [
+            (1000, "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"),
+            (5000, "c24c3d54c0262a92cef4a6a932dde37d88c031c60b2c7089867ad145012c25a5"),
+        ],
+    )
+    def test_pinned_event_stream(self, tmp_path, n, sha256):
         # Pinned from the singlet density validated by an eigensolve: its closed-form
         # spectrum leaves the matrix, so the joint law and the events, the same bytes.
+        # n = 5000 was pinned from the writer that wrote one row at a time.
         out = tmp_path / "events.csv"
-        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", "1000", "--seed", "42"]
+        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", str(n), "--seed", "42"]
         assert main(args + ["--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
+    def test_block_written_rows_equal_per_event_rows(self, tmp_path, n):
+        # Either side of each block boundary of the writer.
+        out = tmp_path / "events.csv"
+        assert main(["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", str(n), "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == event_file_from_sample_events("0,0,1", "0.6,0,0.8", n, 42).encode()
 
     def test_default_seed_is_42(self, tmp_path):
         out = tmp_path / "events.csv"
@@ -575,6 +623,25 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(shlex.split(line)[1:]) == 0, line
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[], ["row\n"], ["row\n"] * 1024, ["row\n"] * 1025, [""] * 1024 + ["after an empty block\n"]],
+    ids=["none", "one", "one-block", "one-block-and-a-row", "empty-block"],
+)
+def test_write_lines_writes_each_block_once(lines):
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    fh = Recorder()
+    rholab.cli._write_lines(fh, iter(lines))
+    assert "".join(fh.writes) == "".join(lines)
+    assert len(fh.writes) == math.ceil(len(lines) / 1024)
 
 
 def test_readme_library_quickstart_runs(capsys):

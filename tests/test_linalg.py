@@ -436,6 +436,7 @@ class TestEntryValidation:
             lambda: overlap_residue(
                 1e200, product_state([1, 0], [1, 0]), 1.0, product_state([0, 1], [0, 1])
             ),
+            lambda a=1e300 * np.array([[1.0, 2.0], [3.0, 4.0]]): kron(a, a),
         ],
         ids=[
             "require_basis",
@@ -448,6 +449,7 @@ class TestEntryValidation:
             "entropy_production-rate",
             "jump_entropy_rate-rate",
             "overlap_residue",
+            "kron",
         ],
     )
     def test_overflow_raises_validation_error(self, check):
@@ -460,6 +462,32 @@ class TestEntryValidation:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ShapeError):
             adjoint(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "matrix, ket",
+        [([[1, 0], [0]], [[1], [0, 1]]), ([["x", 0], [0, 1]], ["x", 1]), ([[None, 0], [0, 1]], [None, 1])],
+        ids=["ragged", "non-numeric", "None"],
+    )
+    @pytest.mark.parametrize(
+        "consume",
+        [
+            lambda m, k: DensityOperator(m),
+            lambda m, k: hermitian_eig(m),
+            lambda m, k: kron(np.eye(2), m),
+            lambda m, k: dyad(k, [1, 0]),
+            lambda m, k: KrausChannel([np.eye(2), m]),
+            lambda m, k: LindbladGenerator(np.zeros((2, 2)), [m]),
+            lambda m, k: BipartiteKet(BipartiteSpace(1, 2), k),
+            lambda m, k: ProperMixture([(1.0, k)]),
+        ],
+        ids=["DensityOperator", "hermitian_eig", "kron", "dyad", "KrausChannel", "LindbladGenerator",
+             "BipartiteKet", "ProperMixture"],
+    )
+    def test_entries_not_readable_as_complex(self, consume, matrix, ket):
+        # as_matrix and as_ket, where every matrix and ket is coerced, raise
+        # ValidationError, not numpy's bare ValueError or TypeError.
+        with pytest.raises(ValidationError):
+            consume(matrix, ket)
 
 
 def _dimension_mismatches():
