@@ -465,21 +465,22 @@ class TestSample:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize(
-        "n, sha256",
-        [
-            (1000, "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"),
-            (5000, "c24c3d54c0262a92cef4a6a932dde37d88c031c60b2c7089867ad145012c25a5"),
-        ],
-    )
-    def test_pinned_event_stream(self, tmp_path, n, sha256):
+    def test_pinned_event_stream(self, tmp_path):
         # Pinned from the singlet density validated by an eigensolve: its closed-form
         # spectrum leaves the matrix, so the joint law and the events, the same bytes.
-        # n = 5000 was pinned from the writer that wrote one row at a time.
         out = tmp_path / "events.csv"
-        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", str(n), "--seed", "42"]
+        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", "1000", "--seed", "42"]
         assert main(args + ["--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"
+
+    def test_pinned_event_stream_across_write_blocks(self, tmp_path):
+        # Pinned from the writer that wrote one row at a time; 5000 rows span several blocks.
+        out = tmp_path / "events.csv"
+        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", "5000", "--seed", "42"]
+        assert main(args + ["--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "c24c3d54c0262a92cef4a6a932dde37d88c031c60b2c7089867ad145012c25a5"
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
     def test_block_written_rows_equal_per_event_rows(self, tmp_path, n):
