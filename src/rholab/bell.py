@@ -18,6 +18,7 @@ import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
+from .linalg import is_integer
 from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -114,8 +115,12 @@ def sample_events(p: DetectorPair, n: int, seed: int) -> np.recarray:
     Returns a read-only record array of n rows with int8 columns
     `outcome_a` and `outcome_b`, each +1 or -1.  Reproducible per seed; the
     empirical correlation converges to -a . b.
-    Raises ValidationError unless 1 <= n <= MAX_EVENTS and seed >= 0.
+    Raises ValidationError unless n and seed are integers (not bools) with
+    1 <= n <= MAX_EVENTS and seed >= 0.
     """
+    for name, value in (("n", n), ("seed", seed)):
+        if not is_integer(value):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValidationError(f"need at least one event, got n={n!r}")
     if n > MAX_EVENTS:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .density import DensityOperator, _with_spectrum
 from .errors import ShapeError, ValidationError
-from .linalg import (as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis, max_deviation, pinch,
-                     require_basis, require_finite, require_unit_ket)
+from .linalg import (as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis, is_integer,
+                     max_deviation, pinch, require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
 # separates genuine rank from eigensolver noise at this scale.
@@ -25,14 +25,15 @@ SCHMIDT_RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BipartiteSpace:
-    """Dimensions of the two tensor factors."""
+    """Dimensions of the two tensor factors: integers (not bools), each at least 1."""
 
     dim_a: int
     dim_b: int
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValidationError("factor dimensions must be at least 1")
+        if not all(is_integer(d) and d >= 1 for d in (self.dim_a, self.dim_b)):
+            dims = f"{self.dim_a!r}, {self.dim_b!r}"
+            raise ValidationError(f"factor dimensions must be integers of at least 1, got {dims}")
 
     @property
     def dim(self) -> int:
@@ -47,6 +48,8 @@ class BipartiteKet:
     amplitudes: np.ndarray
 
     def __init__(self, space: BipartiteSpace, amplitudes):
+        if not isinstance(space, BipartiteSpace):
+            raise ValidationError(f"space must be a BipartiteSpace, got {type(space).__name__}")
         amps = frozen(require_unit_ket(amplitudes, "bipartite ket", space.dim))
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "amplitudes", amps)

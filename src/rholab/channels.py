@@ -19,18 +19,15 @@ normal, operators.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, density_stack
+from .density import DensityOperator, DensityStack
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -42,6 +39,7 @@ from .linalg import (
     as_matrix,
     as_square,
     as_square_stack,
+    first_failure,
     frozen,
     hermitian_eig,
     max_deviation,
@@ -302,16 +300,17 @@ class LindbladSample:
 class Trajectory(Sequence[LindbladSample]):
     """The samples of one `evolve_lindblad` run, kept per chunk of validated states.
 
-    `chunks` holds one (times, raw_traces, states) triple per chunk of up to
-    SAMPLE_CHUNK consecutive samples: two tuples of floats and the chunk's
-    DensityStack.  The trajectory reads like a list of LindbladSample (len,
+    `chunks` holds one (times, raw_traces, states) triple per chunk of
+    consecutive samples: two tuples of floats and the chunk's DensityStack.
+    Every chunk but the last holds exactly SAMPLE_CHUNK samples, and none is
+    empty, so sample i sits in chunk i // SAMPLE_CHUNK at position
+    i % SAMPLE_CHUNK.  The trajectory reads like a list of LindbladSample (len,
     index, negative index, slice, iteration); a sample is built only when it
     is read, its state a view into its chunk's stack, and each read builds a
     new one.
     """
 
     chunks: tuple[tuple[tuple[float, ...], tuple[float, ...], DensityStack], ...]
-    _ends: tuple[int, ...] = field(repr=False)  # the samples up to the end of each chunk
 
     def __init__(self, chunks):
         kept = []
@@ -320,22 +319,19 @@ class Trajectory(Sequence[LindbladSample]):
             if not isinstance(states, DensityStack) or not len(times) == len(raw_traces) == len(states):
                 raise ShapeError("expected a DensityStack and as many times and raw traces per chunk")
             kept.append((times, raw_traces, states))
+        if any(len(c[0]) != SAMPLE_CHUNK for c in kept[:-1]) or kept and not kept[-1][0]:
+            raise ShapeError(f"every chunk but the last must hold {SAMPLE_CHUNK} samples, and none be empty")
         object.__setattr__(self, "chunks", tuple(kept))
-        object.__setattr__(self, "_ends", tuple(accumulate(len(c[2]) for c in kept)))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return SAMPLE_CHUNK * (len(self.chunks) - 1) + len(self.chunks[-1][0]) if self.chunks else 0
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        i += len(self) if i < 0 else 0
-        if not 0 <= i < len(self):
-            raise IndexError("trajectory index out of range")
-        k = bisect.bisect_right(self._ends, i)
-        times, raw_traces, states = self.chunks[k]
-        j = i - self._ends[k] + len(states)
+        i = range(len(self))[index]  # negative indices, slices and IndexError as a list has them
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        times, raw_traces, states = self.chunks[i // SAMPLE_CHUNK]
+        j = i % SAMPLE_CHUNK
         return LindbladSample(times[j], states[j], raw_traces[j])
 
     def __iter__(self):
@@ -458,10 +454,10 @@ def evolve_lindblad(
 
     Emitted states are validated SAMPLE_CHUNK at a time, with one
     `hermitian_eig` solve per chunk, and kept as that chunk's DensityStack in
-    the returned Trajectory.  The errors keep the order of the trajectory: the
-    first invalid state of a chunk is the one reported, and the states pending
-    before an interval that fails the drift check are validated before that
-    failure is raised.
+    the returned Trajectory; only the last chunk may be shorter.  The errors
+    keep the order of the trajectory: the first invalid state of a chunk is
+    the one reported, and the states pending when a replayed step fails the
+    drift check are validated before that failure is raised.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     rho = as_square(d0.matrix, g.dim)
@@ -489,9 +485,12 @@ def evolve_lindblad(
     def flush() -> None:
         """Validate the pending states at once and keep them as one chunk."""
         if times:
-            states, error = density_stack(chunk[: len(times)], 10.0 * MIN_EIGENVALUE_TOL)
-            if error is not None:
-                raise IntegrationError(f"emitted state invalid ({error})", times[len(states)]) from error
+            pending, psd_atol = chunk[: len(times)], 10.0 * MIN_EIGENVALUE_TOL
+            try:
+                states = DensityStack(pending, psd_atol)
+            except ValidationError as exc:  # name the first invalid state, checked alone
+                i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), pending) or (0, exc)
+                raise IntegrationError(f"emitted state invalid ({exc})", times[i]) from exc
             chunks.append((tuple(times), tuple(traces), states))
             times.clear()
             traces.clear()
@@ -515,10 +514,10 @@ def evolve_lindblad(
             full = min(stop, n_full) - start
             rho_next, raw_trace, drift, t_next = advance(rho, t, full, stop > n_full)
             if not drift <= bound:  # also catches NaN; replay to find the failing step
-                flush()  # an invalid state emitted before this interval is reported first
                 for i in range(start, stop):  # step i is a full step unless it is the remainder
                     rho, raw_trace, drift, t = advance(rho, t, int(i < n_full), i >= n_full)
                     if not drift <= bound:
+                        flush()  # an invalid state emitted before this interval is reported first
                         raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
             else:
                 rho, t = rho_next, t_next

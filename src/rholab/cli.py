@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .density import (
 )
 from .entropy import jump_entropy_rate, von_neumann_entropy
 from .errors import IntegrationError, ValidationError
+from .linalg import first_failure
 from .spin import UnitVector3, spin_half_basis, spin_one_set
 
 DEFAULT_SEED = 42
@@ -339,23 +340,16 @@ def load_scenario(path: str) -> Scenario:
     return Scenario(rho0, generator, t_end, dt, sample_every)
 
 
-class TrajectoryRow(NamedTuple):
-    t: float
-    trace_re: float
-    purity: float
-    entropy_nats: float
-    min_eigenvalue: float
-    entropy_production: float
+_TRAJECTORY_COLUMNS = ("t", "trace_re", "purity", "entropy_nats", "min_eigenvalue", "entropy_production")
+TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS)
+_TRAJECTORY_ROW = ",".join([_NUMBER] * len(_TRAJECTORY_COLUMNS)) + "\n"
 
 
-TRAJECTORY_HEADER = ",".join(TrajectoryRow._fields)
-_TRAJECTORY_ROW = ",".join([_NUMBER] * len(TrajectoryRow._fields)) + "\n"
-
-
-def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:
-    """Integrate the scenario and tabulate its samples one chunk of the
-    trajectory at a time, straight from the chunk's DensityStack: purity,
-    entropy and entropy rate each take one call per chunk.
+def trajectory_rows(scenario: Scenario) -> list[tuple[float, ...]]:
+    """Integrate the scenario and tabulate its samples, one tuple of the
+    TRAJECTORY_HEADER columns per sample, one chunk of the trajectory at a
+    time, straight from the chunk's DensityStack: purity, entropy and entropy
+    rate each take one call per chunk.
 
     Raises IntegrationError, at the time of the first sample concerned, when
     the integration fails or a sample's entropy rate is not finite.
@@ -368,16 +362,11 @@ def trajectory_rows(scenario: Scenario) -> list[TrajectoryRow]:
     for times, raw_traces, states in trajectory.chunks:
         try:
             rates = jump_entropy_rate(states, g.jump_ops)
-        except ValidationError as exc:  # the entropy rate overflows: find the first such sample
-            for t, state in zip(times, states):
-                try:
-                    jump_entropy_rate(state, g.jump_ops)
-                except ValidationError:
-                    break
-            raise IntegrationError(str(exc), t) from exc
-        columns = (times, raw_traces, purity(states).tolist(), von_neumann_entropy(states).tolist(),
-                   states.eigenvalues[:, 0].tolist(), rates.tolist())
-        rows.extend(map(TrajectoryRow, *columns))
+        except ValidationError as exc:  # the entropy rate overflows: name the first such sample
+            i, exc = first_failure(lambda s: jump_entropy_rate(s, g.jump_ops), states) or (0, exc)
+            raise IntegrationError(str(exc), times[i]) from exc
+        rows.extend(zip(times, raw_traces, purity(states).tolist(), von_neumann_entropy(states).tolist(),
+                        states.eigenvalues[:, 0].tolist(), rates.tolist()))
     return rows
 
 

@@ -97,7 +97,7 @@ def _validated(
     -psd_atol on the smallest eigenvalue.  Returns the hermitized matrices,
     read-only, and their spectra.  A failure raises ValidationError, with
     DensityOperator's message for one matrix; for a stack the message does
-    not say which matrix failed (`density_stack` does).  With `eig`, the
+    not say which matrix failed (`first_failure` finds it).  With `eig`, the
     spectrum of the hermitized matrix as its construction gives it, nothing is
     solved: the floor is checked on those eigenvalues, and they are returned."""
     m = as_square(matrix, stack=stack)
@@ -133,11 +133,12 @@ class DensityStack(Sequence[DensityOperator]):
 
     Construction checks a (B, n, n) stack of matrices as DensityOperator checks
     one, with one eigensolve for the whole stack; a failure raises
-    ValidationError without saying which matrix failed (`density_stack` says).
-    The stack keeps the hermitized matrices (B, n, n), their ascending
-    eigenvalues (B, n) and eigenvectors (B, n, n), all read-only.  It reads as
-    a sequence of DensityOperator views into these arrays: len, index and
-    iteration; a slice is a DensityStack view.
+    ValidationError without saying which matrix failed (`first_failure` with
+    DensityOperator as the check names it).  The stack keeps the hermitized
+    matrices (B, n, n), their ascending eigenvalues (B, n) and eigenvectors
+    (B, n, n), all read-only.  It reads as a sequence of DensityOperator views
+    into these arrays: len, index and iteration; a slice is a DensityStack
+    view.
     """
 
     matrices: np.ndarray
@@ -165,31 +166,6 @@ class DensityStack(Sequence[DensityOperator]):
 
     def __repr__(self) -> str:
         return f"DensityStack(len={len(self)}, dim={self.dim})"
-
-
-def density_stack(
-    matrices: np.ndarray, psd_atol: float = PSD_ATOL
-) -> tuple[DensityStack, ValidationError | None]:
-    """Validate a (B, n, n) stack of density matrices with one eigensolve.
-
-    Returns the DensityStack of the matrices before the first invalid one, and
-    that matrix's ValidationError with the message DensityOperator gives it
-    (None, and the whole stack, when every matrix is valid).
-    """
-    try:
-        return DensityStack(matrices, psd_atol), None
-    except ValidationError:  # find the first invalid matrix: each checked alone
-        states = []
-        for m in matrices:
-            try:
-                states.append(DensityOperator(m, psd_atol))
-            except ValidationError as exc:
-                if states:
-                    return stacked(states), exc
-                n = len(m)
-                none = np.empty((0, n, n), dtype=complex)  # no valid matrix before m
-                return _keep(object.__new__(DensityStack), none, np.empty((0, n)), none), exc
-        raise
 
 
 @dataclass(frozen=True, eq=False)

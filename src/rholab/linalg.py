@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -113,6 +114,23 @@ def require_close(diff: Callable[[], np.ndarray], atol: float, what: str) -> Non
     dev = max_deviation(diff)
     if not dev <= atol:  # an overflowed (inf or NaN) deviation fails too
         raise ValidationError(f"{what}: max deviation {dev:.3e}")
+
+
+def first_failure(check: Callable, items: Iterable) -> tuple[int, ValidationError] | None:
+    """The index of the first item that check(item) rejects with ValidationError, and
+    that error; None when check accepts every item.  It names the culprit after a
+    check of a whole stack has failed without saying which member failed."""
+    for i, item in enumerate(items):
+        try:
+            check(item)
+        except ValidationError as exc:
+            return i, exc
+    return None
+
+
+def is_integer(x) -> bool:
+    """Whether x is an integer: a numbers.Integral (numpy integers included) but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def as_ket(v, dim: int | None = None) -> np.ndarray:

@@ -256,6 +256,17 @@ class TestSampling:
         with pytest.raises(ValidationError, match="cap"):
             sample_events(DetectorPair(Z_AXIS, X_AXIS), 10**15, seed=1)
 
+    @pytest.mark.parametrize("n, seed", [(2.5, 1), ("3", 1), (True, 1), (None, 1), (10, 1.5), (10, "1"),
+                                         (10, False), (10.0, 1)])
+    def test_rejects_non_integer_n_and_seed(self, n, seed):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sample_events(DetectorPair(Z_AXIS, X_AXIS), n, seed)
+
+    def test_accepts_numpy_integers(self):
+        pair = DetectorPair(Z_AXIS, X_AXIS)
+        events = sample_events(pair, np.int64(10), np.uint32(7))
+        assert np.array_equal(events, sample_events(pair, 10, 7))
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
             sample_events(DetectorPair(Z_AXIS, X_AXIS), 10, seed=-1)

@@ -67,6 +67,24 @@ class TestProductState:
             product_state(np.array([1.0, 1.0]), KETS.z_plus)
 
 
+class TestSpace:
+    @pytest.mark.parametrize("dims", [(1.5, 2), (2.0, 2), (True, 2), (2, False), ("2", 1), (None, 2),
+                                      (0, 2), (2, -1), (np.float64(2), 2)])
+    def test_dimensions_must_be_integers_of_at_least_1(self, dims):
+        with pytest.raises(ValidationError, match="factor dimensions must be integers of at least 1"):
+            BipartiteSpace(*dims)
+
+    def test_numpy_integer_dimensions_are_accepted(self):
+        space = BipartiteSpace(np.int64(2), np.int32(3))
+        assert space == BipartiteSpace(2, 3) and space.dim == 6
+        assert BipartiteKet(space, np.eye(6)[0]).coefficient_matrix().shape == (2, 3)
+
+    @pytest.mark.parametrize("space", [(2, 2), [2, 2], 4, None])
+    def test_a_ket_needs_a_bipartite_space(self, space):
+        with pytest.raises(ValidationError, match="space must be a BipartiteSpace"):
+            BipartiteKet(space, [1, 0, 0, 0])
+
+
 class TestSinglet:
     def test_amplitudes(self):
         assert np.allclose(singlet().amplitudes, SQRT1_2 * np.array([0, 1, -1, 0]))

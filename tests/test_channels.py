@@ -604,9 +604,26 @@ class TestEvolveLindblad:
 
         with pytest.raises(IntegrationError, match="^emitted state invalid .* at t=500$"):
             run()
-        monkeypatch.setattr(channels, "density_stack", lambda m, psd_atol: ([None] * len(m), None))
+        monkeypatch.setattr(channels, "DensityStack", lambda m, psd_atol: [None] * len(m))
         with pytest.raises(IntegrationError, match="^trace drift nan exceeds 1e-07 at t=1005$"):
             run()
+
+    def test_a_replay_that_passes_keeps_the_chunks_full(self, monkeypatch):
+        # A propagator that scales rho by 1 + 1e-6 over more than one step fails the
+        # drift check in every 5-step interval, and the one-step replay passes: 41
+        # samples, kept in full chunks and one shorter last chunk.
+        build = channels._taylor_propagator
+
+        def drifting(g, dt, remainder=0.0):
+            propagate = build(g, dt, remainder)
+            return lambda rho, full, last: propagate(rho, full, last) * (1.0 + 1e-6 if full > 1 else 1.0)
+
+        monkeypatch.setattr(channels, "_taylor_propagator", drifting)
+        d0 = DensityOperator(projector(KETS.x_plus))
+        trajectory = evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
+        chunk = channels.SAMPLE_CHUNK
+        assert [len(states) for _, _, states in trajectory.chunks] == [chunk, chunk, 41 - 2 * chunk]
+        assert [s.time for s in trajectory] == pytest.approx([0.05 * i for i in range(41)], abs=1e-12)
 
     def test_first_invalid_state_may_open_the_second_chunk(self):
         # RK4 with dt = 1.5 multiplies the dephasing coherence by
@@ -707,6 +724,15 @@ class TestTrajectory:
             Trajectory([(times[:-1], raw_traces, states)])
         with pytest.raises(ShapeError):
             Trajectory([(times, raw_traces, list(states))])
+
+    def test_every_chunk_but_the_last_is_full_and_none_is_empty(self):
+        first, last = self._two_chunks().chunks
+        short = tuple(c[:-1] for c in first)
+        empty = tuple(c[:0] for c in last)
+        assert len(Trajectory([first, short])) == 2 * channels.SAMPLE_CHUNK - 1
+        for chunks in ([short, last], [first, empty, last], [first, empty], [empty]):
+            with pytest.raises(ShapeError):
+                Trajectory(chunks)
         assert len(Trajectory([])) == 0 and list(Trajectory([])) == []
 
 

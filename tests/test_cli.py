@@ -27,7 +27,7 @@ from rholab import (
 )
 from rholab.bell import MAX_EVENTS
 from rholab.channels import SAMPLE_CHUNK
-from rholab.cli import EVENT_HEADER, main, load_scenario, trajectory_rows, ScenarioError
+from rholab.cli import EVENT_HEADER, TRAJECTORY_HEADER, main, load_scenario, trajectory_rows, ScenarioError
 from conftest import time_limit
 
 REPO = Path(__file__).resolve().parents[1]
@@ -435,7 +435,7 @@ class TestEvolve:
             rows = trajectory_rows(load_scenario(str(path)))
         assert len(rows) == 2001
         with open(expected, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(rows[0]._fields) + "\n")
+            fh.write(TRAJECTORY_HEADER + "\n")
             fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
         assert out.read_bytes() == expected.read_bytes()
 

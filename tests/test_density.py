@@ -23,7 +23,8 @@ from rholab import (
     spin_half_basis,
 )
 from rholab import linalg
-from rholab.density import ZERO_WEIGHT_TOL, density_stack, stacked
+from rholab.density import ZERO_WEIGHT_TOL, stacked
+from rholab.linalg import first_failure
 from conftest import (
     count_eigensolves,
     random_density,
@@ -93,8 +94,8 @@ class TestDensityStack:
     def test_valid_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(27)
         stack = np.array([random_density(rng, 4).matrix for _ in range(5)])
-        states, error = density_stack(stack)
-        assert error is None and len(states) == 5
+        states = DensityStack(stack)
+        assert len(states) == 5
         for d, rho in zip(states, stack):
             alone = DensityOperator(rho)
             for attr in ("matrix", "eigenvalues", "eigenvectors"):
@@ -107,18 +108,22 @@ class TestDensityStack:
     def test_reports_the_first_invalid_matrix(self, first, later):
         valid = np.eye(3) / 3.0
         stack = np.array([valid, INVALID[first], valid, INVALID[later]], dtype=complex)
+        with pytest.raises(ValidationError):
+            DensityStack(stack)
         with pytest.raises(ValidationError) as alone:
             DensityOperator(stack[1])
-        states, error = density_stack(stack)
-        assert isinstance(states, DensityStack)
-        assert len(states) == 1 and np.array_equal(states[0].matrix, valid)
+        index, error = first_failure(DensityOperator, stack)
+        assert index == 1
         assert type(error) is type(alone.value) and str(error) == str(alone.value)
 
-    def test_an_invalid_first_matrix_leaves_an_empty_stack(self):
-        states, error = density_stack(np.array([INVALID["negative"], np.eye(3) / 3.0]))
-        assert isinstance(states, DensityStack) and len(states) == 0 and list(states) == []
-        assert states.matrices.shape == (0, 3, 3) and states.eigenvalues.shape == (0, 3)
-        assert isinstance(error, ValidationError)
+    def test_reports_an_invalid_first_matrix_at_index_0(self):
+        for first in INVALID.values():
+            stack = np.array([first, np.eye(3) / 3.0, INVALID["negative"]], dtype=complex)
+            with pytest.raises(ValidationError) as alone:
+                DensityOperator(stack[0])
+            index, error = first_failure(DensityOperator, stack)
+            assert index == 0 and str(error) == str(alone.value)
+            assert first_failure(DensityOperator, stack[1:2]) is None
 
     def test_reads_as_a_sequence_of_density_operators(self):
         rng = np.random.default_rng(30)

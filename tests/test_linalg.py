@@ -642,7 +642,7 @@ class TestOwnership:
         for a in (rho, h, jump, k0, k1):
             a.setflags(write=False)
         DensityOperator(rho)
-        density.density_stack(np.array([rho, rho]))
+        DensityStack(np.array([rho, rho]))
         LindbladGenerator(h, [jump])
         kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
         gram_factor(mixture, np.eye(2))
