@@ -70,11 +70,26 @@ MIN_EIGENVALUE_TOL = 1e-7
 MAX_STEPS = 10**7
 MAX_SAMPLES = 10**5
 
-# Emitted states are validated this many at a time, with one eigensolve per chunk.  A
-# chunk's buffer, hermitized copy and solver work arrays are alive together: at d = 16
-# a full chunk peaks about 0.5 MB above a one-state solve, a cost that does not grow
-# with the run, while at d = 2 the solver's per-call overhead is spread over 16 states.
-SAMPLE_CHUNK = 16
+# Emitted states are validated a chunk at a time, with one eigensolve per chunk.  A
+# chunk holds CHUNK_ENTRIES matrix entries (64 KiB of complex128), so chunk_length(d)
+# states.  Its buffer, hermitized copy and solver work arrays are alive together; the
+# DensityStack of a full chunk peaks near 0.4-0.5 MiB at every dimension (tracemalloc),
+# a cost that does not grow with the run:
+#
+#     d                   16     8      4      3      2
+#     states per chunk    16     64     256    455    1024
+#     peak (KiB)          407    424    463    466    525
+#
+# At d = 2 a solve of 1 to 33 states costs about 0.2 ms, nearly all of it per call, so a
+# shipped-size trajectory (21 or 33 samples) takes one solve, not two or three.
+CHUNK_ENTRIES = 16 * 16**2
+
+
+def chunk_length(dim: int) -> int:
+    """States per validated chunk of `evolve_lindblad` at dimension dim: as many as fit
+    in CHUNK_ENTRIES matrix entries, at least one."""
+    return max(1, CHUNK_ENTRIES // (dim * dim))
+
 
 # Largest dimension at which the integrator builds the N^2 x N^2 propagator
 # matrix T(dt L).  Above it the same polynomial is applied in operator form:
@@ -302,9 +317,10 @@ class Trajectory(Sequence[LindbladSample]):
 
     `chunks` holds one (times, raw_traces, states) triple per chunk of
     consecutive samples: two tuples of floats and the chunk's DensityStack.
-    Every chunk but the last holds exactly SAMPLE_CHUNK samples, and none is
-    empty, so sample i sits in chunk i // SAMPLE_CHUNK at position
-    i % SAMPLE_CHUNK.  The trajectory reads like a list of LindbladSample (len,
+    The first chunk's length is the chunk length c (`evolve_lindblad` uses
+    chunk_length(dim)): every chunk but the last holds exactly c samples, the
+    last at most c, and none is empty, so sample i sits in chunk i // c at
+    position i % c.  The trajectory reads like a list of LindbladSample (len,
     index, negative index, slice, iteration); a sample is built only when it
     is read, its state a view into its chunk's stack, and each read builds a
     new one.
@@ -319,19 +335,22 @@ class Trajectory(Sequence[LindbladSample]):
             if not isinstance(states, DensityStack) or not len(times) == len(raw_traces) == len(states):
                 raise ShapeError("expected a DensityStack and as many times and raw traces per chunk")
             kept.append((times, raw_traces, states))
-        if any(len(c[0]) != SAMPLE_CHUNK for c in kept[:-1]) or kept and not kept[-1][0]:
-            raise ShapeError(f"every chunk but the last must hold {SAMPLE_CHUNK} samples, and none be empty")
+        sizes = [len(c[0]) for c in kept]
+        if sizes and not (set(sizes[:-1]) <= {sizes[0]} and 0 < sizes[-1] <= sizes[0]):
+            raise ShapeError(f"every chunk but the last must be as long as the first, none longer "
+                             f"and none empty; got lengths {sizes}")
         object.__setattr__(self, "chunks", tuple(kept))
 
     def __len__(self) -> int:
-        return SAMPLE_CHUNK * (len(self.chunks) - 1) + len(self.chunks[-1][0]) if self.chunks else 0
+        c = self.chunks
+        return len(c[0][0]) * (len(c) - 1) + len(c[-1][0]) if c else 0
 
     def __getitem__(self, index):
         i = range(len(self))[index]  # negative indices, slices and IndexError as a list has them
         if isinstance(i, range):
             return [self[j] for j in i]
-        times, raw_traces, states = self.chunks[i // SAMPLE_CHUNK]
-        j = i % SAMPLE_CHUNK
+        chunk, j = divmod(i, len(self.chunks[0][0]))
+        times, raw_traces, states = self.chunks[chunk]
         return LindbladSample(times[j], states[j], raw_traces[j])
 
     def __iter__(self):
@@ -452,12 +471,14 @@ def evolve_lindblad(
     its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at
     the sample's time.
 
-    Emitted states are validated SAMPLE_CHUNK at a time, with one
-    `hermitian_eig` solve per chunk, and kept as that chunk's DensityStack in
-    the returned Trajectory; only the last chunk may be shorter.  The errors
-    keep the order of the trajectory: the first invalid state of a chunk is
-    the one reported, and the states pending when a replayed step fails the
-    drift check are validated before that failure is raised.
+    Emitted states are validated chunk_length(dim) at a time (CHUNK_ENTRIES
+    matrix entries), with one `hermitian_eig` solve per chunk, and kept as that
+    chunk's DensityStack in the returned Trajectory; only the last chunk may be
+    shorter.  The errors keep the order of the trajectory: the first invalid
+    state of a chunk is the one reported, and the states pending when a
+    replayed step fails the drift check are validated before that failure is
+    raised.  The debug log line sums the drift of every interval, or of every
+    step of a replayed one.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     rho = as_square(d0.matrix, g.dim)
@@ -478,7 +499,7 @@ def evolve_lindblad(
         return rho / raw_trace, raw_trace, abs(raw_trace - 1.0), t
 
     chunks: list[tuple[tuple[float, ...], tuple[float, ...], DensityStack]] = []
-    chunk = np.empty((min(SAMPLE_CHUNK, 1 + len(starts)), g.dim, g.dim), dtype=complex)
+    chunk = np.empty((min(chunk_length(g.dim), 1 + len(starts)), g.dim, g.dim), dtype=complex)
     times: list[float] = []  # of the states pending in chunk[:len(times)]
     traces: list[float] = []
 
@@ -519,9 +540,10 @@ def evolve_lindblad(
                     if not drift <= bound:
                         flush()  # an invalid state emitted before this interval is reported first
                         raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
+                    cumulative_drift += drift
             else:
                 rho, t = rho_next, t_next
-            cumulative_drift += drift
+                cumulative_drift += drift
             emit(t, rho, raw_trace)
         flush()
     logger.debug(

@@ -1,4 +1,7 @@
+import itertools
+import logging
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ from rholab import (
 )
 from rholab import channels
 from rholab.channels import MAX_SAMPLES, MAX_STEPS, step_schedule
-from rholab.cli import load_scenario
+from rholab.cli import Scenario, load_scenario, trajectory_rows
 from conftest import (
     random_density,
     random_hermitian,
@@ -596,7 +599,7 @@ class TestEvolveLindblad:
         # Sampled every 100 steps, the state at t = 500 is not positive, the one at
         # t = 1000 is not finite, and the trace turns NaN at t = 1005, while samples
         # 0-2 are still pending in the first chunk.
-        assert channels.SAMPLE_CHUNK > 3
+        assert channels.chunk_length(2) > 3
         d0 = DensityOperator(projector(KETS.x_plus))
 
         def run():
@@ -611,7 +614,9 @@ class TestEvolveLindblad:
     def test_a_replay_that_passes_keeps_the_chunks_full(self, monkeypatch):
         # A propagator that scales rho by 1 + 1e-6 over more than one step fails the
         # drift check in every 5-step interval, and the one-step replay passes: 41
-        # samples, kept in full chunks and one shorter last chunk.
+        # samples, kept in full chunks of 16 (a budget of 16 d = 2 states) and one
+        # shorter last chunk.
+        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
         build = channels._taylor_propagator
 
         def drifting(g, dt, remainder=0.0):
@@ -621,16 +626,31 @@ class TestEvolveLindblad:
         monkeypatch.setattr(channels, "_taylor_propagator", drifting)
         d0 = DensityOperator(projector(KETS.x_plus))
         trajectory = evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
-        chunk = channels.SAMPLE_CHUNK
-        assert [len(states) for _, _, states in trajectory.chunks] == [chunk, chunk, 41 - 2 * chunk]
+        assert [len(states) for _, _, states in trajectory.chunks] == [16, 16, 9]
         assert [s.time for s in trajectory] == pytest.approx([0.05 * i for i in range(41)], abs=1e-12)
+
+    def test_cumulative_drift_adds_every_replayed_step(self, monkeypatch, caplog):
+        # Every 5-step interval drifts by 1e-6 and is replayed as five steps that drift
+        # by 1e-9 each: 40 intervals add 200 step drifts, not 40.
+        build = channels._taylor_propagator
+
+        def drifting(g, dt, remainder=0.0):
+            propagate = build(g, dt, remainder)
+            return lambda rho, full, last: propagate(rho, full, last) * (1.0 + (1e-6 if full > 1 else 1e-9))
+
+        monkeypatch.setattr(channels, "_taylor_propagator", drifting)
+        d0 = DensityOperator(projector(KETS.x_plus))
+        with caplog.at_level(logging.DEBUG, logger=channels.__name__):
+            evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
+        (record,) = [r for r in caplog.records if r.name == channels.__name__]
+        assert record.getMessage() == "lindblad trajectory: 200 steps, cumulative trace correction 2.000e-07"
 
     def test_first_invalid_state_may_open_the_second_chunk(self):
         # RK4 with dt = 1.5 multiplies the dephasing coherence by
         # 1 - 3 + 9/2 - 9/2 + 27/8 = 1.375 per step.  From c0 = 0.5 / 1.375^(C - 1/2),
         # samples 0 .. C - 1 are positive and sample C, the first of the second
-        # chunk of C, has eigenvalue 0.5 - 0.5 * 1.375^(1/2) = -0.086.
-        chunk, dt = channels.SAMPLE_CHUNK, 1.5
+        # chunk of C = 1024 d = 2 states, has eigenvalue 0.5 - 0.5 * 1.375^(1/2) = -0.086.
+        chunk, dt = channels.chunk_length(2), 1.5
         c0 = 0.5 / 1.375 ** (chunk - 0.5)
         d0 = DensityOperator(np.array([[0.5, c0], [c0, 0.5]]))
         g = dephasing_generator(1.0)
@@ -677,46 +697,55 @@ class TestEvolveLindblad:
 
 class TestTrajectory:
     @staticmethod
-    def _two_chunks() -> Trajectory:
-        # 21 samples: one chunk of SAMPLE_CHUNK states and one of five.
+    def _one_chunk() -> Trajectory:
+        # 13 samples at d = 3, which evolve_lindblad keeps as one chunk.
         rng = np.random.default_rng(147)
         g = LindbladGenerator(random_hermitian(rng, 3), [0.3 * random_complex(rng, (3, 3))])
-        return evolve_lindblad(g, random_density(rng, 3), 0.2, 0.01)
+        return evolve_lindblad(g, random_density(rng, 3), 0.12, 0.01)
+
+    @staticmethod
+    def _split(trajectory: Trajectory, *lengths: int) -> list:
+        # The one chunk of `trajectory` cut into consecutive chunks of these lengths.
+        (chunk,) = trajectory.chunks
+        ends = list(itertools.accumulate(lengths, initial=0))
+        return [tuple(part[a:b] for part in chunk) for a, b in zip(ends, ends[1:])]
 
     def test_reads_like_a_list_of_samples(self):
-        trajectory = self._two_chunks()
-        assert isinstance(trajectory, Trajectory) and len(trajectory) == 21
-        assert [len(states) for _, _, states in trajectory.chunks] == [channels.SAMPLE_CHUNK, 5]
-        samples = list(trajectory)
-        assert len(samples) == 21
-        assert [s.time for s in samples] == pytest.approx([0.01 * i for i in range(21)], abs=1e-15)
-        reads = {
+        whole = self._one_chunk()
+        trajectory = Trajectory(self._split(whole, 5, 5, 3))
+        assert isinstance(trajectory, Trajectory) and len(trajectory) == len(whole) == 13
+        assert [len(states) for _, _, states in trajectory.chunks] == [5, 5, 3]
+        samples = list(whole)
+        assert [s.time for s in samples] == pytest.approx([0.01 * i for i in range(13)], abs=1e-15)
+        reads = {f"sample {i}": (got, want) for i, (got, want) in enumerate(zip(trajectory, samples))}
+        reads |= {
             "index": (trajectory[3], samples[3]),
-            "last": (trajectory[-1], samples[20]),
-            "first of chunk 2": (trajectory[channels.SAMPLE_CHUNK], samples[channels.SAMPLE_CHUNK]),
-            "negative": (trajectory[-21], samples[0]),
+            "last": (trajectory[-1], samples[12]),
+            "first of chunk 2": (trajectory[5], samples[5]),
+            "first of chunk 3": (trajectory[10], samples[10]),
+            "negative": (trajectory[-13], samples[0]),
         }
         for what, (got, want) in reads.items():
             assert (got.time, got.raw_trace) == (want.time, want.raw_trace), what
             assert np.array_equal(got.state.matrix, want.state.matrix), what
-        part = trajectory[3:19:2]
-        assert isinstance(part, list) and [s.time for s in part] == [s.time for s in samples[3:19:2]]
-        for i in (-22, 21):
+        part = trajectory[3:12:2]
+        assert isinstance(part, list) and [s.time for s in part] == [s.time for s in samples[3:12:2]]
+        for i in (-14, 13):
             with pytest.raises(IndexError):
                 trajectory[i]
 
     def test_states_equal_density_operators_of_the_same_matrices(self):
-        trajectory = self._two_chunks()
+        trajectory = Trajectory(self._split(self._one_chunk(), 5, 5, 3))
         for sample in trajectory[::4] + [trajectory[-1]]:
             alone = DensityOperator(sample.state.matrix, 10.0 * channels.MIN_EIGENVALUE_TOL)
             for attr in ("matrix", "eigenvalues", "eigenvectors"):
                 assert np.array_equal(getattr(sample.state, attr), getattr(alone, attr)), attr
-        times, raw_traces, states = trajectory.chunks[1]
-        assert isinstance(states, DensityStack) and len(times) == len(raw_traces) == 5
+        times, raw_traces, states = trajectory.chunks[2]
+        assert isinstance(states, DensityStack) and len(times) == len(raw_traces) == 3
         assert np.shares_memory(trajectory[-1].state.matrix, states.matrices)
 
     def test_is_read_only_and_checks_its_chunks(self):
-        trajectory = self._two_chunks()
+        trajectory = self._one_chunk()
         with pytest.raises(AttributeError):
             trajectory.chunks = ()
         times, raw_traces, states = trajectory.chunks[0]
@@ -726,14 +755,55 @@ class TestTrajectory:
             Trajectory([(times, raw_traces, list(states))])
 
     def test_every_chunk_but_the_last_is_full_and_none_is_empty(self):
-        first, last = self._two_chunks().chunks
+        first, second, last = self._split(self._one_chunk(), 5, 5, 3)
         short = tuple(c[:-1] for c in first)
         empty = tuple(c[:0] for c in last)
-        assert len(Trajectory([first, short])) == 2 * channels.SAMPLE_CHUNK - 1
-        for chunks in ([short, last], [first, empty, last], [first, empty], [empty]):
+        for chunks, length in (([first, second, last], 13), ([first, short], 9), ([short, last], 7),
+                               ([last], 3), ([], 0)):
+            trajectory = Trajectory(chunks)
+            assert len(trajectory) == len(list(trajectory)) == length
+            assert [s.time for s in trajectory] == [s.time for s in trajectory[:]]
+        for chunks in ([first, short, last], [short, first], [first, empty, last], [first, empty],
+                       [empty, last], [empty]):
             with pytest.raises(ShapeError):
                 Trajectory(chunks)
-        assert len(Trajectory([])) == 0 and list(Trajectory([])) == []
+
+
+class TestChunkLength:
+    def test_a_chunk_holds_a_fixed_number_of_matrix_entries(self):
+        lengths = {d: channels.chunk_length(d) for d in (1, 2, 3, 4, 8, 16, 64, 65, 100)}
+        assert lengths == {1: 4096, 2: 1024, 3: 455, 4: 256, 8: 64, 16: 16, 64: 1, 65: 1, 100: 1}
+
+    @pytest.mark.parametrize("name", ["dephasing", "precession", "amplitude_damping"])
+    def test_a_shipped_trajectory_is_one_chunk(self, name):
+        s = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
+        trajectory = evolve_lindblad(s.generator, s.rho0, s.t_end, s.dt, s.sample_every)
+        assert len(trajectory.chunks) == 1 and len(trajectory) in (21, 33)
+
+    @pytest.mark.parametrize("dim, t_end, dt, seed", [(2, 2.0, 0.001, 148), (4, 3.0, 0.01, 149)])
+    def test_chunk_length_changes_no_output_bit(self, monkeypatch, dim, t_end, dt, seed):
+        # 2001 samples at d = 2 and 301 at d = 4, run as shipped and in chunks of 16.
+        rng = np.random.default_rng(seed)
+        g = LindbladGenerator(random_hermitian(rng, dim), [0.3 * random_complex(rng, (dim, dim))])
+        scenario = Scenario(random_density(rng, dim), g, t_end, dt, 1)
+
+        def run():
+            trajectory = evolve_lindblad(g, scenario.rho0, t_end, dt)
+            chunks = [len(states) for _, _, states in trajectory.chunks]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return chunks, list(trajectory), trajectory_rows(scenario)
+
+        shipped_chunks, shipped, shipped_rows = run()
+        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * dim**2)
+        small_chunks, small, small_rows = run()
+        assert (shipped_chunks, small_chunks) == {2: ([1024, 977], [16] * 125 + [1]),
+                                                  4: ([256, 45], [16] * 18 + [13])}[dim]
+        assert [(s.time, s.raw_trace) for s in shipped] == [(s.time, s.raw_trace) for s in small]
+        for attr in ("matrix", "eigenvalues", "eigenvectors"):
+            assert np.array([getattr(s.state, attr) for s in shipped]).tobytes() == \
+                np.array([getattr(s.state, attr) for s in small]).tobytes(), attr
+        assert np.array(shipped_rows).tobytes() == np.array(small_rows).tobytes()
 
 
 class TestLindbladSpectrum:

@@ -26,7 +26,6 @@ from rholab import (
     von_neumann_entropy,
 )
 from rholab.bell import MAX_EVENTS
-from rholab.channels import SAMPLE_CHUNK
 from rholab.cli import EVENT_HEADER, TRAJECTORY_HEADER, main, load_scenario, trajectory_rows, ScenarioError
 from conftest import time_limit
 
@@ -377,8 +376,9 @@ class TestEvolve:
             assert max(abs(r[column] - p[column]) for r, p in zip(rows, pinned)) <= 1e-12, column
 
     @pytest.mark.parametrize("name", ["dephasing", "amplitude_damping"])
-    def test_rows_per_chunk_equal_the_one_state_calls(self, name):
-        # 21 samples: one full chunk of SAMPLE_CHUNK rows and a shorter one.
+    def test_rows_per_chunk_equal_the_one_state_calls(self, monkeypatch, name):
+        # 21 samples in chunks of 16 d = 2 states: one full chunk and a shorter one.
+        monkeypatch.setattr(rholab.channels, "CHUNK_ENTRIES", 16 * 2**2)
         scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
         g = scenario.generator
         with warnings.catch_warnings():
@@ -390,12 +390,14 @@ class TestEvolve:
                  s.min_eigenvalue, jump_entropy_rate(s.state, g.jump_ops))
                 for s in samples
             ]
-        assert len(rows) > SAMPLE_CHUNK and len(rows) % SAMPLE_CHUNK
+        assert [len(states) for _, _, states in samples.chunks] == [16, 5]
         assert [tuple(row) for row in rows] == expected
 
     def test_rows_build_no_per_sample_objects(self, monkeypatch):
-        # The rows are computed from each chunk's stacks; reading the trajectory
-        # sample by sample would build one LindbladSample per row.
+        # The rows are computed from each chunk's stacks, here two chunks of at most
+        # 16 d = 2 states; reading the trajectory sample by sample would build one
+        # LindbladSample per row.
+        monkeypatch.setattr(rholab.channels, "CHUNK_ENTRIES", 16 * 2**2)
         built = []
         sample_class = rholab.channels.LindbladSample
         monkeypatch.setattr(rholab.channels, "LindbladSample", lambda *a: built.append(a) or sample_class(*a))
@@ -403,7 +405,7 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             rows = trajectory_rows(scenario)
-        assert len(rows) > SAMPLE_CHUNK and built == []
+        assert len(rows) == 21 and built == []
         evolve_lindblad(scenario.generator, scenario.rho0, scenario.t_end, scenario.dt)[0]
         assert len(built) == 1  # the spy sees a sample that is read
 
