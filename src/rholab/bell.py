@@ -18,7 +18,7 @@ import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
-from .linalg import is_integer
+from .linalg import is_finite_real, is_integer
 from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -60,7 +60,7 @@ def singlet_variance(p: DetectorPair) -> float:
 def joint_up_probability(alpha: float) -> float:
     """P(both spins up) with detector 1 on z and detector 2 at angle alpha
     from the vertical (in the x-z plane); equals sin(alpha/2)^2 / 2."""
-    if not 0.0 <= alpha <= math.pi:
+    if not (is_finite_real(alpha) and 0.0 <= alpha <= math.pi):
         raise ValidationError(f"alpha must lie in [0, pi], got {alpha!r}")
     b = UnitVector3(math.sin(alpha), 0.0, math.cos(alpha))
     kets = spin_half_basis()

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack
+from .density import DensityOperator, DensityStack, _keep
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -42,6 +42,8 @@ from .linalg import (
     first_failure,
     frozen,
     hermitian_eig,
+    is_finite_real,
+    is_integer,
     max_deviation,
     require_close,
     require_finite,
@@ -64,15 +66,14 @@ MIN_EIGENVALUE_TOL = 1e-7
 
 # Most integrator steps one trajectory may take, and most samples it may emit.
 # A finite but huge t_end/dt would otherwise start a run that never finishes,
-# and every sample is held until the run ends (tracemalloc, 10^2 to 10^4
-# samples: 0.28-0.35 KB at d = 2 and 8.6 KB at d = 16, so near 0.9 GB at the
-# sample cap).
+# and every sample is held until the run ends (tracemalloc peak through cli.main: 0.40 KB
+# per sample at d = 2 over 10^5 samples, 8.6 KB at d = 16 over 5 * 10^3; 0.9 GB at the cap).
 MAX_STEPS = 10**7
 MAX_SAMPLES = 10**5
 
 # Emitted states are validated a chunk at a time, with one eigensolve per chunk.  A
 # chunk holds CHUNK_ENTRIES matrix entries (64 KiB of complex128), so chunk_length(d)
-# states.  Its buffer, hermitized copy and solver work arrays are alive together; the
+# states.  Its hermitized copy and the solver's work arrays are alive together; the
 # DensityStack of a full chunk peaks near 0.4-0.5 MiB at every dimension (tracemalloc),
 # a cost that does not grow with the run:
 #
@@ -293,13 +294,13 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LindbladSample:
-    """One emitted trajectory point.
+    """One emitted trajectory point, as a Trajectory reads it.
 
     raw_trace is the real trace of the state at the end of the sample
     interval, after hermitizing and just before renormalization (of its last
     step if the interval was replayed one step at a time); min_eigenvalue is
     the smallest eigenvalue of the emitted state.  The state's arrays are
-    read-only views into the stacks in which its chunk of samples was validated.
+    read-only views into the trajectory's `states`.
     """
 
     time: float
@@ -313,49 +314,36 @@ class LindbladSample:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Trajectory(Sequence[LindbladSample]):
-    """The samples of one `evolve_lindblad` run, kept per chunk of validated states.
+    """The N samples of one `evolve_lindblad` run: `times` and `raw_traces`, two
+    read-only (N,) float arrays, and `states`, one DensityStack of the N states.
 
-    `chunks` holds one (times, raw_traces, states) triple per chunk of
-    consecutive samples: two tuples of floats and the chunk's DensityStack.
-    The first chunk's length is the chunk length c (`evolve_lindblad` uses
-    chunk_length(dim)): every chunk but the last holds exactly c samples, the
-    last at most c, and none is empty, so sample i sits in chunk i // c at
-    position i % c.  The trajectory reads like a list of LindbladSample (len,
-    index, negative index, slice, iteration); a sample is built only when it
-    is read, its state a view into its chunk's stack, and each read builds a
-    new one.
+    It reads like a list of LindbladSample (len, index, negative index, slice,
+    iteration); a sample is built only when it is read, its state a view into
+    `states`, and each read builds a new one.
     """
 
-    chunks: tuple[tuple[tuple[float, ...], tuple[float, ...], DensityStack], ...]
+    times: np.ndarray
+    raw_traces: np.ndarray
+    states: DensityStack
 
-    def __init__(self, chunks):
-        kept = []
-        for times, raw_traces, states in chunks:
-            times, raw_traces = tuple(map(float, times)), tuple(map(float, raw_traces))
-            if not isinstance(states, DensityStack) or not len(times) == len(raw_traces) == len(states):
-                raise ShapeError("expected a DensityStack and as many times and raw traces per chunk")
-            kept.append((times, raw_traces, states))
-        sizes = [len(c[0]) for c in kept]
-        if sizes and not (set(sizes[:-1]) <= {sizes[0]} and 0 < sizes[-1] <= sizes[0]):
-            raise ShapeError(f"every chunk but the last must be as long as the first, none longer "
-                             f"and none empty; got lengths {sizes}")
-        object.__setattr__(self, "chunks", tuple(kept))
+    def __init__(self, times, raw_traces, states):
+        times, raw_traces = (frozen(np.asarray(a, dtype=float)) for a in (times, raw_traces))
+        if not isinstance(states, DensityStack) or not times.shape == raw_traces.shape == (len(states),):
+            raise ShapeError("expected a DensityStack and as many times and raw traces, each a 1-D array")
+        for name, value in zip(self.__slots__, (times, raw_traces, states)):  # its fields, in order
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        c = self.chunks
-        return len(c[0][0]) * (len(c) - 1) + len(c[-1][0]) if c else 0
+        return len(self.states)
 
     def __getitem__(self, index):
         i = range(len(self))[index]  # negative indices, slices and IndexError as a list has them
         if isinstance(i, range):
             return [self[j] for j in i]
-        chunk, j = divmod(i, len(self.chunks[0][0]))
-        times, raw_traces, states = self.chunks[chunk]
-        return LindbladSample(times[j], states[j], raw_traces[j])
+        return LindbladSample(float(self.times[i]), self.states[i], float(self.raw_traces[i]))
 
     def __iter__(self):
-        for times, raw_traces, states in self.chunks:
-            yield from map(LindbladSample, times, states, raw_traces)
+        return map(LindbladSample, self.times.tolist(), self.states, self.raw_traces.tolist())
 
     def __repr__(self) -> str:
         return f"Trajectory(len={len(self)})"
@@ -418,16 +406,17 @@ def step_schedule(t_end: float, dt: float, sample_every: int) -> tuple[int, floa
     """Split [0, t_end] into full steps of length dt plus a final shorter step.
 
     Returns (n_full, remainder), where remainder is 0.0 when t_end is a
-    multiple of dt up to rounding.  Raises ValidationError unless dt is
-    positive and finite, t_end non-negative and finite, sample_every at least
-    1, and the schedule within MAX_STEPS steps and MAX_SAMPLES samples.
+    multiple of dt up to rounding.  Raises ValidationError unless dt > 0 and
+    t_end >= 0 are finite real numbers, sample_every is an integer >= 1, and
+    the schedule is within MAX_STEPS steps and MAX_SAMPLES samples.
     """
-    if sample_every < 1:
-        raise ValidationError(f"sample_every must be at least 1, got {sample_every!r}")
-    if not 0.0 < dt < math.inf:
-        raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if not 0.0 <= t_end < math.inf:
-        raise ValidationError(f"t_end must be non-negative and finite, got {t_end!r}")
+    if not (is_integer(sample_every) and sample_every >= 1):
+        raise ValidationError(f"sample_every must be an integer of at least 1, got {sample_every!r}")
+    if not (is_finite_real(dt) and dt > 0):
+        raise ValidationError(f"dt must be a positive finite real number, got {dt!r}")
+    if not (is_finite_real(t_end) and t_end >= 0):
+        raise ValidationError(f"t_end must be a non-negative finite real number, got {t_end!r}")
+    t_end, dt, sample_every = float(t_end), float(dt), int(sample_every)
     ratio = t_end / dt
     if not ratio < math.inf:
         raise ValidationError(f"t_end/dt = {ratio!r} is not a finite step count")
@@ -471,16 +460,17 @@ def evolve_lindblad(
     its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at
     the sample's time.
 
-    Emitted states are validated chunk_length(dim) at a time (CHUNK_ENTRIES
-    matrix entries), with one `hermitian_eig` solve per chunk, and kept as that
-    chunk's DensityStack in the returned Trajectory; only the last chunk may be
-    shorter.  The errors keep the order of the trajectory: the first invalid
-    state of a chunk is the one reported, and the states pending when a
-    replayed step fails the drift check are validated before that failure is
-    raised.  The debug log line sums the drift of every interval, or of every
+    The returned Trajectory's arrays are allocated once from the schedule and
+    each sample is written into them; its states are validated in place, one
+    `hermitian_eig` solve per chunk_length(dim) states (CHUNK_ENTRIES matrix
+    entries) and one for the rest.  The errors keep the order of the trajectory:
+    the first invalid state of a chunk is the one reported, and the states
+    pending when a replayed step fails the drift check are validated before
+    that failure is raised.  The debug log line sums the drift of every interval, or of every
     step of a replayed one.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
+    dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
     rho = as_square(d0.matrix, g.dim)
     n_steps = n_full + (remainder > 0.0)
     bound = 10.0 * TRACE_DRIFT_TOL
@@ -498,29 +488,31 @@ def evolve_lindblad(
             t += remainder
         return rho / raw_trace, raw_trace, abs(raw_trace - 1.0), t
 
-    chunks: list[tuple[tuple[float, ...], tuple[float, ...], DensityStack]] = []
-    chunk = np.empty((min(chunk_length(g.dim), 1 + len(starts)), g.dim, g.dim), dtype=complex)
-    times: list[float] = []  # of the states pending in chunk[:len(times)]
-    traces: list[float] = []
+    n, d = 1 + len(starts), g.dim  # samples: step 0, then one per interval
+    times, raw_traces, eigenvalues = np.empty(n), np.empty(n), np.empty((n, d))
+    matrices, eigenvectors = np.empty((n, d, d), dtype=complex), np.empty((n, d, d), dtype=complex)
+    chunk, emitted, validated = chunk_length(d), 0, 0  # matrices[validated:emitted] are pending
 
     def flush() -> None:
-        """Validate the pending states at once and keep them as one chunk."""
-        if times:
-            pending, psd_atol = chunk[: len(times)], 10.0 * MIN_EIGENVALUE_TOL
+        """Validate the pending states with one solve and keep their arrays."""
+        nonlocal validated
+        if emitted > validated:
+            pending, psd_atol = slice(validated, emitted), 10.0 * MIN_EIGENVALUE_TOL
             try:
-                states = DensityStack(pending, psd_atol)
+                states = DensityStack(matrices[pending], psd_atol)
             except ValidationError as exc:  # name the first invalid state, checked alone
-                i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), pending) or (0, exc)
-                raise IntegrationError(f"emitted state invalid ({exc})", times[i]) from exc
-            chunks.append((tuple(times), tuple(traces), states))
-            times.clear()
-            traces.clear()
+                i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[pending]) or (0, exc)
+                raise IntegrationError(f"emitted state invalid ({exc})", float(times[validated + i])) from exc
+            matrices[pending] = states.matrices
+            eigenvalues[pending] = states.eigenvalues
+            eigenvectors[pending] = states.eigenvectors
+            validated = emitted
 
     def emit(t: float, rho: np.ndarray, raw_trace: float) -> None:
-        chunk[len(times)] = rho
-        times.append(t)
-        traces.append(raw_trace)
-        if len(times) == len(chunk):
+        nonlocal emitted
+        times[emitted], raw_traces[emitted], matrices[emitted] = t, raw_trace, rho
+        emitted += 1
+        if emitted - validated == chunk or emitted == n:  # a full chunk, or the last sample
             flush()
 
     t = 0.0
@@ -545,13 +537,15 @@ def evolve_lindblad(
                 rho, t = rho_next, t_next
                 cumulative_drift += drift
             emit(t, rho, raw_trace)
-        flush()
     logger.debug(
         "lindblad trajectory: %d steps, cumulative trace correction %.3e",
         n_steps,
         cumulative_drift,
     )
-    return Trajectory(chunks)
+    for a in (times, raw_traces, matrices, eigenvalues, eigenvectors):
+        a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
+    states = _keep(object.__new__(DensityStack), matrices, eigenvalues, eigenvectors)  # validated above
+    return Trajectory(times, raw_traces, states)
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:

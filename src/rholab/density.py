@@ -18,7 +18,6 @@ of rho under this component convention.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -34,6 +33,7 @@ from .linalg import (
     as_square,
     frozen,
     hermitian_eig,
+    is_finite_real,
     pinch,
     require_basis,
     require_close,
@@ -100,6 +100,8 @@ def _validated(
     not say which matrix failed (`first_failure` finds it).  With `eig`, the
     spectrum of the hermitized matrix as its construction gives it, nothing is
     solved: the floor is checked on those eigenvalues, and they are returned."""
+    if not (is_finite_real(psd_atol) and psd_atol >= 0):
+        raise ValidationError(f"psd_atol must be a non-negative finite real number, got {psd_atol!r}")
     m = as_square(matrix, stack=stack)
     if stack and m.ndim != 3:
         raise ShapeError(f"expected a (B, n, n) stack of matrices, got shape {m.shape}")
@@ -319,8 +321,8 @@ def evolve_unitary(d: DensityOperator, h, t: float) -> DensityOperator:
     spectrum are preserved to roundoff: the result keeps rho's eigenvalues,
     with eigenvectors U V, and only H is solved.
     """
-    if not -math.inf < t < math.inf:
-        raise ValidationError(f"t must be finite, got {t!r}")
+    if not is_finite_real(t):
+        raise ValidationError(f"t must be finite and real, got {t!r}")
     hm = require_hermitian(h, d.dim)
     u = apply_matrix_function(hm, lambda lam: cmath.exp(-1j * lam * t))
     vectors = u @ d.eigenvectors

@@ -133,6 +133,14 @@ def is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def is_finite_real(x) -> bool:
+    """Whether x is a finite real number: a numbers.Real (numpy's included) but not a bool."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def as_ket(v, dim: int | None = None) -> np.ndarray:
     """Coerce to a non-empty 1-D complex column of finite amplitudes, dim of
     them if dim is given: the one check of a ket against a dimension."""

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import hermitian_eig
+from .linalg import hermitian_eig, is_finite_real
 
 UNIT_ATOL = 1e-12
 
@@ -45,8 +44,8 @@ def pauli(axis: str) -> np.ndarray:
 @dataclass(frozen=True)
 class UnitVector3:
     """A unit vector in coordinate space, e.g. a detector orientation; a
-    component that is not a real number (complex, a string, None) raises
-    ValidationError."""
+    component that is not a finite real number (complex, a string, None, a
+    bool, NaN) raises ValidationError."""
 
     nx: float
     ny: float
@@ -55,8 +54,8 @@ class UnitVector3:
     def __post_init__(self):
         components = (self.nx, self.ny, self.nz)
         # A complex component would pass the norm check unconjugated: (1, 1j, 1) sums to 1.
-        if not all(isinstance(c, numbers.Real) for c in components):
-            raise ValidationError(f"components must be real numbers, got {components!r}")
+        if not all(map(is_finite_real, components)):
+            raise ValidationError(f"components must be real numbers, finite and not bool, got {components!r}")
         norm_sq = self.nx**2 + self.ny**2 + self.nz**2
         if not abs(norm_sq - 1.0) <= 2.0 * UNIT_ATOL:  # also rejects NaN
             raise ValidationError(f"not a unit vector: |n|^2 = {norm_sq!r}")

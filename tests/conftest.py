@@ -89,13 +89,14 @@ def time_limit(seconds: float):
 
 def count_eigensolves(monkeypatch) -> list:
     """Route every rholab module's binding of `hermitian_eig` through a spy;
-    the returned list gains one entry per call."""
+    the returned list gains one entry per call, the number of matrices it
+    solves: 1 for one matrix, B for a (B, n, n) stack."""
     calls = []
     original = rholab.linalg.hermitian_eig
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        calls.append(len(a) if np.ndim(a) == 3 else 1)
+        return original(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "rholab" or name.startswith("rholab."):

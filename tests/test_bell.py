@@ -154,6 +154,11 @@ class TestJointUpProbability:
         with pytest.raises(ValidationError):
             joint_up_probability(3.5)
 
+    @pytest.mark.parametrize("alpha", ["1", 1j, True], ids=["string", "complex", "bool"])
+    def test_rejects_an_angle_that_is_not_a_real_number(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            joint_up_probability(alpha)
+
 
 class TestChsh:
     def test_maximal_orientations(self):

@@ -1,8 +1,8 @@
-import itertools
 import logging
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from rholab import (
     IntegrationError,
     KrausChannel,
     LindbladGenerator,
+    LindbladSample,
     NotCompletelyPositiveError,
     ShapeError,
     Superoperator,
@@ -35,8 +36,10 @@ from rholab import (
 )
 from rholab import channels
 from rholab.channels import MAX_SAMPLES, MAX_STEPS, step_schedule
+from rholab.density import stacked
 from rholab.cli import Scenario, load_scenario, trajectory_rows
 from conftest import (
+    count_eigensolves,
     random_density,
     random_hermitian,
     random_complex,
@@ -469,6 +472,40 @@ class TestEvolveLindblad:
                 evolve_lindblad(g, d0, t_end, dt)
 
     @pytest.mark.parametrize(
+        "t_end, dt, sample_every",
+        [
+            (1.0, 0.1, 2.5),
+            (1.0, 0.1, np.float64(2)),
+            (1.0, 0.1, "3"),
+            (1.0, 0.1, True),
+            ("1.0", 0.1, 1),
+            (1 + 0j, 0.1, 1),
+            (10**400, 0.1, 1),
+            (1.0, "0.1", 1),
+            (1.0, 10**400, 1),
+            (1.0, True, 1),
+        ],
+        ids=["every-float", "every-numpy-float", "every-string", "every-bool", "t_end-string",
+             "t_end-complex", "t_end-huge-int", "dt-string", "dt-huge-int", "dt-bool"],
+    )
+    def test_schedule_arguments_of_the_wrong_type_raise_validation_error(self, t_end, dt, sample_every):
+        d0 = DensityOperator(np.eye(2) / 2)
+        with pytest.raises(ValidationError):
+            step_schedule(t_end, dt, sample_every)
+        with pytest.raises(ValidationError):
+            evolve_lindblad(dephasing_generator(1.0), d0, t_end, dt, sample_every)
+
+    def test_schedule_takes_numpy_and_integer_numbers(self):
+        # Real numbers of any type give the run their float values give.
+        d0 = DensityOperator(projector(KETS.x_plus))
+        g = dephasing_generator(1.0)
+        expected = evolve_lindblad(g, d0, 1.0, 0.25, 2)
+        for args in ((1, np.float64(0.25), np.int64(2)), (np.float32(1.0), 0.25, np.uint8(2))):
+            got = evolve_lindblad(g, d0, *args)
+            assert got.times.tobytes() == expected.times.tobytes()
+            assert got.states.matrices.tobytes() == expected.states.matrices.tobytes()
+
+    @pytest.mark.parametrize(
         "dim, sample_every",
         [pytest.param(dim, 4, id=str(dim)) for dim in (1, 2, 3, 4, 8, 16)]
         + [
@@ -605,9 +642,13 @@ class TestEvolveLindblad:
         def run():
             return evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=100)
 
+        calls = count_eigensolves(monkeypatch)
         with pytest.raises(IntegrationError, match="^emitted state invalid .* at t=500$"):
             run()
-        monkeypatch.setattr(channels, "DensityStack", lambda m, psd_atol: [None] * len(m))
+        assert calls == [1, 1]  # the pending stack fails its finite check unsolved; samples 0, 1 alone
+        # A stack check that accepts every state leaves the drift failure to be reported.
+        unchecked = lambda m, psd_atol: SimpleNamespace(matrices=m, eigenvalues=0.0, eigenvectors=m)  # noqa: E731
+        monkeypatch.setattr(channels, "DensityStack", unchecked)
         with pytest.raises(IntegrationError, match="^trace drift nan exceeds 1e-07 at t=1005$"):
             run()
 
@@ -625,8 +666,9 @@ class TestEvolveLindblad:
 
         monkeypatch.setattr(channels, "_taylor_propagator", drifting)
         d0 = DensityOperator(projector(KETS.x_plus))
+        calls = count_eigensolves(monkeypatch)
         trajectory = evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
-        assert [len(states) for _, _, states in trajectory.chunks] == [16, 16, 9]
+        assert calls == [16, 16, 9]
         assert [s.time for s in trajectory] == pytest.approx([0.05 * i for i in range(41)], abs=1e-12)
 
     def test_cumulative_drift_adds_every_replayed_step(self, monkeypatch, caplog):
@@ -697,76 +739,71 @@ class TestEvolveLindblad:
 
 class TestTrajectory:
     @staticmethod
-    def _one_chunk() -> Trajectory:
-        # 13 samples at d = 3, which evolve_lindblad keeps as one chunk.
+    def _run() -> Trajectory:
+        # 13 samples at d = 3.
         rng = np.random.default_rng(147)
         g = LindbladGenerator(random_hermitian(rng, 3), [0.3 * random_complex(rng, (3, 3))])
         return evolve_lindblad(g, random_density(rng, 3), 0.12, 0.01)
 
-    @staticmethod
-    def _split(trajectory: Trajectory, *lengths: int) -> list:
-        # The one chunk of `trajectory` cut into consecutive chunks of these lengths.
-        (chunk,) = trajectory.chunks
-        ends = list(itertools.accumulate(lengths, initial=0))
-        return [tuple(part[a:b] for part in chunk) for a, b in zip(ends, ends[1:])]
-
     def test_reads_like_a_list_of_samples(self):
-        whole = self._one_chunk()
-        trajectory = Trajectory(self._split(whole, 5, 5, 3))
-        assert isinstance(trajectory, Trajectory) and len(trajectory) == len(whole) == 13
-        assert [len(states) for _, _, states in trajectory.chunks] == [5, 5, 3]
-        samples = list(whole)
-        assert [s.time for s in samples] == pytest.approx([0.01 * i for i in range(13)], abs=1e-15)
-        reads = {f"sample {i}": (got, want) for i, (got, want) in enumerate(zip(trajectory, samples))}
-        reads |= {
-            "index": (trajectory[3], samples[3]),
-            "last": (trajectory[-1], samples[12]),
-            "first of chunk 2": (trajectory[5], samples[5]),
-            "first of chunk 3": (trajectory[10], samples[10]),
-            "negative": (trajectory[-13], samples[0]),
-        }
-        for what, (got, want) in reads.items():
-            assert (got.time, got.raw_trace) == (want.time, want.raw_trace), what
-            assert np.array_equal(got.state.matrix, want.state.matrix), what
+        trajectory = self._run()
+        times, raw_traces, states = trajectory.times, trajectory.raw_traces, trajectory.states
+        assert isinstance(trajectory, Trajectory) and len(trajectory) == len(states) == 13
+        assert times.tolist() == pytest.approx([0.01 * i for i in range(13)], abs=1e-15)
+        reads = {f"sample {i}": (got, i) for i, got in enumerate(trajectory)}
+        reads |= {"index": (trajectory[3], 3), "last": (trajectory[-1], 12), "negative": (trajectory[-13], 0)}
+        for what, (got, i) in reads.items():
+            assert isinstance(got, LindbladSample) and type(got.time) is type(got.raw_trace) is float, what
+            assert (got.time, got.raw_trace) == (times[i], raw_traces[i]), what
+            assert np.array_equal(got.state.matrix, states.matrices[i]), what
+            assert got.min_eigenvalue == states.eigenvalues[i, 0], what
         part = trajectory[3:12:2]
-        assert isinstance(part, list) and [s.time for s in part] == [s.time for s in samples[3:12:2]]
+        assert isinstance(part, list) and [s.time for s in part] == times[3:12:2].tolist()
         for i in (-14, 13):
             with pytest.raises(IndexError):
                 trajectory[i]
 
     def test_states_equal_density_operators_of_the_same_matrices(self):
-        trajectory = Trajectory(self._split(self._one_chunk(), 5, 5, 3))
+        trajectory = self._run()
         for sample in trajectory[::4] + [trajectory[-1]]:
             alone = DensityOperator(sample.state.matrix, 10.0 * channels.MIN_EIGENVALUE_TOL)
             for attr in ("matrix", "eigenvalues", "eigenvectors"):
                 assert np.array_equal(getattr(sample.state, attr), getattr(alone, attr)), attr
-        times, raw_traces, states = trajectory.chunks[2]
-        assert isinstance(states, DensityStack) and len(times) == len(raw_traces) == 3
-        assert np.shares_memory(trajectory[-1].state.matrix, states.matrices)
+        assert isinstance(trajectory.states, DensityStack)
+        assert all(np.shares_memory(s.state.matrix, trajectory.states.matrices) for s in trajectory)
 
-    def test_is_read_only_and_checks_its_chunks(self):
-        trajectory = self._one_chunk()
-        with pytest.raises(AttributeError):
-            trajectory.chunks = ()
-        times, raw_traces, states = trajectory.chunks[0]
-        with pytest.raises(ShapeError):
-            Trajectory([(times[:-1], raw_traces, states)])
-        with pytest.raises(ShapeError):
-            Trajectory([(times, raw_traces, list(states))])
-
-    def test_every_chunk_but_the_last_is_full_and_none_is_empty(self):
-        first, second, last = self._split(self._one_chunk(), 5, 5, 3)
-        short = tuple(c[:-1] for c in first)
-        empty = tuple(c[:0] for c in last)
-        for chunks, length in (([first, second, last], 13), ([first, short], 9), ([short, last], 7),
-                               ([last], 3), ([], 0)):
-            trajectory = Trajectory(chunks)
-            assert len(trajectory) == len(list(trajectory)) == length
-            assert [s.time for s in trajectory] == [s.time for s in trajectory[:]]
-        for chunks in ([first, short, last], [short, first], [first, empty, last], [first, empty],
-                       [empty, last], [empty]):
+    def test_is_read_only_and_checks_its_lengths(self):
+        trajectory = self._run()
+        times, raw_traces, states = trajectory.times, trajectory.raw_traces, trajectory.states
+        for name in ("times", "raw_traces", "states"):
+            with pytest.raises(AttributeError):
+                setattr(trajectory, name, getattr(trajectory, name))
+        assert not (times.flags.writeable or raw_traces.flags.writeable or states.matrices.flags.writeable)
+        # Built by hand from sequences and a caller's writable array, which it copies.
+        mine = times.copy()
+        rebuilt = Trajectory(mine, raw_traces.tolist(), states)
+        mine[0] = 99.0
+        assert [(s.time, s.raw_trace) for s in rebuilt] == [(s.time, s.raw_trace) for s in trajectory]
+        assert rebuilt.states is states and not rebuilt.times.flags.writeable
+        for bad in ((times[:-1], raw_traces, states), (times, raw_traces[1:], states),
+                    (times, raw_traces, states[:-1]), (times[None], raw_traces[None], states),
+                    (times, raw_traces, list(states))):
             with pytest.raises(ShapeError):
-                Trajectory(chunks)
+                Trajectory(*bad)
+
+    def test_states_are_one_stack_of_one_dimension(self):
+        # The states are one DensityStack, so two d = 2 states and two d = 3 states,
+        # which no stack holds, make no trajectory; nor does an empty stack.
+        rng = np.random.default_rng(148)
+        mixed = [random_density(rng, 2), random_density(rng, 2), random_density(rng, 3), random_density(rng, 3)]
+        with pytest.raises(ShapeError):
+            Trajectory(range(4), [1.0] * 4, mixed)
+        with pytest.raises(ShapeError):
+            stacked(mixed)
+        with pytest.raises(ValidationError):
+            DensityStack([s.matrix for s in mixed])
+        with pytest.raises(ShapeError):
+            DensityStack(np.empty((0, 2, 2)))
 
 
 class TestChunkLength:
@@ -775,10 +812,19 @@ class TestChunkLength:
         assert lengths == {1: 4096, 2: 1024, 3: 455, 4: 256, 8: 64, 16: 16, 64: 1, 65: 1, 100: 1}
 
     @pytest.mark.parametrize("name", ["dephasing", "precession", "amplitude_damping"])
-    def test_a_shipped_trajectory_is_one_chunk(self, name):
+    def test_a_shipped_trajectory_is_one_chunk(self, monkeypatch, name):
         s = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
+        calls = count_eigensolves(monkeypatch)
         trajectory = evolve_lindblad(s.generator, s.rho0, s.t_end, s.dt, s.sample_every)
-        assert len(trajectory.chunks) == 1 and len(trajectory) in (21, 33)
+        assert calls == [len(trajectory)] and len(trajectory) in (21, 33)
+
+    def test_a_long_run_takes_one_solve_per_chunk(self, monkeypatch):
+        # dt = 0.001 with sample_every = 1 is 4001 d = 2 samples: three full chunks of
+        # 1024 states and the rest.
+        s = load_scenario(str(REPO / "scenarios" / "amplitude_damping.json"))
+        calls = count_eigensolves(monkeypatch)
+        assert len(evolve_lindblad(s.generator, s.rho0, s.t_end, 0.001)) == 4001
+        assert calls == [1024, 1024, 1024, 929]
 
     @pytest.mark.parametrize("dim, t_end, dt, seed", [(2, 2.0, 0.001, 148), (4, 3.0, 0.01, 149)])
     def test_chunk_length_changes_no_output_bit(self, monkeypatch, dim, t_end, dt, seed):
@@ -786,18 +832,20 @@ class TestChunkLength:
         rng = np.random.default_rng(seed)
         g = LindbladGenerator(random_hermitian(rng, dim), [0.3 * random_complex(rng, (dim, dim))])
         scenario = Scenario(random_density(rng, dim), g, t_end, dt, 1)
+        calls = count_eigensolves(monkeypatch)
 
         def run():
+            calls.clear()
             trajectory = evolve_lindblad(g, scenario.rho0, t_end, dt)
-            chunks = [len(states) for _, _, states in trajectory.chunks]
+            solves = calls.copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return chunks, list(trajectory), trajectory_rows(scenario)
+                return solves, list(trajectory), trajectory_rows(scenario)
 
-        shipped_chunks, shipped, shipped_rows = run()
+        shipped_solves, shipped, shipped_rows = run()
         monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * dim**2)
-        small_chunks, small, small_rows = run()
-        assert (shipped_chunks, small_chunks) == {2: ([1024, 977], [16] * 125 + [1]),
+        small_solves, small, small_rows = run()
+        assert (shipped_solves, small_solves) == {2: ([1024, 977], [16] * 125 + [1]),
                                                   4: ([256, 45], [16] * 18 + [13])}[dim]
         assert [(s.time, s.raw_trace) for s in shipped] == [(s.time, s.raw_trace) for s in small]
         for attr in ("matrix", "eigenvalues", "eigenvectors"):

@@ -27,7 +27,7 @@ from rholab import (
 )
 from rholab.bell import MAX_EVENTS
 from rholab.cli import EVENT_HEADER, TRAJECTORY_HEADER, main, load_scenario, trajectory_rows, ScenarioError
-from conftest import time_limit
+from conftest import count_eigensolves, time_limit
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -330,6 +330,15 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("dim", True), ("dim", 2.0), ("sample_every", True),
+                                              ("sample_every", 2.5), ("sample_every", "3")])
+    def test_non_integer_count_rejected(self, tmp_path, capsys, field, value):
+        scenario = write_scenario(tmp_path / "s.json", **{field: value})
+        assert main(["evolve", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and field in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [scenario]
+
     def test_overflowing_jump_operator_rejected(self, tmp_path, capsys):
         # 1/2 L(dag)L overflows: refused at load time, not a NaN trace drift mid-run.
         big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e200, 0.0]]]
@@ -381,16 +390,17 @@ class TestEvolve:
         monkeypatch.setattr(rholab.channels, "CHUNK_ENTRIES", 16 * 2**2)
         scenario = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
         g = scenario.generator
+        calls = count_eigensolves(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             rows = trajectory_rows(scenario)
+            assert calls == [16, 5]
             samples = evolve_lindblad(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
             expected = [
                 (s.time, s.raw_trace, purity(s.state), von_neumann_entropy(s.state),
                  s.min_eigenvalue, jump_entropy_rate(s.state, g.jump_ops))
                 for s in samples
             ]
-        assert [len(states) for _, _, states in samples.chunks] == [16, 5]
         assert [tuple(row) for row in rows] == expected
 
     def test_rows_build_no_per_sample_objects(self, monkeypatch):

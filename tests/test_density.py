@@ -49,6 +49,16 @@ def projector_sum(mixture: ProperMixture) -> np.ndarray:
 
 
 class TestDensityValidation:
+    @pytest.mark.parametrize("psd_atol", [math.nan, math.inf, -1e-10, "1e-10", 1j, True],
+                             ids=["nan", "inf", "negative", "string", "complex", "bool"])
+    def test_psd_floor_is_a_finite_non_negative_real(self, psd_atol):
+        # An eigenvalue of -0.5 passes no real floor; nor may a NaN or infinite one let it.
+        with pytest.raises(ValidationError, match="psd_atol"):
+            DensityOperator(np.diag([1.5, -0.5]), psd_atol)
+        with pytest.raises(ValidationError, match="psd_atol"):
+            DensityStack(np.diag([1.5, -0.5])[None], psd_atol)
+        assert DensityOperator(np.eye(2) / 2, 0).dim == DensityOperator(np.eye(2) / 2, np.float32(1e-3)).dim == 2
+
     def test_accepts_valid(self):
         d = DensityOperator(np.eye(3) / 3.0)
         assert d.dim == 3
@@ -482,6 +492,11 @@ class TestEvolveUnitary:
 
         monkeypatch.setattr(linalg, "hermitian_eig", solve)
         with pytest.raises(ValidationError, match="t must be finite"):
+            evolve_unitary(DensityOperator(np.eye(2) / 2.0), pauli("z"), t)
+
+    @pytest.mark.parametrize("t", [1j, "1", True], ids=["complex", "string", "bool"])
+    def test_rejects_a_time_that_is_not_a_real_number(self, t):
+        with pytest.raises(ValidationError, match="t must be finite and real"):
             evolve_unitary(DensityOperator(np.eye(2) / 2.0), pauli("z"), t)
 
 

@@ -61,6 +61,12 @@ class TestUnitVector:
         with pytest.raises(ValidationError):
             UnitVector3(*coords)
 
+    @pytest.mark.parametrize("coords", [(True, 0, 0), (0.0, False, 1.0), (10**400, 0, 0)],
+                             ids=["true", "false", "huge-int"])
+    def test_rejects_bool_and_out_of_range_components(self, coords):
+        with pytest.raises(ValidationError, match="must be real numbers"):
+            UnitVector3(*coords)
+
     @pytest.mark.parametrize(
         "build",
         [
