@@ -47,7 +47,6 @@ from .channels import (
     EigenmatrixDecomposition,
     KrausChannel,
     LindbladGenerator,
-    LindbladSample,
     Superoperator,
     Trajectory,
     eigenmatrix_decompose,

@@ -23,7 +23,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -124,6 +124,12 @@ class KrausChannel:
         return (k @ as_square(rho, self.dim) @ k.conj().swapaxes(1, 2)).sum(0)
 
 
+def _require_dim(dim) -> None:
+    """Raise ValidationError unless the space dimension dim is an integer of at least 1."""
+    if not (is_integer(dim) and dim >= 1):
+        raise ValidationError(f"dim must be an integer of at least 1, got {dim!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on density matrices via the rank-4 coefficient tensor."""
@@ -132,6 +138,7 @@ class Superoperator:
     tensor: np.ndarray  # shape (N, N, N, N), indexed [m, k, n, l]
 
     def __init__(self, dim: int, tensor):
+        _require_dim(dim)
         t = np.asarray(tensor, dtype=complex)
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
@@ -180,6 +187,7 @@ class EigenmatrixDecomposition:
     eigenmatrices: np.ndarray
 
     def __post_init__(self):
+        _require_dim(self.dim)
         matrices = frozen(as_square_stack(self.eigenmatrices, self.dim))
         values = np.asarray(self.eigenvalues)
         if values.shape != (len(matrices),):
@@ -292,34 +300,15 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
     return _generator_flow(g)(as_square(d.matrix, g.dim))
 
 
-@dataclass(frozen=True)
-class LindbladSample:
-    """One emitted trajectory point, as a Trajectory reads it.
-
-    raw_trace is the real trace of the state at the end of the sample
-    interval, after hermitizing and just before renormalization (of its last
-    step if the interval was replayed one step at a time); min_eigenvalue is
-    the smallest eigenvalue of the emitted state.  The state's arrays are
-    read-only views into the trajectory's `states`.
-    """
-
-    time: float
-    state: DensityOperator
-    raw_trace: float
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.state.eigenvalues[0])
-
-
 @dataclass(frozen=True, eq=False, slots=True)
-class Trajectory(Sequence[LindbladSample]):
+class Trajectory:
     """The N samples of one `evolve_lindblad` run: `times` and `raw_traces`, two
     read-only (N,) float arrays, and `states`, one DensityStack of the N states.
 
-    It reads like a list of LindbladSample (len, index, negative index, slice,
-    iteration); a sample is built only when it is read, its state a view into
-    `states`, and each read builds a new one.
+    Sample i is times[i], raw_traces[i] and states[i], and states.eigenvalues[i, 0] is
+    its smallest eigenvalue.  raw_traces[i] is the real trace of the state at the end
+    of its sample interval, after hermitizing and just before renormalization (of the
+    interval's last step if it was replayed one step at a time).
     """
 
     times: np.ndarray
@@ -327,7 +316,10 @@ class Trajectory(Sequence[LindbladSample]):
     states: DensityStack
 
     def __init__(self, times, raw_traces, states):
-        times, raw_traces = (frozen(np.asarray(a, dtype=float)) for a in (times, raw_traces))
+        arrays = [np.asarray(a) for a in (times, raw_traces)]
+        if any(a.dtype.kind not in "iuf" or not np.isfinite(a).all() for a in arrays):
+            raise ValidationError("times and raw traces must be finite real numbers")
+        times, raw_traces = (frozen(a.astype(float, copy=False)) for a in arrays)
         if not isinstance(states, DensityStack) or not times.shape == raw_traces.shape == (len(states),):
             raise ShapeError("expected a DensityStack and as many times and raw traces, each a 1-D array")
         for name, value in zip(self.__slots__, (times, raw_traces, states)):  # its fields, in order
@@ -335,15 +327,6 @@ class Trajectory(Sequence[LindbladSample]):
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def __getitem__(self, index):
-        i = range(len(self))[index]  # negative indices, slices and IndexError as a list has them
-        if isinstance(i, range):
-            return [self[j] for j in i]
-        return LindbladSample(float(self.times[i]), self.states[i], float(self.raw_traces[i]))
-
-    def __iter__(self):
-        return map(LindbladSample, self.times.tolist(), self.states, self.raw_traces.tolist())
 
     def __repr__(self) -> str:
         return f"Trajectory(len={len(self)})"
@@ -460,83 +443,77 @@ def evolve_lindblad(
     its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at
     the sample's time.
 
-    The returned Trajectory's arrays are allocated once from the schedule and
-    each sample is written into them; its states are validated in place, one
-    `hermitian_eig` solve per chunk_length(dim) states (CHUNK_ENTRIES matrix
-    entries) and one for the rest.  The errors keep the order of the trajectory:
-    the first invalid state of a chunk is the one reported, and the states
-    pending when a replayed step fails the drift check are validated before
-    that failure is raised.  The debug log line sums the drift of every interval, or of every
-    step of a replayed one.
+    The returned Trajectory's arrays are allocated once from the schedule; each
+    interval reads its state from the sample before and writes its clean-up straight
+    into the next one.  The states are validated in place, one `hermitian_eig` solve
+    per chunk_length(dim) states (CHUNK_ENTRIES matrix entries) and one for the rest.
+    The errors keep the order of the trajectory: the first invalid state of a chunk is
+    the one reported, and the states pending when a replayed step fails the drift
+    check are validated before that failure is raised.  The debug log line sums the
+    drift of every interval, or of every step of a replayed one.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
-    rho = as_square(d0.matrix, g.dim)
     n_steps = n_full + (remainder > 0.0)
-    bound = 10.0 * TRACE_DRIFT_TOL
+    bound, psd_atol = 10.0 * TRACE_DRIFT_TOL, 10.0 * MIN_EIGENVALUE_TOL
     starts = range(0, n_steps, sample_every)
-
-    def advance(rho: np.ndarray, t: float, full: int, last: bool):
-        """Apply `full` steps of dt and, if `last`, the remainder step; then
-        hermitize and renormalize once.  Returns (rho, raw_trace, drift, t)."""
-        rho = propagate(rho, full, last)
-        rho = (rho + rho.conj().T) / 2.0
-        raw_trace = float(np.trace(rho).real)
-        for _ in range(full):  # one dt per step: sample times do not depend on sample_every
-            t += dt
-        if last:
-            t += remainder
-        return rho / raw_trace, raw_trace, abs(raw_trace - 1.0), t
-
     n, d = 1 + len(starts), g.dim  # samples: step 0, then one per interval
     times, raw_traces, eigenvalues = np.empty(n), np.empty(n), np.empty((n, d))
     matrices, eigenvectors = np.empty((n, d, d), dtype=complex), np.empty((n, d, d), dtype=complex)
-    chunk, emitted, validated = chunk_length(d), 0, 0  # matrices[validated:emitted] are pending
+    matrices[0] = as_square(d0.matrix, d)
+    chunk = chunk_length(d)
 
-    def flush() -> None:
-        """Validate the pending states with one solve and keep their arrays."""
-        nonlocal validated
-        if emitted > validated:
-            pending, psd_atol = slice(validated, emitted), 10.0 * MIN_EIGENVALUE_TOL
-            try:
-                states = DensityStack(matrices[pending], psd_atol)
-            except ValidationError as exc:  # name the first invalid state, checked alone
-                i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[pending]) or (0, exc)
-                raise IntegrationError(f"emitted state invalid ({exc})", float(times[validated + i])) from exc
-            matrices[pending] = states.matrices
-            eigenvalues[pending] = states.eigenvalues
-            eigenvectors[pending] = states.eigenvectors
-            validated = emitted
+    def step(k: int, source: np.ndarray, full: int, last: bool) -> float:
+        """Apply `full` steps of dt and, if `last`, the remainder step to source; write
+        the result into sample k, hermitized and renormalized once.  Returns its drift."""
+        propagated = propagate(source, full, last)
+        out = np.add(propagated, propagated.conj().T, out=matrices[k])
+        out *= 0.5  # exact, so the same bits as dividing by 2
+        raw_traces[k] = raw_trace = float(out.trace().real)
+        out /= raw_trace
+        return abs(raw_trace - 1.0)
 
-    def emit(t: float, rho: np.ndarray, raw_trace: float) -> None:
-        nonlocal emitted
-        times[emitted], raw_traces[emitted], matrices[emitted] = t, raw_trace, rho
-        emitted += 1
-        if emitted - validated == chunk or emitted == n:  # a full chunk, or the last sample
-            flush()
+    def validate(stop: int) -> None:
+        """Validate the pending chunk, samples (stop - 1) // chunk * chunk to stop - 1,
+        with one solve and keep their spectra.  The states are stored exactly Hermitian,
+        so the stack's hermitized copy of them holds the same bits."""
+        pending = slice((stop - 1) // chunk * chunk, stop)
+        try:
+            states = DensityStack(matrices[pending], psd_atol)
+        except ValidationError as exc:  # name the first invalid state, checked alone
+            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[pending]) or (0, exc)
+            raise IntegrationError(f"emitted state invalid ({exc})", float(times[pending.start + i])) from exc
+        eigenvalues[pending] = states.eigenvalues
+        eigenvectors[pending] = states.eigenvectors
 
     t = 0.0
     cumulative_drift = 0.0
+    times[0], raw_traces[0] = t, matrices[0].trace().real
     # A blow-up (of the propagator too) ends in the drift check; the renormalization
     # before it may divide by 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        emit(t, rho, float(np.trace(rho).real))
         propagate = _taylor_propagator(g, dt, remainder)
-        for start in starts:
+        for k, start in enumerate(starts, 1):
+            if k % chunk == 0:  # samples k - chunk to k - 1 fill a chunk
+                validate(k)
             stop = min(start + sample_every, n_steps)
             full = min(stop, n_full) - start
-            rho_next, raw_trace, drift, t_next = advance(rho, t, full, stop > n_full)
+            drift = step(k, matrices[k - 1], full, stop > n_full)
             if not drift <= bound:  # also catches NaN; replay to find the failing step
                 for i in range(start, stop):  # step i is a full step unless it is the remainder
-                    rho, raw_trace, drift, t = advance(rho, t, int(i < n_full), i >= n_full)
+                    drift = step(k, matrices[k if i > start else k - 1], int(i < n_full), i >= n_full)
+                    t += dt if i < n_full else remainder
                     if not drift <= bound:
-                        flush()  # an invalid state emitted before this interval is reported first
+                        if k % chunk:  # an invalid state emitted before this interval is reported first
+                            validate(k)
                         raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
                     cumulative_drift += drift
             else:
-                rho, t = rho_next, t_next
+                for i in range(start, stop):  # one dt per step: sample times do not depend on sample_every
+                    t += dt if i < n_full else remainder
                 cumulative_drift += drift
-            emit(t, rho, raw_trace)
+            times[k] = t
+        validate(n)
     logger.debug(
         "lindblad trajectory: %d steps, cumulative trace correction %.3e",
         n_steps,

@@ -184,6 +184,8 @@ class ProperMixture:
         if not terms:
             raise ValidationError("mixture needs at least one term")
         dim = as_ket(terms[0][1]).size
+        if not all(is_finite_real(w) for w, _ in terms):
+            raise ValidationError("mixture weights must be finite real numbers")
         weights = np.array([float(w) for w, _ in terms])
         kets = np.array([require_unit_ket(k, "mixture ket", dim) for _, k in terms])
         if not np.all(weights >= -WEIGHT_ATOL):

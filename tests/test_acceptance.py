@@ -149,10 +149,10 @@ def test_09_lindblad_trajectories():
     d0 = rl.DensityOperator(rl.projector(KETS.x_plus))
     samples = rl.evolve_lindblad(dephasing, d0, 2.0, 0.01, sample_every=10)
     decay_dev = max(
-        abs(s.state.matrix[0, 1] - 0.5 * math.exp(-2.0 * gamma * s.time)) for s in samples
+        abs(state.matrix[0, 1] - 0.5 * math.exp(-2.0 * gamma * t)) for t, state in zip(samples.times, samples.states)
     )
-    trace_dev = max(abs(s.raw_trace - 1.0) for s in samples)
-    min_eig = min(s.min_eigenvalue for s in samples)
+    trace_dev = float(np.abs(samples.raw_traces - 1.0).max())
+    min_eig = float(samples.states.eigenvalues[:, 0].min())
 
     rng = np.random.default_rng(2028)
     entropy_ok = True
@@ -164,9 +164,9 @@ def test_09_lindblad_trajectories():
         )
         start = random_density(rng, n)
         trajectory = rl.evolve_lindblad(generator, start, 0.5, 0.01, sample_every=5)
-        trace_dev = max(trace_dev, max(abs(s.raw_trace - 1.0) for s in trajectory))
-        min_eig = min(min_eig, min(s.min_eigenvalue for s in trajectory))
-        entropies = [rl.von_neumann_entropy(s.state) for s in trajectory]
+        trace_dev = max(trace_dev, float(np.abs(trajectory.raw_traces - 1.0).max()))
+        min_eig = min(min_eig, float(trajectory.states.eigenvalues[:, 0].min()))
+        entropies = rl.von_neumann_entropy(trajectory.states)
         entropy_ok = entropy_ok and all(
             later >= earlier - 1e-8 for earlier, later in zip(entropies, entropies[1:])
         )

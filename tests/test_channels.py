@@ -7,13 +7,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rholab
 from rholab import (
     DensityOperator,
     DensityStack,
     IntegrationError,
     KrausChannel,
     LindbladGenerator,
-    LindbladSample,
     NotCompletelyPositiveError,
     ShapeError,
     Superoperator,
@@ -104,6 +104,14 @@ class TestSuperoperator:
         tensor[0, 1, 0, 1] = math.nan
         with pytest.raises(ValidationError, match="finite"):
             Superoperator(2, tensor)
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", 0, -1, None], ids=repr)
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValidationError, match="dim must be an integer"):
+            Superoperator(dim, np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValidationError, match="dim must be an integer"):
+            channels.EigenmatrixDecomposition(dim, np.zeros(4), np.eye(4).reshape(4, 2, 2))
+        assert Superoperator(np.int64(2), np.zeros((2, 2, 2, 2))).dim == 2
 
     def test_from_kraus_identity(self):
         s = superop_from_kraus(KrausChannel([np.eye(2)]))
@@ -392,16 +400,29 @@ def rk4_trajectory(h, jumps, rho0, t_end, dt, sample_every):
     return out
 
 
+def drifting(monkeypatch, per_step: float) -> None:
+    """Patch the propagator to scale rho by 1 + 1e-6 when it applies more than one
+    step, which fails the drift check and replays the interval, and by 1 + per_step
+    when it applies one."""
+    build = channels._taylor_propagator
+
+    def propagator(g, dt, remainder=0.0):
+        propagate = build(g, dt, remainder)
+        return lambda rho, full, last: propagate(rho, full, last) * (1.0 + (1e-6 if full > 1 else per_step))
+
+    monkeypatch.setattr(channels, "_taylor_propagator", propagator)
+
+
 class TestEvolveLindblad:
     def test_dephasing_against_closed_form(self):
         gamma = 1.0
         d0 = DensityOperator(projector(KETS.x_plus))
         samples = evolve_lindblad(dephasing_generator(gamma), d0, 2.0, 0.01, sample_every=10)
-        for sample in samples:
-            expected = 0.5 * math.exp(-2.0 * gamma * sample.time)
-            assert abs(sample.state.matrix[0, 1] - expected) < 1e-8
-            assert abs(sample.raw_trace - 1.0) < 1e-12
-            assert sample.min_eigenvalue > -1e-12
+        for t, raw_trace, state in zip(samples.times, samples.raw_traces, samples.states):
+            expected = 0.5 * math.exp(-2.0 * gamma * t)
+            assert abs(state.matrix[0, 1] - expected) < 1e-8
+            assert abs(raw_trace - 1.0) < 1e-12
+            assert state.eigenvalues[0] > -1e-12
 
     def test_hamiltonian_only_matches_unitary_evolution(self):
         rng = np.random.default_rng(139)
@@ -410,7 +431,7 @@ class TestEvolveLindblad:
         g = LindbladGenerator(h, [])
         samples = evolve_lindblad(g, d0, 1.0, 0.001)
         expected = evolve_unitary(d0, h, 1.0)
-        assert np.max(np.abs(samples[-1].state.matrix - expected.matrix)) < 1e-7
+        assert np.max(np.abs(samples.states[-1].matrix - expected.matrix)) < 1e-7
 
     def test_entropy_non_decreasing_for_hermitian_jumps(self):
         rng = np.random.default_rng(140)
@@ -419,7 +440,7 @@ class TestEvolveLindblad:
             random_hermitian(rng, 3), [0.7 * random_hermitian(rng, 3)]
         )
         samples = evolve_lindblad(g, d0, 1.0, 0.01, sample_every=5)
-        entropies = [von_neumann_entropy(s.state) for s in samples]
+        entropies = von_neumann_entropy(samples.states)
         for prev, nxt in zip(entropies, entropies[1:]):
             assert nxt >= prev - 1e-8
 
@@ -430,7 +451,7 @@ class TestEvolveLindblad:
 
         def endpoint_error(dt):
             samples = evolve_lindblad(dephasing_generator(gamma), d0, 2.0, dt, sample_every=10**9)
-            return abs(samples[-1].state.matrix[0, 1].real - exact)
+            return abs(samples.states[-1].matrix[0, 1].real - exact)
 
         coarse = endpoint_error(0.1)
         fine = endpoint_error(0.05)
@@ -448,12 +469,12 @@ class TestEvolveLindblad:
         d0 = random_density(rng, 3)
         samples = evolve_lindblad(g, d0, 1.0, 0.002, sample_every=10**9)
         fixed_point = measurement_channel(d0, basis).matrix
-        assert np.max(np.abs(samples[-1].state.matrix - fixed_point)) < 1e-4
+        assert np.max(np.abs(samples.states[-1].matrix - fixed_point)) < 1e-4
 
     def test_sampling_cadence_and_endpoint(self):
         d0 = DensityOperator(np.eye(2) / 2)
         samples = evolve_lindblad(dephasing_generator(0.5), d0, 0.25, 0.1, sample_every=2)
-        times = [s.time for s in samples]
+        times = samples.times.tolist()
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.25, abs=1e-12)
 
@@ -537,10 +558,26 @@ class TestEvolveLindblad:
         # tabulated; no N^2 x N^2 array at d = 16.
         assert generator_built == ([] if dim == 16 else [dim])
         expected = rk4_trajectory(h, jumps, d0.matrix, 0.105, 0.01, sample_every)
-        assert [s.time for s in samples] == pytest.approx([t for t, _ in expected], abs=1e-15)
-        assert samples[-1].time == pytest.approx(0.105, abs=1e-15)
-        for sample, (_, rho) in zip(samples, expected):
-            assert np.max(np.abs(sample.state.matrix - rho)) < 1e-12
+        assert samples.times.tolist() == pytest.approx([t for t, _ in expected], abs=1e-15)
+        assert samples.times[-1] == pytest.approx(0.105, abs=1e-15)
+        for state, (_, rho) in zip(samples.states, expected):
+            assert np.max(np.abs(state.matrix - rho)) < 1e-12
+
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_sample_times_do_not_depend_on_sample_every(self, monkeypatch, replayed):
+        # 0.105 / 0.01 is ten full steps and a shorter one.  Sampled every step and
+        # every fourth step, the shared samples (steps 0, 4 and 8) and the end have
+        # the same times bit for bit, also when every interval of more than one step
+        # drifts and is replayed one step at a time.  The clock sums its steps, so the
+        # end is near t_end but not at it.
+        if replayed:
+            drifting(monkeypatch, per_step=0.0)
+        d0 = DensityOperator(projector(KETS.x_plus))
+        every, fourth = (evolve_lindblad(dephasing_generator(1.0), d0, 0.105, 0.01, sample_every=k).times
+                         for k in (1, 4))
+        assert (len(every), len(fourth)) == (12, 4)
+        assert every[:9:4].tobytes() == fourth[:3].tobytes() and every[-1] == fourth[-1]
+        assert every[-1] == pytest.approx(0.105, abs=1e-15) and every[-1] != 0.105
 
     @pytest.mark.parametrize("dim", [2, 8])
     def test_one_propagator_application_per_sample_interval(self, dim, monkeypatch):
@@ -658,29 +695,17 @@ class TestEvolveLindblad:
         # samples, kept in full chunks of 16 (a budget of 16 d = 2 states) and one
         # shorter last chunk.
         monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
-        build = channels._taylor_propagator
-
-        def drifting(g, dt, remainder=0.0):
-            propagate = build(g, dt, remainder)
-            return lambda rho, full, last: propagate(rho, full, last) * (1.0 + 1e-6 if full > 1 else 1.0)
-
-        monkeypatch.setattr(channels, "_taylor_propagator", drifting)
+        drifting(monkeypatch, per_step=0.0)
         d0 = DensityOperator(projector(KETS.x_plus))
         calls = count_eigensolves(monkeypatch)
         trajectory = evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
         assert calls == [16, 16, 9]
-        assert [s.time for s in trajectory] == pytest.approx([0.05 * i for i in range(41)], abs=1e-12)
+        assert trajectory.times.tolist() == pytest.approx([0.05 * i for i in range(41)], abs=1e-12)
 
     def test_cumulative_drift_adds_every_replayed_step(self, monkeypatch, caplog):
         # Every 5-step interval drifts by 1e-6 and is replayed as five steps that drift
         # by 1e-9 each: 40 intervals add 200 step drifts, not 40.
-        build = channels._taylor_propagator
-
-        def drifting(g, dt, remainder=0.0):
-            propagate = build(g, dt, remainder)
-            return lambda rho, full, last: propagate(rho, full, last) * (1.0 + (1e-6 if full > 1 else 1e-9))
-
-        monkeypatch.setattr(channels, "_taylor_propagator", drifting)
+        drifting(monkeypatch, per_step=1e-9)
         d0 = DensityOperator(projector(KETS.x_plus))
         with caplog.at_level(logging.DEBUG, logger=channels.__name__):
             evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
@@ -745,32 +770,34 @@ class TestTrajectory:
         g = LindbladGenerator(random_hermitian(rng, 3), [0.3 * random_complex(rng, (3, 3))])
         return evolve_lindblad(g, random_density(rng, 3), 0.12, 0.01)
 
-    def test_reads_like_a_list_of_samples(self):
+    def test_sample_i_is_entry_i_of_each_array(self):
         trajectory = self._run()
         times, raw_traces, states = trajectory.times, trajectory.raw_traces, trajectory.states
         assert isinstance(trajectory, Trajectory) and len(trajectory) == len(states) == 13
         assert times.tolist() == pytest.approx([0.01 * i for i in range(13)], abs=1e-15)
-        reads = {f"sample {i}": (got, i) for i, got in enumerate(trajectory)}
-        reads |= {"index": (trajectory[3], 3), "last": (trajectory[-1], 12), "negative": (trajectory[-13], 0)}
-        for what, (got, i) in reads.items():
-            assert isinstance(got, LindbladSample) and type(got.time) is type(got.raw_trace) is float, what
-            assert (got.time, got.raw_trace) == (times[i], raw_traces[i]), what
-            assert np.array_equal(got.state.matrix, states.matrices[i]), what
-            assert got.min_eigenvalue == states.eigenvalues[i, 0], what
-        part = trajectory[3:12:2]
-        assert isinstance(part, list) and [s.time for s in part] == times[3:12:2].tolist()
+        assert times.shape == raw_traces.shape == (13,) and times.dtype == raw_traces.dtype == float
+        for what, i in {"index": 3, "last": -1, "negative": -13}.items():
+            state = states[i]
+            assert np.array_equal(state.matrix, states.matrices[i]), what
+            assert state.eigenvalues[0] == states.eigenvalues[i, 0], what
+        assert np.array_equal(states[3:12:2].matrices, states.matrices[3:12:2])
         for i in (-14, 13):
             with pytest.raises(IndexError):
-                trajectory[i]
+                states[i]
+        # The list view is gone: a trajectory is read through its arrays only.
+        for read in (lambda: trajectory[0], lambda: trajectory[3:12:2], lambda: iter(trajectory)):
+            with pytest.raises(TypeError):
+                read()
+        assert not hasattr(rholab, "LindbladSample") and not hasattr(channels, "LindbladSample")
 
     def test_states_equal_density_operators_of_the_same_matrices(self):
         trajectory = self._run()
-        for sample in trajectory[::4] + [trajectory[-1]]:
-            alone = DensityOperator(sample.state.matrix, 10.0 * channels.MIN_EIGENVALUE_TOL)
+        for state in [*trajectory.states[::4], trajectory.states[-1]]:
+            alone = DensityOperator(state.matrix, 10.0 * channels.MIN_EIGENVALUE_TOL)
             for attr in ("matrix", "eigenvalues", "eigenvectors"):
-                assert np.array_equal(getattr(sample.state, attr), getattr(alone, attr)), attr
+                assert np.array_equal(getattr(state, attr), getattr(alone, attr)), attr
         assert isinstance(trajectory.states, DensityStack)
-        assert all(np.shares_memory(s.state.matrix, trajectory.states.matrices) for s in trajectory)
+        assert all(np.shares_memory(s.matrix, trajectory.states.matrices) for s in trajectory.states)
 
     def test_is_read_only_and_checks_its_lengths(self):
         trajectory = self._run()
@@ -783,13 +810,27 @@ class TestTrajectory:
         mine = times.copy()
         rebuilt = Trajectory(mine, raw_traces.tolist(), states)
         mine[0] = 99.0
-        assert [(s.time, s.raw_trace) for s in rebuilt] == [(s.time, s.raw_trace) for s in trajectory]
+        assert (rebuilt.times.tolist(), rebuilt.raw_traces.tolist()) == (times.tolist(), raw_traces.tolist())
         assert rebuilt.states is states and not rebuilt.times.flags.writeable
         for bad in ((times[:-1], raw_traces, states), (times, raw_traces[1:], states),
                     (times, raw_traces, states[:-1]), (times[None], raw_traces[None], states),
                     (times, raw_traces, list(states))):
             with pytest.raises(ShapeError):
                 Trajectory(*bad)
+
+    def test_times_and_raw_traces_are_finite_reals(self):
+        trajectory = self._run()
+        times, raw_traces, states = trajectory.times, trajectory.raw_traces, trajectory.states
+        for bad in (1j, math.nan, math.inf, "0.5"):
+            entries = times.tolist()
+            entries[5] = bad
+            with pytest.raises(ValidationError, match="finite real"):
+                Trajectory(entries, raw_traces, states)
+            with pytest.raises(ValidationError, match="finite real"):
+                Trajectory(times, entries, states)
+        with pytest.raises(ValidationError, match="finite real"):
+            Trajectory(np.ones(13, dtype=bool), raw_traces, states)
+        assert Trajectory(range(13), raw_traces, states).times.tolist() == list(range(13))
 
     def test_states_are_one_stack_of_one_dimension(self):
         # The states are one DensityStack, so two d = 2 states and two d = 3 states,
@@ -840,17 +881,16 @@ class TestChunkLength:
             solves = calls.copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return solves, list(trajectory), trajectory_rows(scenario)
+                return solves, trajectory, trajectory_rows(scenario)
 
         shipped_solves, shipped, shipped_rows = run()
         monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * dim**2)
         small_solves, small, small_rows = run()
         assert (shipped_solves, small_solves) == {2: ([1024, 977], [16] * 125 + [1]),
                                                   4: ([256, 45], [16] * 18 + [13])}[dim]
-        assert [(s.time, s.raw_trace) for s in shipped] == [(s.time, s.raw_trace) for s in small]
-        for attr in ("matrix", "eigenvalues", "eigenvectors"):
-            assert np.array([getattr(s.state, attr) for s in shipped]).tobytes() == \
-                np.array([getattr(s.state, attr) for s in small]).tobytes(), attr
+        assert (shipped.times.tolist(), shipped.raw_traces.tolist()) == (small.times.tolist(), small.raw_traces.tolist())
+        for attr in ("matrices", "eigenvalues", "eigenvectors"):
+            assert getattr(shipped.states, attr).tobytes() == getattr(small.states, attr).tobytes(), attr
         assert np.array(shipped_rows).tobytes() == np.array(small_rows).tobytes()
 
 
@@ -907,7 +947,7 @@ class TestLindbladSpectrum:
                 for c, (lam, q) in zip(coeffs, spectrum)
             )
             samples = evolve_lindblad(g, d0, t, 0.0005, sample_every=10**9)
-            assert np.max(np.abs(rebuilt - samples[-1].state.matrix)) < 1e-6
+            assert np.max(np.abs(rebuilt - samples.states[-1].matrix)) < 1e-6
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     def test_generator_matrix_matches_kronecker_form(self, dim):

@@ -395,29 +395,16 @@ class TestEvolve:
             warnings.simplefilter("ignore", RuntimeWarning)
             rows = trajectory_rows(scenario)
             assert calls == [16, 5]
-            samples = evolve_lindblad(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
+            trajectory = evolve_lindblad(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
+            states = trajectory.states
             expected = [
-                (s.time, s.raw_trace, purity(s.state), von_neumann_entropy(s.state),
-                 s.min_eigenvalue, jump_entropy_rate(s.state, g.jump_ops))
-                for s in samples
+                (t, raw_trace, purity(state), von_neumann_entropy(state),
+                 min_eigenvalue, jump_entropy_rate(state, g.jump_ops))
+                for t, raw_trace, state, min_eigenvalue in zip(
+                    trajectory.times.tolist(), trajectory.raw_traces.tolist(), states, states.eigenvalues[:, 0].tolist()
+                )
             ]
         assert [tuple(row) for row in rows] == expected
-
-    def test_rows_build_no_per_sample_objects(self, monkeypatch):
-        # The rows are computed from each chunk's stacks, here two chunks of at most
-        # 16 d = 2 states; reading the trajectory sample by sample would build one
-        # LindbladSample per row.
-        monkeypatch.setattr(rholab.channels, "CHUNK_ENTRIES", 16 * 2**2)
-        built = []
-        sample_class = rholab.channels.LindbladSample
-        monkeypatch.setattr(rholab.channels, "LindbladSample", lambda *a: built.append(a) or sample_class(*a))
-        scenario = load_scenario(str(REPO / "scenarios" / "amplitude_damping.json"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rows = trajectory_rows(scenario)
-        assert len(rows) == 21 and built == []
-        evolve_lindblad(scenario.generator, scenario.rho0, scenario.t_end, scenario.dt)[0]
-        assert len(built) == 1  # the spy sees a sample that is read
 
     def test_unwritable_output(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")
@@ -664,3 +651,5 @@ def test_readme_library_quickstart_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("2.828427124746")
     assert lines[1] == "[0.75 0.25]"
+    assert lines[2:] == [f"t={t}  rho01={c}+0.000000j" for t, c in [
+        ("0.00", "0.500000"), ("0.25", "0.303265"), ("0.50", "0.183940"), ("0.75", "0.111565"), ("1.00", "0.067668")]]

@@ -234,6 +234,15 @@ class TestMixtureToDensity:
         with pytest.raises(ValidationError):
             ProperMixture([(math.nan, KETS.z_plus)])
 
+    @pytest.mark.parametrize("weight", [True, "1", 1 + 0j, 1j, math.inf], ids=repr)
+    def test_rejects_weights_that_are_not_finite_reals(self, weight):
+        with pytest.raises(ValidationError, match="finite real"):
+            ProperMixture([(weight, KETS.z_plus)])
+
+    def test_accepts_numpy_weights(self):
+        m = ProperMixture([(np.float32(0.5), KETS.z_plus), (np.int64(0), KETS.x_plus), (np.float64(0.5), KETS.z_minus)])
+        assert m.weights.tolist() == [0.5, 0.0, 0.5]
+
     def test_rejects_unnormalized_ket(self):
         with pytest.raises(ValidationError):
             ProperMixture([(1.0, np.array([1.0, 1.0]))])
