@@ -17,8 +17,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Callable, Iterable, Sequence, TextIO
+from itertools import chain
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -395,14 +395,6 @@ def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
 _WRITE_BLOCK = 1024
 
 
-def _write_lines(fh: TextIO, lines: Iterable[str]) -> None:
-    """fh.writelines(lines) with the same bytes, in one fh.write per block of
-    _WRITE_BLOCK lines."""
-    it = iter(lines)
-    for block in iter(lambda: list(islice(it, _WRITE_BLOCK)), []):
-        fh.write("".join(block))
-
-
 def cmd_evolve(scenario_path: str, output_path: str) -> int:
     try:
         scenario = load_scenario(scenario_path)
@@ -417,7 +409,8 @@ def cmd_evolve(scenario_path: str, output_path: str) -> int:
 
     def write(fh: TextIO) -> None:
         fh.write(TRAJECTORY_HEADER + "\n")
-        _write_lines(fh, (_TRAJECTORY_ROW % row for row in rows))
+        fh.writelines("".join(map(_TRAJECTORY_ROW.__mod__, rows[i:i + _WRITE_BLOCK]))
+                      for i in range(0, len(rows), _WRITE_BLOCK))
 
     if not _write_output(output_path, write):
         return 2
@@ -451,13 +444,13 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
 
     orientations = ",".join(_fmt(x) for x in (a.nx, a.ny, a.nz, b.nx, b.ny, b.nz))
     # The four possible rows, indexed by 2 * (outcome_a < 0) + (outcome_b < 0).
-    rows = [f"{orientations},{oa},{ob}\n" for oa in (1, -1) for ob in (1, -1)]
+    rows = np.array([f"{orientations},{oa},{ob}\n" for oa in (1, -1) for ob in (1, -1)], dtype=object)
 
     def write(fh: TextIO) -> None:
         fh.write(f"# seed={seed} n={n}\n")
         fh.write(EVENT_HEADER + "\n")
         codes = 2 * (events.outcome_a < 0) + (events.outcome_b < 0)
-        _write_lines(fh, map(rows.__getitem__, codes.tolist()))
+        fh.writelines("".join(rows[codes[i:i + _WRITE_BLOCK]].tolist()) for i in range(0, n, _WRITE_BLOCK))
         fh.write(
             f"# summary empirical_correlation={_fmt(empirical)} "
             f"analytic_correlation={_fmt(analytic)}\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,39 @@ class TestSampling:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
             sample_events(DetectorPair(Z_AXIS, X_AXIS), 10, seed=-1)
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**63 - 2])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+    def test_draws_equal_generator_choice(self, n, seed):
+        # The same Philox stream mapped through Generator.choice, on random pairs and on
+        # the laws of a = b and a = -b, whose zero probabilities tie entries of the
+        # cumulative law.
+        rng = np.random.default_rng(92)
+        a = random_unit_vector(rng)
+        minus_a = UnitVector3(-a.nx, -a.ny, -a.nz)
+        pairs = [(a, a), (a, minus_a), (Z_AXIS, Z_AXIS), (Z_AXIS, UnitVector3(0.0, 0.0, -1.0))]
+        pairs += [(random_unit_vector(rng), random_unit_vector(rng)) for _ in range(4)]
+        outcomes = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=np.int8)
+        for a, b in pairs:
+            pair = DetectorPair(a, b)
+            probs = np.clip(joint_outcome_probabilities(pair).reshape(-1), 0.0, None)
+            draws = np.random.Generator(np.random.Philox(seed)).choice(4, size=n, p=probs / probs.sum())
+            events = sample_events(pair, n, seed)
+            assert type(events) is np.recarray and not events.flags.writeable
+            assert events.outcome_a.dtype == events.outcome_b.dtype == np.int8
+            assert np.array_equal(events.outcome_a, outcomes[draws, 0])
+            assert np.array_equal(events.outcome_b, outcomes[draws, 1])
+
+    def test_peak_memory_per_event(self):
+        pair, n = DetectorPair(Z_AXIS, X_AXIS), 200_000
+        sample_events(pair, 1, 1)  # so that no first-call cache counts
+        tracemalloc.start()
+        try:
+            sample_events(pair, n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 16
+
 
 class TestGhz:
     def test_state_normalized(self):
@@ -353,3 +387,12 @@ class TestDetectorTypes:
         a = random_unit_vector(rng)
         op = pair_operator(DetectorPair(a, Z_AXIS))
         assert np.allclose(op, np.kron(sigma_n(a), pauli("z")))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1, 2), ("z", Z_AXIS), (Z_AXIS, np.array([0, 0, 1.0])), (X_AXIS, None)],
+        ids=["ints", "string", "array", "none"],
+    )
+    def test_rejects_orientations_that_are_not_unit_vectors(self, a, b):
+        with pytest.raises(ValidationError, match="must be UnitVector3"):
+            DetectorPair(a, b)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from rholab import (
     DetectorPair,
     LindbladGenerator,
     UnitVector3,
+    X_AXIS,
+    Z_AXIS,
     empirical_correlation,
     evolve_lindblad,
     joint_outcome_probabilities,
@@ -625,23 +628,43 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
             assert main(shlex.split(line)[1:]) == 0, line
 
 
-@pytest.mark.parametrize(
-    "lines",
-    [[], ["row\n"], ["row\n"] * 1024, ["row\n"] * 1025, [""] * 1024 + ["after an empty block\n"]],
-    ids=["none", "one", "one-block", "one-block-and-a-row", "empty-block"],
-)
-def test_write_lines_writes_each_block_once(lines):
-    class Recorder:
-        def __init__(self):
-            self.writes = []
+class WriteRecorder(io.StringIO):
+    """A text file that keeps the argument of each write call."""
 
-        def write(self, text):
-            self.writes.append(text)
+    def __init__(self):
+        super().__init__()
+        self.writes = []
 
-    fh = Recorder()
-    rholab.cli._write_lines(fh, iter(lines))
-    assert "".join(fh.writes) == "".join(lines)
-    assert len(fh.writes) == math.ceil(len(lines) / 1024)
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1024, 1025], ids=["none", "one", "one-block", "one-block-and-a-row"])
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+def test_writes_each_block_once(tmp_path, monkeypatch, command, rows):
+    # One write per block of 1024 rows, between the header's and the summary's writes,
+    # of the bytes that writing one row at a time gives.
+    fh = WriteRecorder()
+    monkeypatch.setattr(rholab.cli, "_write_output", lambda path, write: write(fh) or True)
+    if command == "evolve":
+        table = [tuple((k + c) / 3 for c in range(6)) for k in range(rows)]
+        monkeypatch.setattr(rholab.cli, "trajectory_rows", lambda scenario: table)
+        assert main(["evolve", "--scenario", str(write_scenario(tmp_path / "s.json")), "--out", "t.csv"]) == 0
+        head, tail = [TRAJECTORY_HEADER + "\n"], []
+        body = [",".join(f"{x:.17g}" for x in row) + "\n" for row in table]
+    else:
+        events = sample_events(DetectorPair(Z_AXIS, X_AXIS), rows + 1, 42)[:rows]
+        monkeypatch.setattr(rholab.cli, "sample_events", lambda pair, n, seed: events)
+        monkeypatch.setattr(rholab.cli, "empirical_correlation", lambda events: 0.5)
+        assert main(["sample", "--a", "0,0,1", "--b", "1,0,0", "--n", str(rows), "--out", "e.csv"]) == 0
+        head = [f"# seed=42 n={rows}\n", EVENT_HEADER + "\n"]
+        tail = ["# summary empirical_correlation=0.5 analytic_correlation=-0\n"]
+        body = [f"0,0,1,1,0,0,{oa},{ob}\n" for oa, ob in zip(events.outcome_a.tolist(), events.outcome_b.tolist())]
+    blocks = fh.writes[len(head):len(fh.writes) - len(tail)]
+    assert fh.writes[:len(head)] == head and fh.writes[len(fh.writes) - len(tail):] == tail
+    assert len(blocks) == math.ceil(rows / 1024)
+    assert "".join(blocks) == "".join(body)
 
 
 def test_readme_library_quickstart_runs(capsys):
