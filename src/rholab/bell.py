@@ -12,13 +12,12 @@ platform-independent stream for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
-from .linalg import is_finite_real, is_integer
+from .linalg import _Record, is_finite_real, is_integer
 from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -33,19 +32,22 @@ _EVENTS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)],
                    dtype=[("outcome_a", np.int8), ("outcome_b", np.int8)])
 
 
-@dataclass(frozen=True)
-class DetectorPair:
+class DetectorPair(_Record):
     """Orientations of the two spin detectors; anything but two UnitVector3
-    raises ValidationError."""
+    raises ValidationError.  Compares and hashes by value."""
 
-    a: UnitVector3
-    b: UnitVector3
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (isinstance(self.a, UnitVector3) and isinstance(self.b, UnitVector3)):
-            raise ValidationError(
-                f"a and b must be UnitVector3, got {type(self.a).__name__} and {type(self.b).__name__}"
-            )
+    def __init__(self, a: UnitVector3, b: UnitVector3):
+        if not (isinstance(a, UnitVector3) and isinstance(b, UnitVector3)):
+            raise ValidationError(f"a and b must be UnitVector3, got {type(a).__name__} and {type(b).__name__}")
+        self.__setstate__((a, b))
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
 
 
 def pair_operator(p: DetectorPair) -> np.ndarray:
@@ -163,8 +165,7 @@ def empirical_correlation(events: np.recarray) -> float:
 _GHZ_LABELS = ("xyy", "yxy", "yyx", "xxx")
 
 
-@dataclass(frozen=True, eq=False)
-class GhzReport:
+class GhzReport(_Record):
     """Stabilizer eigenvalues of the three-spin state 2^{-1/2}(|---> - |+++>).
 
     The three mixed operators fix the state with eigenvalue +1, which under
@@ -172,11 +173,11 @@ class GhzReport:
     the all-x operator has eigenvalue -1 instead.
     """
 
-    eigenvalues: dict[str, float]
-    expected: dict[str, float]
-    max_residual: float
-    classical_xxx_product: float
-    passed: bool
+    __slots__ = ("eigenvalues", "expected", "max_residual", "classical_xxx_product", "passed")
+
+    def __init__(self, eigenvalues: dict[str, float], expected: dict[str, float], max_residual: float,
+                 classical_xxx_product: float, passed: bool):
+        self.__setstate__((eigenvalues, expected, max_residual, classical_xxx_product, passed))
 
 
 def ghz_state() -> np.ndarray:
@@ -219,8 +220,7 @@ def ghz_check(atol: float = 1e-12) -> GhzReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class NoCloningReport:
+class NoCloningReport(_Record):
     """Linear basis-cloning map applied to a superposition.
 
     The map is fixed by cloning |1> and |0> exactly (phases zero); applied
@@ -228,11 +228,11 @@ class NoCloningReport:
     the true clone |x+>|x+> and has squared overlap 1/2 with it.
     """
 
-    output_amplitudes: np.ndarray
-    target_amplitudes: np.ndarray
-    fidelity: float
-    cross_amplitudes: tuple[complex, complex]
-    basis_fidelities: tuple[float, float]
+    __slots__ = ("output_amplitudes", "target_amplitudes", "fidelity", "cross_amplitudes", "basis_fidelities")
+
+    def __init__(self, output_amplitudes: np.ndarray, target_amplitudes: np.ndarray, fidelity: float,
+                 cross_amplitudes: tuple[complex, complex], basis_fidelities: tuple[float, float]):
+        self.__setstate__((output_amplitudes, target_amplitudes, fidelity, cross_amplitudes, basis_fidelities))
 
 
 def _clone_linearly(ket: np.ndarray) -> np.ndarray:
@@ -263,18 +263,24 @@ def no_cloning_demo() -> NoCloningReport:
     )
 
 
-@dataclass(frozen=True)
-class FilterInequalityReport:
+class FilterInequalityReport(_Record):
     """Spin-filter passage probabilities against the realist segment bound.
 
     A realist reading requires P(full span) <= 2 P(half span); the quantum
-    law P(alpha) = sin(alpha/2)^2 / 2 violates it.
+    law P(alpha) = sin(alpha/2)^2 / 2 violates it.  Compares and hashes by value.
     """
 
-    p_full_span: float
-    doubled_p_half_span: float
-    violates_realist_bound: bool
-    margin: float
+    __slots__ = ("p_full_span", "doubled_p_half_span", "violates_realist_bound", "margin")
+
+    def __init__(self, p_full_span: float, doubled_p_half_span: float, violates_realist_bound: bool,
+                 margin: float):
+        self.__setstate__((p_full_span, doubled_p_half_span, violates_realist_bound, margin))
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
 
 
 def filter_inequality_demo() -> FilterInequalityReport:

@@ -9,13 +9,12 @@ column (0, 1, 0, 0)^T for |z+>|z->, and np.kron on 1-D arrays reproduces it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .density import DensityOperator, _with_spectrum
 from .errors import ShapeError, ValidationError
-from .linalg import (as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis, is_integer,
+from .linalg import (_Record, as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis, is_integer,
                      max_deviation, pinch, require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
@@ -23,36 +22,39 @@ from .linalg import (as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis
 SCHMIDT_RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BipartiteSpace:
-    """Dimensions of the two tensor factors: integers (not bools), each at least 1."""
+class BipartiteSpace(_Record):
+    """Dimensions of the two tensor factors: integers (not bools), each at least 1.
+    Compares and hashes by value."""
 
-    dim_a: int
-    dim_b: int
+    __slots__ = ("dim_a", "dim_b")
 
-    def __post_init__(self):
-        if not all(is_integer(d) and d >= 1 for d in (self.dim_a, self.dim_b)):
-            dims = f"{self.dim_a!r}, {self.dim_b!r}"
+    def __init__(self, dim_a: int, dim_b: int):
+        if not all(is_integer(d) and d >= 1 for d in (dim_a, dim_b)):
+            dims = f"{dim_a!r}, {dim_b!r}"
             raise ValidationError(f"factor dimensions must be integers of at least 1, got {dims}")
+        self.__setstate__((dim_a, dim_b))
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
 
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
 
 
-@dataclass(frozen=True, eq=False)
-class BipartiteKet:
+class BipartiteKet(_Record):
     """A normalized pure state on a bipartite space."""
 
-    space: BipartiteSpace
-    amplitudes: np.ndarray
+    __slots__ = ("space", "amplitudes")
 
     def __init__(self, space: BipartiteSpace, amplitudes):
         if not isinstance(space, BipartiteSpace):
             raise ValidationError(f"space must be a BipartiteSpace, got {type(space).__name__}")
         amps = frozen(require_unit_ket(amplitudes, "bipartite ket", space.dim))
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "amplitudes", amps)
+        self.__setstate__((space, amps))
 
     def coefficient_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to C[m, n] over (a-index, b-index)."""
@@ -94,8 +96,7 @@ def singlet() -> BipartiteKet:
     return BipartiteKet(BipartiteSpace(2, 2), amps)
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtForm:
+class SchmidtForm(_Record):
     """Diagonal biorthogonal form sum_k c_k |a_k>|b_k> of a bipartite ket.
 
     Coefficients are positive and descending; only coefficients above
@@ -105,21 +106,17 @@ class SchmidtForm:
     read-only.
     """
 
-    coefficients: np.ndarray
-    a_kets: np.ndarray
-    b_kets: np.ndarray
+    __slots__ = ("coefficients", "a_kets", "b_kets")
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        a, b = np.asarray(self.a_kets, dtype=complex), np.asarray(self.b_kets, dtype=complex)
+    def __init__(self, coefficients, a_kets, b_kets):
+        c = np.asarray(coefficients, dtype=float)
+        a, b = np.asarray(a_kets, dtype=complex), np.asarray(b_kets, dtype=complex)
         if c.ndim != 1 or a.ndim != 2 or b.ndim != 2 or not len(a) == len(b) == c.size:
             raise ShapeError(
                 "expected (R,) coefficients, (R, dim_a) a-kets and (R, dim_b) b-kets, "
                 f"got shapes {c.shape}, {a.shape} and {b.shape}"
             )
-        object.__setattr__(self, "coefficients", frozen(c))
-        object.__setattr__(self, "a_kets", frozen(a))
-        object.__setattr__(self, "b_kets", frozen(b))
+        self.__setstate__(map(frozen, (c, a, b)))
 
     @property
     def rank(self) -> int:

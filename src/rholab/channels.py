@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .linalg import (
     HERMITIAN_ATOL,
+    _Record,
     as_matrix,
     as_square,
     as_square_stack,
@@ -99,12 +99,11 @@ def chunk_length(dim: int) -> int:
 PROPAGATOR_MATRIX_MAX_DIM = 8
 
 
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
+class KrausChannel(_Record):
     """A channel rho -> sum_k K^k rho K^k(dag) with sum_k K^k(dag) K^k = I; the
     Kraus set is kept as one read-only (K, n, n) array."""
 
-    kraus_ops: np.ndarray
+    __slots__ = ("kraus_ops",)
 
     def __init__(self, kraus_ops):
         ops = frozen(as_square_stack(kraus_ops))
@@ -113,7 +112,7 @@ class KrausChannel:
             COMPLETENESS_ATOL,
             "incomplete Kraus set (sum K(dag)K != I)",
         )
-        object.__setattr__(self, "kraus_ops", ops)
+        self.__setstate__((ops,))
 
     @property
     def dim(self) -> int:
@@ -130,21 +129,18 @@ def _require_dim(dim) -> None:
         raise ValidationError(f"dim must be an integer of at least 1, got {dim!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
+class Superoperator(_Record):
     """Linear map on density matrices via the rank-4 coefficient tensor."""
 
-    dim: int
-    tensor: np.ndarray  # shape (N, N, N, N), indexed [m, k, n, l]
+    __slots__ = ("dim", "tensor")
 
-    def __init__(self, dim: int, tensor):
+    def __init__(self, dim: int, tensor):  # tensor: shape (N, N, N, N), indexed [m, k, n, l]
         _require_dim(dim)
         t = np.asarray(tensor, dtype=complex)
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
         as_matrix(t.reshape(dim * dim, dim * dim))  # entries must be finite
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "tensor", frozen(t))
+        self.__setstate__((dim, frozen(t)))
 
     def apply(self, rho) -> np.ndarray:
         return np.einsum("mknl,kl->mn", self.tensor, as_square(rho, self.dim))
@@ -171,8 +167,7 @@ def superop_from_kraus(c: KrausChannel) -> Superoperator:
     return Superoperator(c.dim, tensor)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenmatrixDecomposition:
+class EigenmatrixDecomposition(_Record):
     """Spectral form rho' = sum_i lambda_i E^i rho E^i(dag) of a
     hermiticity-preserving superoperator.
 
@@ -182,20 +177,17 @@ class EigenmatrixDecomposition:
     space dimension N.
     """
 
-    dim: int
-    eigenvalues: np.ndarray
-    eigenmatrices: np.ndarray
+    __slots__ = ("dim", "eigenvalues", "eigenmatrices")
 
-    def __post_init__(self):
-        _require_dim(self.dim)
-        matrices = frozen(as_square_stack(self.eigenmatrices, self.dim))
-        values = np.asarray(self.eigenvalues)
+    def __init__(self, dim: int, eigenvalues, eigenmatrices):
+        _require_dim(dim)
+        matrices = frozen(as_square_stack(eigenmatrices, dim))
+        values = np.asarray(eigenvalues)
         if values.shape != (len(matrices),):
             raise ShapeError(f"expected {len(matrices)} eigenvalues, got shape {values.shape}")
         if not np.isfinite(values).all() or np.imag(values).any():
             raise ValidationError("eigenvalues must be finite real numbers")
-        object.__setattr__(self, "eigenvalues", frozen(np.real(values).astype(float, copy=False)))
-        object.__setattr__(self, "eigenmatrices", matrices)
+        self.__setstate__((dim, frozen(np.real(values).astype(float, copy=False)), matrices))
 
     @property
     def is_completely_positive(self) -> bool:
@@ -235,8 +227,7 @@ def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
     return KrausChannel(ops)
 
 
-@dataclass(frozen=True, eq=False)
-class LindbladGenerator:
+class LindbladGenerator(_Record):
     """Generator data: a Hamiltonian and a set of jump operators, kept as one
     read-only (K, n, n) array (shape (0, n, n) when there are none).
 
@@ -246,9 +237,7 @@ class LindbladGenerator:
     `generator_matrix`.
     """
 
-    hamiltonian: np.ndarray
-    jump_ops: np.ndarray
-    effective_hamiltonian: np.ndarray = field(repr=False)
+    __slots__ = ("hamiltonian", "jump_ops", "effective_hamiltonian")
 
     def __init__(self, hamiltonian, jump_ops=()):
         h = frozen(require_hermitian(hamiltonian))
@@ -258,13 +247,14 @@ class LindbladGenerator:
             "effective Hamiltonian -iH - 1/2 sum L(dag)L",
         )
         k.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jump_ops", ops)
-        object.__setattr__(self, "effective_hamiltonian", frozen(k))
+        self.__setstate__((h, ops, frozen(k)))
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    def __repr__(self) -> str:  # K is derived from the two fields shown
+        return f"LindbladGenerator(hamiltonian={self.hamiltonian!r}, jump_ops={self.jump_ops!r})"
 
 
 def _generator_flow(g: LindbladGenerator) -> Callable[[np.ndarray], np.ndarray]:
@@ -300,8 +290,7 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
     return _generator_flow(g)(as_square(d.matrix, g.dim))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Trajectory:
+class Trajectory(_Record):
     """The N samples of one `evolve_lindblad` run: `times` and `raw_traces`, two
     read-only (N,) float arrays, and `states`, one DensityStack of the N states.
 
@@ -311,9 +300,7 @@ class Trajectory:
     interval's last step if it was replayed one step at a time).
     """
 
-    times: np.ndarray
-    raw_traces: np.ndarray
-    states: DensityStack
+    __slots__ = ("times", "raw_traces", "states")
 
     def __init__(self, times, raw_traces, states):
         arrays = [np.asarray(a) for a in (times, raw_traces)]
@@ -322,8 +309,7 @@ class Trajectory:
         times, raw_traces = (frozen(a.astype(float, copy=False)) for a in arrays)
         if not isinstance(states, DensityStack) or not times.shape == raw_traces.shape == (len(states),):
             raise ShapeError("expected a DensityStack and as many times and raw traces, each a 1-D array")
-        for name, value in zip(self.__slots__, (times, raw_traces, states)):  # its fields, in order
-            object.__setattr__(self, name, value)
+        self.__setstate__((times, raw_traces, states))
 
     def __len__(self) -> int:
         return len(self.states)

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence, TextIO
 
@@ -47,7 +46,7 @@ from .density import (
 )
 from .entropy import jump_entropy_rate, von_neumann_entropy
 from .errors import IntegrationError, ValidationError
-from .linalg import first_failure, is_finite_real, is_integer
+from .linalg import _Record, first_failure, is_finite_real, is_integer
 from .spin import UnitVector3, spin_half_basis, spin_one_set
 
 DEFAULT_SEED = 42
@@ -241,15 +240,20 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Parsed open-system evolution scenario."""
+class Scenario(_Record):
+    """Parsed open-system evolution scenario.  Compares and hashes by value."""
 
-    rho0: DensityOperator
-    generator: LindbladGenerator
-    t_end: float
-    dt: float
-    sample_every: int
+    __slots__ = ("rho0", "generator", "t_end", "dt", "sample_every")
+
+    def __init__(self, rho0: DensityOperator, generator: LindbladGenerator, t_end: float, dt: float,
+                 sample_every: int):
+        self.__setstate__((rho0, generator, t_end, dt, sample_every))
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
 
 
 _NUMBER_TYPES = {int, float}  # of a JSON number; a bool is not one
@@ -449,7 +453,8 @@ def cmd_sample(a_text: str, b_text: str, n: int, seed: int, output_path: str) ->
     def write(fh: TextIO) -> None:
         fh.write(f"# seed={seed} n={n}\n")
         fh.write(EVENT_HEADER + "\n")
-        codes = 2 * (events.outcome_a < 0) + (events.outcome_b < 0)
+        codes = (events.outcome_a < 0).view(np.int8) << 1  # one byte per event
+        codes |= events.outcome_b < 0
         fh.writelines("".join(rows[codes[i:i + _WRITE_BLOCK]].tolist()) for i in range(0, n, _WRITE_BLOCK))
         fh.write(
             f"# summary empirical_correlation={_fmt(empirical)} "

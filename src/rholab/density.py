@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .linalg import (
     HermitianEig,
+    _Record,
     apply_matrix_function,
     as_ket,
     as_matrix,
@@ -51,19 +51,17 @@ ZERO_WEIGHT_TOL = 1e-14
 PURE_PURITY_THRESHOLD = 1.0 - 1e-9
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class DensityOperator:
+class DensityOperator(_Record):
     """A validated density operator.
 
     Construction checks hermiticity, unit trace, and positivity (smallest
     eigenvalue >= -psd_atol).  The spectrum solved for that check is kept,
-    so no consumer solves it again.  The wrapped matrix and its spectrum
-    are read-only.
+    so no consumer solves it again: the eigenvalues ascending and the
+    eigenvectors as matching orthonormal columns.  The wrapped matrix and its
+    spectrum are read-only.
     """
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray  # ascending, as computed during validation
-    eigenvectors: np.ndarray  # orthonormal columns matching `eigenvalues`
+    __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
         hermitized, eig = _validated(matrix, psd_atol)
@@ -83,8 +81,7 @@ class DensityOperator:
 def _keep(d, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
     """Store the three arrays of a DensityOperator, or of a DensityStack, through frozen:
     views of a validated stack's arrays pass without a copy."""
-    for name, a in zip(d.__slots__, (matrix, eigenvalues, eigenvectors)):  # its fields, in order
-        object.__setattr__(d, name, frozen(a))
+    d.__setstate__(map(frozen, (matrix, eigenvalues, eigenvectors)))
     return d
 
 
@@ -129,8 +126,7 @@ def _with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) ->
     return _keep(object.__new__(DensityOperator), hermitized, eig.eigenvalues, eig.eigenvectors)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class DensityStack(Sequence[DensityOperator]):
+class DensityStack(_Record, Sequence[DensityOperator]):
     """A validated stack of B density operators of one dimension.
 
     Construction checks a (B, n, n) stack of matrices as DensityOperator checks
@@ -143,9 +139,7 @@ class DensityStack(Sequence[DensityOperator]):
     view.
     """
 
-    matrices: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("matrices", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrices, psd_atol: float = PSD_ATOL):
         hermitized, eig = _validated(matrices, psd_atol, stack=True)
@@ -170,14 +164,12 @@ class DensityStack(Sequence[DensityOperator]):
         return f"DensityStack(len={len(self)}, dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
-class ProperMixture:
+class ProperMixture(_Record):
     """A mixture sum_k p_k |ket_k><ket_k| with normalized, possibly
     non-orthogonal kets, built from (p_k, ket_k) pairs and kept as two
     read-only arrays: the weights (K,) and the kets as rows (K, n)."""
 
-    weights: np.ndarray
-    kets: np.ndarray
+    __slots__ = ("weights", "kets")
 
     def __init__(self, terms):
         terms = tuple(terms)
@@ -195,8 +187,7 @@ class ProperMixture:
             raise ValidationError(f"mixture weights must sum to 1, got {total!r}")
         for a in (weights, kets):
             a.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "kets", kets)
+        self.__setstate__((weights, kets))
 
     @property
     def dim(self) -> int:
@@ -247,8 +238,7 @@ def purity(d: States) -> float | np.ndarray:
     return per_state(d, np.trace(m @ m, axis1=1, axis2=2).real)
 
 
-@dataclass(frozen=True, eq=False)
-class GramFactor:
+class GramFactor(_Record):
     """Scaled coefficient matrix of a proper mixture in an orthonormal basis.
 
     Row k holds sqrt(p_k) times the expansion coefficients of ket k, so the
@@ -257,16 +247,14 @@ class GramFactor:
     arrays, the basis (n, n) and the coefficients (K, n), are kept read-only.
     """
 
-    coeff: np.ndarray
-    basis: np.ndarray  # columns are the basis kets
+    __slots__ = ("coeff", "basis")
 
-    def __post_init__(self):
-        basis = as_square(self.basis)
-        coeff = as_matrix(self.coeff)
+    def __init__(self, coeff, basis):  # basis: the basis kets as columns
+        basis = as_square(basis)
+        coeff = as_matrix(coeff)
         if coeff.shape[1] != len(basis):
             raise ShapeError(f"expected a (K, {len(basis)}) coefficient matrix, got shape {coeff.shape}")
-        object.__setattr__(self, "coeff", frozen(coeff))
-        object.__setattr__(self, "basis", frozen(basis))
+        self.__setstate__((frozen(coeff), frozen(basis)))
 
     @property
     def num_terms(self) -> int:

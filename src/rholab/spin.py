@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import hermitian_eig, is_finite_real
+from .linalg import _Record, hermitian_eig, is_finite_real
 
 UNIT_ATOL = 1e-12
 
@@ -41,24 +40,28 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
-@dataclass(frozen=True)
-class UnitVector3:
+class UnitVector3(_Record):
     """A unit vector in coordinate space, e.g. a detector orientation; a
     component that is not a finite real number (complex, a string, None, a
-    bool, NaN) raises ValidationError."""
+    bool, NaN) raises ValidationError.  Compares and hashes by value."""
 
-    nx: float
-    ny: float
-    nz: float
+    __slots__ = ("nx", "ny", "nz")
 
-    def __post_init__(self):
-        components = (self.nx, self.ny, self.nz)
+    def __init__(self, nx: float, ny: float, nz: float):
+        components = (nx, ny, nz)
         # A complex component would pass the norm check unconjugated: (1, 1j, 1) sums to 1.
         if not all(map(is_finite_real, components)):
             raise ValidationError(f"components must be real numbers, finite and not bool, got {components!r}")
-        norm_sq = self.nx**2 + self.ny**2 + self.nz**2
+        norm_sq = nx**2 + ny**2 + nz**2
         if not abs(norm_sq - 1.0) <= 2.0 * UNIT_ATOL:  # also rejects NaN
             raise ValidationError(f"not a unit vector: |n|^2 = {norm_sq!r}")
+        self.__setstate__(components)
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
 
     @classmethod
     def from_iterable(cls, values) -> "UnitVector3":
@@ -91,16 +94,13 @@ Y_AXIS = UnitVector3(0.0, 1.0, 0.0)
 Z_AXIS = UnitVector3(0.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinHalfBasis:
+class SpinHalfBasis(_Record):
     """The six spin-1/2 kets |x+->, |y+->, |z+-> as 1-D amplitude arrays."""
 
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-    y_plus: np.ndarray
-    y_minus: np.ndarray
-    z_plus: np.ndarray
-    z_minus: np.ndarray
+    __slots__ = ("x_plus", "x_minus", "y_plus", "y_minus", "z_plus", "z_minus")
+
+    def __init__(self, x_plus, x_minus, y_plus, y_minus, z_plus, z_minus):
+        self.__setstate__((x_plus, x_minus, y_plus, y_minus, z_plus, z_minus))
 
     def axis_pair(self, axis: str) -> tuple[np.ndarray, np.ndarray]:
         return getattr(self, f"{axis}_plus"), getattr(self, f"{axis}_minus")
@@ -152,17 +152,17 @@ def sigma_n_eigenkets(n: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
     return _fix_phase(plus), _fix_phase(minus)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinOneSet:
+class SpinOneSet(_Record):
     """Spin-1 matrices, their squares, and the nine eigenprojectors P[axis, value]."""
 
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    sx2: np.ndarray
-    sy2: np.ndarray
-    sz2: np.ndarray
-    projectors: dict[tuple[str, int], np.ndarray] = field(repr=False)
+    __slots__ = ("sx", "sy", "sz", "sx2", "sy2", "sz2", "projectors")
+
+    def __init__(self, sx, sy, sz, sx2, sy2, sz2, projectors: dict[tuple[str, int], np.ndarray]):
+        self.__setstate__((sx, sy, sz, sx2, sy2, sz2, projectors))
+
+    def __repr__(self) -> str:  # without the projectors
+        spins = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"SpinOneSet({spins})"
 
     def spin(self, axis: str) -> np.ndarray:
         return getattr(self, f"s{axis}")

@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -665,6 +666,23 @@ def test_writes_each_block_once(tmp_path, monkeypatch, command, rows):
     assert fh.writes[:len(head)] == head and fh.writes[len(fh.writes) - len(tail):] == tail
     assert len(blocks) == math.ceil(rows / 1024)
     assert "".join(blocks) == "".join(body)
+
+
+def test_sample_peak_memory(monkeypatch):
+    # The row index of each event is one int8 array: at 10^6 events it peaks near
+    # 2 MB, where an int64 index (and its two bool temporaries) peaked at 9.1 MB.
+    n = 10**6
+    events = sample_events(DetectorPair(Z_AXIS, X_AXIS), n, 42)
+    monkeypatch.setattr(rholab.cli, "sample_events", lambda pair, n, seed: events)
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(rholab.cli, "_write_output", lambda path, write: write(devnull) or True)
+        tracemalloc.start()
+        try:
+            assert rholab.cli.cmd_sample("0,0,1", "1,0,0", n, 42, "e.csv") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -1,11 +1,16 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import rholab
 from rholab import (
     BipartiteKet,
     BipartiteSpace,
+    DetectorPair,
     DensityOperator,
     DensityStack,
     DomainError,
@@ -16,7 +21,10 @@ from rholab import (
     SchmidtForm,
     ShapeError,
     Superoperator,
+    UnitVector3,
     ValidationError,
+    X_AXIS,
+    Z_AXIS,
     adjoint,
     apply_matrix_function,
     dyad,
@@ -26,6 +34,7 @@ from rholab import (
     evolve_lindblad,
     evolve_unitary,
     expectation,
+    filter_inequality_demo,
     ghz_check,
     gram_factor,
     hermitian_eig,
@@ -52,6 +61,7 @@ from rholab import (
     trace,
 )
 from rholab import bipartite, channels, density, linalg
+from rholab.cli import Scenario
 from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
 
 
@@ -664,9 +674,25 @@ class TestOwnership:
         assert all(linalg.frozen(a) is a for a in constants)
 
 
-def _array_value_objects():
-    """A build of every value object that holds arrays (or dicts), each call a new
-    object of the same value."""
+# The value objects that compare and hash by value; every other one does by identity.
+_BY_VALUE = {"UnitVector3", "BipartiteSpace", "DetectorPair", "FilterInequalityReport", "Scenario"}
+
+_REPRS = {
+    "UnitVector3": "UnitVector3(nx=0, ny=0, nz=1)",
+    "BipartiteSpace": "BipartiteSpace(dim_a=2, dim_b=2)",
+    "DetectorPair": "DetectorPair(a=UnitVector3(nx=0.0, ny=0.0, nz=1.0), b=UnitVector3(nx=1.0, ny=0.0, nz=0.0))",
+    "DensityOperator": "DensityOperator(dim=2)",
+    "DensityStack": "DensityStack(len=2, dim=2)",
+    "Trajectory": "Trajectory(len=3)",
+}
+
+# Fields the repr leaves out.
+_UNSHOWN = {"LindbladGenerator": "effective_hamiltonian", "SpinOneSet": "projectors"}
+
+
+def _value_objects():
+    """A build of every value class of rholab.__all__, and of cli.Scenario, each call
+    a new object of the same value."""
     builds = {name: lambda b=build: b()[0] for name, (_, build) in _built_from_caller_arrays().items()}
     builds["HermitianEig"] = lambda: hermitian_eig(pauli("x"))
     builds["SpinHalfBasis"] = spin_half_basis
@@ -676,17 +702,72 @@ def _array_value_objects():
     builds["Trajectory"] = lambda: evolve_lindblad(
         LindbladGenerator(pauli("z"), [pauli("x")]), DensityOperator(np.eye(2) / 2.0), 0.2, 0.1
     )
+    builds["UnitVector3"] = lambda: UnitVector3(0, 0, 1)
+    builds["BipartiteSpace"] = lambda: BipartiteSpace(2, 2)
+    builds["DetectorPair"] = lambda: DetectorPair(Z_AXIS, X_AXIS)
+    builds["FilterInequalityReport"] = filter_inequality_demo
+    rho, generator = DensityOperator(np.eye(2) / 2.0), LindbladGenerator(pauli("z"), [pauli("x")])
+    builds["Scenario"] = lambda: Scenario(rho, generator, 1.0, 0.1, 1)
     return builds
 
 
-@pytest.mark.parametrize("name", list(_array_value_objects()))
+def _same(a, b) -> bool:
+    """Whether b holds what a holds: equal arrays, and value objects field by field."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a).__module__.startswith("rholab."):
+        return all(_same(getattr(a, f), getattr(b, f)) for f in type(a).__slots__)
+    return a == b
+
+
+def test_value_classes_are_tabled():
+    classes = {name for name in rholab.__all__ if isinstance(getattr(rholab, name), type)}
+    classes -= {name for name in classes if issubclass(getattr(rholab, name), Exception)}
+    assert set(_value_objects()) == classes | {"Scenario"}
+
+
+@pytest.mark.parametrize("name", [name for name in _value_objects() if name not in _BY_VALUE])
 def test_array_value_objects_compare_and_hash_by_identity(name):
     # Comparing their arrays field by field would raise (the truth value of an
     # array is ambiguous), and arrays are unhashable.
-    build = _array_value_objects()[name]
+    build = _value_objects()[name]
     a, b = build(), build()
     assert a == a and not a == b and a != b
     assert {a: 1, b: 2}[a] == 1
+
+
+@pytest.mark.parametrize("name", list(_value_objects()))
+def test_value_objects_are_immutable_records(name):
+    # Plain slotted classes, not dataclasses, whose generated code would slow every
+    # `import rholab` by about 10 ms.
+    build = _value_objects()[name]
+    value = build()
+    assert not dataclasses.is_dataclass(value) and not hasattr(value, "__dict__")
+    field = type(value).__slots__[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = None
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert _same(value, back)
+        if name in _BY_VALUE - {"Scenario"}:  # a Scenario's state and generator compare by identity
+            assert back == value
+    if name in _BY_VALUE:
+        other = build()
+        assert other == value and not other != value and hash(other) == hash(value)
+        assert {value: 1}[other] == 1
+    if name in _REPRS:
+        assert repr(value) == _REPRS[name]
+    if name in _UNSHOWN:
+        assert repr(value).startswith(f"{name}(") and _UNSHOWN[name] not in repr(value)
 
 
 class TestKetDimension:
