@@ -17,7 +17,7 @@ import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
-from .linalg import _Record, is_finite_real, is_integer
+from .linalg import _Record, _ValueRecord, is_finite_real, is_integer
 from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -32,7 +32,7 @@ _EVENTS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)],
                    dtype=[("outcome_a", np.int8), ("outcome_b", np.int8)])
 
 
-class DetectorPair(_Record):
+class DetectorPair(_ValueRecord):
     """Orientations of the two spin detectors; anything but two UnitVector3
     raises ValidationError.  Compares and hashes by value."""
 
@@ -42,12 +42,6 @@ class DetectorPair(_Record):
         if not (isinstance(a, UnitVector3) and isinstance(b, UnitVector3)):
             raise ValidationError(f"a and b must be UnitVector3, got {type(a).__name__} and {type(b).__name__}")
         self.__setstate__((a, b))
-
-    def __eq__(self, other):
-        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.__getstate__())
 
 
 def pair_operator(p: DetectorPair) -> np.ndarray:
@@ -199,7 +193,10 @@ def _three_spin_operator(label: str) -> np.ndarray:
 
 def ghz_check(atol: float = 1e-12) -> GhzReport:
     """Verify the GHZ eigenvalue pattern (+1, +1, +1, -1) on the four
-    three-spin products xyy, yxy, yyx, xxx."""
+    three-spin products xyy, yxy, yyx, xxx, to within atol, a non-negative
+    finite real number."""
+    if not (is_finite_real(atol) and atol >= 0):
+        raise ValidationError(f"atol must be a non-negative finite real number, got {atol!r}")
     psi = ghz_state()
     expected = {"xyy": 1.0, "yxy": 1.0, "yyx": 1.0, "xxx": -1.0}
     eigenvalues = {}
@@ -254,6 +251,8 @@ def no_cloning_demo() -> NoCloningReport:
     out = _clone_linearly(kets.x_plus)
     target = np.kron(kets.x_plus, kets.x_plus)
     fidelity = float(abs(np.vdot(target, out)) ** 2)
+    for a in (out, target):
+        a.setflags(write=False)  # built here, so the report keeps them without a copy
     return NoCloningReport(
         output_amplitudes=out,
         target_amplitudes=target,
@@ -263,7 +262,7 @@ def no_cloning_demo() -> NoCloningReport:
     )
 
 
-class FilterInequalityReport(_Record):
+class FilterInequalityReport(_ValueRecord):
     """Spin-filter passage probabilities against the realist segment bound.
 
     A realist reading requires P(full span) <= 2 P(half span); the quantum
@@ -275,12 +274,6 @@ class FilterInequalityReport(_Record):
     def __init__(self, p_full_span: float, doubled_p_half_span: float, violates_realist_bound: bool,
                  margin: float):
         self.__setstate__((p_full_span, doubled_p_half_span, violates_realist_bound, margin))
-
-    def __eq__(self, other):
-        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.__getstate__())
 
 
 def filter_inequality_demo() -> FilterInequalityReport:

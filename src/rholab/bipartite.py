@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import DensityOperator, _with_spectrum
 from .errors import ShapeError, ValidationError
-from .linalg import (_Record, as_ket, as_kets, as_square, frozen, hermitian_eig, in_basis, is_integer,
+from .linalg import (_Record, _ValueRecord, as_ket, as_kets, as_square, hermitian_eig, in_basis, is_integer,
                      max_deviation, pinch, require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
@@ -22,7 +22,7 @@ from .linalg import (_Record, as_ket, as_kets, as_square, frozen, hermitian_eig,
 SCHMIDT_RANK_TOL = 1e-9
 
 
-class BipartiteSpace(_Record):
+class BipartiteSpace(_ValueRecord):
     """Dimensions of the two tensor factors: integers (not bools), each at least 1.
     Compares and hashes by value."""
 
@@ -33,12 +33,6 @@ class BipartiteSpace(_Record):
             dims = f"{dim_a!r}, {dim_b!r}"
             raise ValidationError(f"factor dimensions must be integers of at least 1, got {dims}")
         self.__setstate__((dim_a, dim_b))
-
-    def __eq__(self, other):
-        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.__getstate__())
 
     @property
     def dim(self) -> int:
@@ -53,8 +47,7 @@ class BipartiteKet(_Record):
     def __init__(self, space: BipartiteSpace, amplitudes):
         if not isinstance(space, BipartiteSpace):
             raise ValidationError(f"space must be a BipartiteSpace, got {type(space).__name__}")
-        amps = frozen(require_unit_ket(amplitudes, "bipartite ket", space.dim))
-        self.__setstate__((space, amps))
+        self.__setstate__((space, require_unit_ket(amplitudes, "bipartite ket", space.dim)))
 
     def coefficient_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to C[m, n] over (a-index, b-index)."""
@@ -116,7 +109,7 @@ class SchmidtForm(_Record):
                 "expected (R,) coefficients, (R, dim_a) a-kets and (R, dim_b) b-kets, "
                 f"got shapes {c.shape}, {a.shape} and {b.shape}"
             )
-        self.__setstate__(map(frozen, (c, a, b)))
+        self.__setstate__((c, a, b))
 
     @property
     def rank(self) -> int:

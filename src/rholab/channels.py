@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, _keep
+from .density import DensityOperator, DensityStack
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -40,7 +40,6 @@ from .linalg import (
     as_square,
     as_square_stack,
     first_failure,
-    frozen,
     hermitian_eig,
     is_finite_real,
     is_integer,
@@ -106,7 +105,7 @@ class KrausChannel(_Record):
     __slots__ = ("kraus_ops",)
 
     def __init__(self, kraus_ops):
-        ops = frozen(as_square_stack(kraus_ops))
+        ops = as_square_stack(kraus_ops)
         require_close(
             lambda: (ops.conj().swapaxes(1, 2) @ ops).sum(0) - np.eye(ops.shape[-1]),
             COMPLETENESS_ATOL,
@@ -140,7 +139,7 @@ class Superoperator(_Record):
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
         as_matrix(t.reshape(dim * dim, dim * dim))  # entries must be finite
-        self.__setstate__((dim, frozen(t)))
+        self.__setstate__((dim, t))
 
     def apply(self, rho) -> np.ndarray:
         return np.einsum("mknl,kl->mn", self.tensor, as_square(rho, self.dim))
@@ -181,13 +180,13 @@ class EigenmatrixDecomposition(_Record):
 
     def __init__(self, dim: int, eigenvalues, eigenmatrices):
         _require_dim(dim)
-        matrices = frozen(as_square_stack(eigenmatrices, dim))
+        matrices = as_square_stack(eigenmatrices, dim)
         values = np.asarray(eigenvalues)
         if values.shape != (len(matrices),):
             raise ShapeError(f"expected {len(matrices)} eigenvalues, got shape {values.shape}")
         if not np.isfinite(values).all() or np.imag(values).any():
             raise ValidationError("eigenvalues must be finite real numbers")
-        self.__setstate__((dim, frozen(np.real(values).astype(float, copy=False)), matrices))
+        self.__setstate__((dim, np.real(values).astype(float, copy=False), matrices))
 
     @property
     def is_completely_positive(self) -> bool:
@@ -240,14 +239,14 @@ class LindbladGenerator(_Record):
     __slots__ = ("hamiltonian", "jump_ops", "effective_hamiltonian")
 
     def __init__(self, hamiltonian, jump_ops=()):
-        h = frozen(require_hermitian(hamiltonian))
-        ops = frozen(as_square_stack(jump_ops, h.shape[0]))
+        h = require_hermitian(hamiltonian)
+        ops = as_square_stack(jump_ops, h.shape[0])
         k = require_finite(
             lambda: -1j * h - 0.5 * (ops.conj().swapaxes(1, 2) @ ops).sum(0),
             "effective Hamiltonian -iH - 1/2 sum L(dag)L",
         )
         k.setflags(write=False)
-        self.__setstate__((h, ops, frozen(k)))
+        self.__setstate__((h, ops, k))
 
     @property
     def dim(self) -> int:
@@ -306,7 +305,7 @@ class Trajectory(_Record):
         arrays = [np.asarray(a) for a in (times, raw_traces)]
         if any(a.dtype.kind not in "iuf" or not np.isfinite(a).all() for a in arrays):
             raise ValidationError("times and raw traces must be finite real numbers")
-        times, raw_traces = (frozen(a.astype(float, copy=False)) for a in arrays)
+        times, raw_traces = (a.astype(float, copy=False) for a in arrays)
         if not isinstance(states, DensityStack) or not times.shape == raw_traces.shape == (len(states),):
             raise ShapeError("expected a DensityStack and as many times and raw traces, each a 1-D array")
         self.__setstate__((times, raw_traces, states))
@@ -507,7 +506,7 @@ def evolve_lindblad(
     )
     for a in (times, raw_traces, matrices, eigenvalues, eigenvectors):
         a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
-    states = _keep(object.__new__(DensityStack), matrices, eigenvalues, eigenvectors)  # validated above
+    states = DensityStack._stored(matrices, eigenvalues, eigenvectors)  # validated above
     return Trajectory(times, raw_traces, states)
 
 

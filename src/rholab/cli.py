@@ -241,19 +241,13 @@ class ScenarioError(ValueError):
 
 
 class Scenario(_Record):
-    """Parsed open-system evolution scenario.  Compares and hashes by value."""
+    """Parsed open-system evolution scenario."""
 
     __slots__ = ("rho0", "generator", "t_end", "dt", "sample_every")
 
     def __init__(self, rho0: DensityOperator, generator: LindbladGenerator, t_end: float, dt: float,
                  sample_every: int):
         self.__setstate__((rho0, generator, t_end, dt, sample_every))
-
-    def __eq__(self, other):
-        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.__getstate__())
 
 
 _NUMBER_TYPES = {int, float}  # of a JSON number; a bool is not one

@@ -31,7 +31,6 @@ from .linalg import (
     as_ket,
     as_matrix,
     as_square,
-    frozen,
     hermitian_eig,
     is_finite_real,
     pinch,
@@ -65,7 +64,7 @@ class DensityOperator(_Record):
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
         hermitized, eig = _validated(matrix, psd_atol)
-        _keep(self, hermitized, eig.eigenvalues, eig.eigenvectors)
+        self.__setstate__((hermitized, eig.eigenvalues, eig.eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -76,13 +75,6 @@ class DensityOperator(_Record):
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
-
-
-def _keep(d, matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-    """Store the three arrays of a DensityOperator, or of a DensityStack, through frozen:
-    views of a validated stack's arrays pass without a copy."""
-    d.__setstate__(map(frozen, (matrix, eigenvalues, eigenvectors)))
-    return d
 
 
 def _validated(
@@ -123,7 +115,7 @@ def _with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) ->
     matrix, except that no eigensolve runs: the hermiticity the solve checks
     is the construction's, and the floor is checked on the given eigenvalues."""
     hermitized, eig = _validated(matrix, PSD_ATOL, eig=HermitianEig(eigenvalues, eigenvectors))
-    return _keep(object.__new__(DensityOperator), hermitized, eig.eigenvalues, eig.eigenvectors)
+    return DensityOperator._stored(hermitized, eig.eigenvalues, eig.eigenvectors)
 
 
 class DensityStack(_Record, Sequence[DensityOperator]):
@@ -143,7 +135,7 @@ class DensityStack(_Record, Sequence[DensityOperator]):
 
     def __init__(self, matrices, psd_atol: float = PSD_ATOL):
         hermitized, eig = _validated(matrices, psd_atol, stack=True)
-        _keep(self, hermitized, eig.eigenvalues, eig.eigenvectors)
+        self.__setstate__((hermitized, eig.eigenvalues, eig.eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -158,7 +150,7 @@ class DensityStack(_Record, Sequence[DensityOperator]):
         else:
             view, index = DensityOperator, operator.index(index)
         arrays = self.matrices[index], self.eigenvalues[index], self.eigenvectors[index]
-        return _keep(object.__new__(view), *arrays)
+        return view._stored(*arrays)  # views of a validated stack's arrays, kept without a copy
 
     def __repr__(self) -> str:
         return f"DensityStack(len={len(self)}, dim={self.dim})"
@@ -208,7 +200,7 @@ def stacked(d: States) -> DensityStack:
     viewing its arrays; a sequence of density operators of one dimension
     stacked anew."""
     if isinstance(d, DensityOperator):
-        d = _keep(object.__new__(DensityStack), d.matrix[None], d.eigenvalues[None], d.eigenvectors[None])
+        d = DensityStack._stored(d.matrix[None], d.eigenvalues[None], d.eigenvectors[None])
     elif not isinstance(d, DensityStack):
         states = list(d)
         if any(s.dim != states[0].dim for s in states):
@@ -216,7 +208,7 @@ def stacked(d: States) -> DensityStack:
         arrays = [np.array([getattr(s, a) for s in states]) for a in DensityOperator.__slots__]
         for a in arrays:
             a.setflags(write=False)  # built here, so the stack keeps them without a copy
-        d = _keep(object.__new__(DensityStack), *arrays)
+        d = DensityStack._stored(*arrays)
     if not len(d):
         raise ShapeError("expected a non-empty sequence of density operators")
     return d
@@ -254,7 +246,7 @@ class GramFactor(_Record):
         coeff = as_matrix(coeff)
         if coeff.shape[1] != len(basis):
             raise ShapeError(f"expected a (K, {len(basis)}) coefficient matrix, got shape {coeff.shape}")
-        self.__setstate__((frozen(coeff), frozen(basis)))
+        self.__setstate__((coeff, basis))
 
     @property
     def num_terms(self) -> int:

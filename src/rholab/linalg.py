@@ -91,13 +91,21 @@ def frozen(a: np.ndarray) -> np.ndarray:
 class _Record:
     """The immutable base of rholab's value objects.  A subclass names its fields in
     __slots__ and stores them from its own __init__, in that order, by __setstate__;
-    assigning or deleting an attribute then raises AttributeError.  The repr shows
-    the fields; pickling and copying store and restore them.  Instances compare and
-    hash by identity unless the subclass defines __eq__ and __hash__.  These shared
-    methods replace per-class methods generated by exec at import, which cost every
-    rholab process about 10 ms."""
+    assigning or deleting an attribute then raises AttributeError.  __setstate__ is
+    the one store path, so __init__, copying and unpickling alike keep every array
+    field through frozen.  The repr shows the fields; pickling and copying store and
+    restore them.  Instances compare and hash by identity; _ValueRecord's compare and
+    hash by value.  These shared methods replace per-class methods generated by exec
+    at import, which cost every rholab process about 10 ms."""
 
     __slots__ = ()
+
+    @classmethod
+    def _stored(cls, *fields):
+        """An instance holding fields that are already checked, without running __init__."""
+        record = object.__new__(cls)
+        record.__setstate__(fields)
+        return record
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,7 +122,20 @@ class _Record:
 
     def __setstate__(self, state) -> None:
         for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, frozen(value) if isinstance(value, np.ndarray) else value)
+
+
+class _ValueRecord(_Record):
+    """A _Record of hashable fields that compares and hashes by value: equal to a
+    record of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__getstate__())
 
 
 def require_finite(compute: Callable[[], np.ndarray | float], what: str) -> np.ndarray | float:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import _Record, hermitian_eig, is_finite_real
+from .linalg import _Record, _ValueRecord, hermitian_eig, is_finite_real, is_integer
 
 UNIT_ATOL = 1e-12
 
@@ -32,6 +32,9 @@ _PAULI = {
 }
 
 
+_AXES = ("x", "y", "z")
+
+
 def pauli(axis: str) -> np.ndarray:
     """The 2x2 spin matrix for axis 'x', 'y' or 'z'."""
     try:
@@ -40,7 +43,7 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
-class UnitVector3(_Record):
+class UnitVector3(_ValueRecord):
     """A unit vector in coordinate space, e.g. a detector orientation; a
     component that is not a finite real number (complex, a string, None, a
     bool, NaN) raises ValidationError.  Compares and hashes by value."""
@@ -56,12 +59,6 @@ class UnitVector3(_Record):
         if not abs(norm_sq - 1.0) <= 2.0 * UNIT_ATOL:  # also rejects NaN
             raise ValidationError(f"not a unit vector: |n|^2 = {norm_sq!r}")
         self.__setstate__(components)
-
-    def __eq__(self, other):
-        return self.__getstate__() == other.__getstate__() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self.__getstate__())
 
     @classmethod
     def from_iterable(cls, values) -> "UnitVector3":
@@ -80,6 +77,10 @@ class UnitVector3(_Record):
 
     @classmethod
     def from_spherical(cls, theta: float, phi: float) -> "UnitVector3":
+        """From polar angle theta and azimuth phi; an angle that is not a finite real
+        number (complex, a string, a bool, NaN or inf) raises ValidationError."""
+        if not (is_finite_real(theta) and is_finite_real(phi)):
+            raise ValidationError(f"angles must be real numbers, finite and not bool, got {theta!r} and {phi!r}")
         return cls(math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
 
     def as_array(self) -> np.ndarray:
@@ -153,11 +154,13 @@ def sigma_n_eigenkets(n: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SpinOneSet(_Record):
-    """Spin-1 matrices, their squares, and the nine eigenprojectors P[axis, value]."""
+    """Spin-1 matrices, their squares, and the nine eigenprojectors as one read-only
+    (3, 3, 3, 3) stack: projectors[i, value + 1] is P[axis, value] for the i-th of the
+    axes x, y, z and the value -1, 0 or 1."""
 
     __slots__ = ("sx", "sy", "sz", "sx2", "sy2", "sz2", "projectors")
 
-    def __init__(self, sx, sy, sz, sx2, sy2, sz2, projectors: dict[tuple[str, int], np.ndarray]):
+    def __init__(self, sx, sy, sz, sx2, sy2, sz2, projectors: np.ndarray):
         self.__setstate__((sx, sy, sz, sx2, sy2, sz2, projectors))
 
     def __repr__(self) -> str:  # without the projectors
@@ -171,7 +174,11 @@ class SpinOneSet(_Record):
         return getattr(self, f"s{axis}2")
 
     def projector(self, axis: str, value: int) -> np.ndarray:
-        return self.projectors[(axis, value)]
+        """P[axis, value] for axis 'x', 'y' or 'z' and the integer value -1, 0 or 1."""
+        if axis not in _AXES or not (is_integer(value) and -1 <= value <= 1):
+            raise ValueError("axis must be one of 'x', 'y', 'z' and value one of -1, 0, 1, "
+                             f"got {axis!r} and {value!r}")
+        return self.projectors[_AXES.index(axis), value + 1]
 
 
 def spin_one_set() -> SpinOneSet:
@@ -185,16 +192,12 @@ def spin_one_set() -> SpinOneSet:
     sy = 1j * _SQRT1_2 * np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]], dtype=complex)
     sz = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 
-    projectors: dict[tuple[str, int], np.ndarray] = {}
-    for axis, op in (("x", sx), ("y", sy), ("z", sz)):
-        eig = hermitian_eig(op)
-        for k, lam in enumerate(eig.eigenvalues):
-            value = int(round(lam))
-            v = eig.eigenvectors[:, k]
-            projectors[(axis, value)] = np.outer(v, v.conj())
+    # v[i, k]: the eigenket of axis i for the value k - 1, the eigenvalues ascending.
+    v = hermitian_eig(np.array([sx, sy, sz])).eigenvectors.swapaxes(1, 2)
+    projectors = v[..., :, None] * v.conj()[..., None, :]
 
     ops = (sx, sy, sz, sx @ sx, sy @ sy, sz @ sz)
-    for a in (*ops, *projectors.values()):
+    for a in (*ops, projectors):
         a.setflags(write=False)
     return SpinOneSet(*ops, projectors=projectors)
 

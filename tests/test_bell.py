@@ -324,6 +324,11 @@ class TestGhz:
         assert report.eigenvalues["yyx"] == pytest.approx(1.0, abs=1e-12)
         assert report.eigenvalues["xxx"] == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("atol", [math.nan, math.inf, -1e-12, "x", None, True, 1j])
+    def test_rejects_an_atol_that_is_not_a_non_negative_finite_real(self, atol):
+        with pytest.raises(ValidationError, match="^atol must be a non-negative finite real number"):
+            ghz_check(atol)
+
     def test_classical_claim_contradicted(self):
         report = ghz_check()
         assert report.classical_xxx_product == 1.0

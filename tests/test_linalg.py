@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -60,7 +61,7 @@ from rholab import (
     superop_from_kraus,
     trace,
 )
-from rholab import bipartite, channels, density, linalg
+from rholab import channels, linalg
 from rholab.cli import Scenario
 from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
 
@@ -622,7 +623,7 @@ class TestOwnership:
             *spin_half_basis().axis_pair("y"),
             spin_one.sx,
             spin_one.sz2,
-            *spin_one.projectors.values(),
+            spin_one.projectors,
             *simultaneous_eigenbasis(),
             *rounds,
             upper,
@@ -636,46 +637,53 @@ class TestOwnership:
 
     def test_stores_what_it_builds_without_a_copy(self, monkeypatch):
         # Arrays rholab builds are marked read-only where they are built, so
-        # storing them through frozen keeps the built array itself.
+        # storing them through frozen, the one store path of a value object,
+        # keeps the built array itself.
         stored = []
+        frozen = linalg.frozen
 
         def spy(a):
-            stored.append((a, linalg.frozen(a)))
+            stored.append((a, frozen(a)))
             return stored[-1][1]
 
         mixture, ket = ProperMixture([(0.5, [1, 0]), (0.5, [0, 1])]), singlet()
-        for module in (density, channels, bipartite):
-            monkeypatch.setattr(module, "frozen", spy)
         rho, h, jump, k0, k1 = (np.array(a, dtype=complex) for a in (
             np.diag([0.25, 0.75]), pauli("x"), [[0, 1], [0, 0]], np.diag([1.0, 0.6]), [[0, 0.8], [0, 0]]
         ))
         for a in (rho, h, jump, k0, k1):
             a.setflags(write=False)
-        DensityOperator(rho)
-        DensityStack(np.array([rho, rho]))
-        LindbladGenerator(h, [jump])
-        kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
-        gram_factor(mixture, np.eye(2))
-        schmidt(ket)
+
+        def build():
+            DensityOperator(rho)
+            DensityStack(np.array([rho, rho]))
+            LindbladGenerator(h, [jump])
+            kraus_from_decomposition(eigenmatrix_decompose(superop_from_kraus(KrausChannel([k0, k1]))))
+            gram_factor(mixture, np.eye(2))
+            schmidt(ket)
+
+        build()  # fills the eigensolver's cached tables, which are frozen once
+        monkeypatch.setattr(linalg, "frozen", spy)
+        build()
         # 3 arrays of the density operator, 3 of the density stack, 3 of the generator, the
         # caller's Kraus set as one stack, the superoperator's tensor, its sorted eigenvalues and
         # eigenmatrix stack, the stack of Kraus operators built from its spectrum, the
-        # Gram factor's coefficients and basis, and the Schmidt form's three arrays.
-        assert len(stored) == 19
+        # Gram factor's coefficients and basis, and the Schmidt form's three arrays; and the
+        # eigenvalues and eigenvectors of the four spectra solved on the way.
+        assert len(stored) == 27
         assert all(np.shares_memory(out, a) for a, out in stored)
         spin_one = spin_one_set()
         constants = [
             *spin_half_basis().axis_pair("x"),
             spin_one.sy,
             spin_one.sx2,
-            *spin_one.projectors.values(),
+            spin_one.projectors,
             *simultaneous_eigenbasis(),
         ]
         assert all(linalg.frozen(a) is a for a in constants)
 
 
 # The value objects that compare and hash by value; every other one does by identity.
-_BY_VALUE = {"UnitVector3", "BipartiteSpace", "DetectorPair", "FilterInequalityReport", "Scenario"}
+_BY_VALUE = {"UnitVector3", "BipartiteSpace", "DetectorPair", "FilterInequalityReport"}
 
 _REPRS = {
     "UnitVector3": "UnitVector3(nx=0, ny=0, nz=1)",
@@ -726,6 +734,18 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _arrays(value):
+    """Every array reachable through value's fields, in nested records, tuples, lists and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item)
+    elif type(value).__module__.startswith("rholab."):
+        for field in type(value).__slots__:
+            yield from _arrays(getattr(value, field))
+
+
 def test_value_classes_are_tabled():
     classes = {name for name in rholab.__all__ if isinstance(getattr(rholab, name), type)}
     classes -= {name for name in classes if issubclass(getattr(rholab, name), Exception)}
@@ -756,10 +776,15 @@ def test_value_objects_are_immutable_records(name):
         delattr(value, field)
     with pytest.raises(AttributeError):
         value.extra = None
+    # Every array it holds is read-only, also in a copy or an unpickled value; a shallow
+    # copy shares them.
+    assert not any(a.flags.writeable for a in _arrays(value))
     for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert _same(value, back)
-        if name in _BY_VALUE - {"Scenario"}:  # a Scenario's state and generator compare by identity
+        assert not any(a.flags.writeable for a in _arrays(back))
+        if name in _BY_VALUE:
             assert back == value
+    assert all(map(operator.is_, _arrays(value), _arrays(copy.copy(value))))
     if name in _BY_VALUE:
         other = build()
         assert other == value and not other != value and hash(other) == hash(value)

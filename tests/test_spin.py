@@ -110,6 +110,13 @@ class TestUnitVector:
         assert n.nz == pytest.approx(math.cos(0.7))
         assert n.dot(n) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "angles", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0), ("a", 0.0), (1j, 0.0), (True, 0.0), (0.0, None)]
+    )
+    def test_spherical_rejects_an_angle_that_is_not_a_finite_real(self, angles):
+        with pytest.raises(ValidationError, match="^angles must be real numbers, finite and not bool"):
+            UnitVector3.from_spherical(*angles)
+
 
 class TestSpinHalfBasis:
     def test_pinned_columns(self):
@@ -277,6 +284,24 @@ class TestSpinOne:
             for value in (-1, 0, 1):
                 p = s.projector(axis, value)
                 assert np.max(np.abs(s.spin(axis) @ p - value * p)) < 1e-13
+
+    def test_projectors_are_one_read_only_stack(self):
+        s = spin_one_set()
+        assert s.projectors.shape == (3, 3, 3, 3) and not s.projectors.flags.writeable
+        for i, axis in enumerate("xyz"):
+            vectors = hermitian_eig(s.spin(axis)).eigenvectors
+            for value in (-1, 0, 1):
+                v = vectors[:, value + 1]  # eigenvalues ascend: -1, 0, 1
+                assert np.array_equal(s.projectors[i, value + 1], np.outer(v, v.conj()))
+                assert np.array_equal(s.projector(axis, value), s.projectors[i, value + 1])
+
+    @pytest.mark.parametrize(
+        "axis, value", [("x", 5), ("q", 0), ("x", -3), ("z", 2), ("xy", 0), ("y", True), ("y", 1.0), (0, 0)]
+    )
+    def test_projector_rejects_an_unknown_axis_or_value(self, axis, value):
+        # -3 would wrap round to the +1 projector of the stack; a bool or float is no spin value.
+        with pytest.raises(ValueError, match="^axis must be one of 'x', 'y', 'z' and value one of -1, 0, 1, got "):
+            spin_one_set().projector(axis, value)
 
 
 class TestSimultaneousEigenbasis:
