@@ -12,13 +12,14 @@ platform-independent stream for a given seed.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
 from .linalg import _Record, _ValueRecord, is_finite_real, is_integer
-from .spin import UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
+from .spin import SpinHalfBasis, UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -164,7 +165,9 @@ class GhzReport(_Record):
 
     The three mixed operators fix the state with eigenvalue +1, which under
     a value-assignment (realist) reading forces the product a_x b_x c_x = +1;
-    the all-x operator has eigenvalue -1 instead.
+    the all-x operator has eigenvalue -1 instead.  `eigenvalues` and `expected`
+    map each label to its value, each a read-only MappingProxyType view of a copy
+    of the dict given.
     """
 
     __slots__ = ("eigenvalues", "expected", "max_residual", "classical_xxx_product", "passed")
@@ -172,6 +175,13 @@ class GhzReport(_Record):
     def __init__(self, eigenvalues: dict[str, float], expected: dict[str, float], max_residual: float,
                  classical_xxx_product: float, passed: bool):
         self.__setstate__((eigenvalues, expected, max_residual, classical_xxx_product, passed))
+
+    def __getstate__(self) -> tuple:  # the mappings as dicts, which pickle
+        return (dict(self.eigenvalues), dict(self.expected), *super().__getstate__()[2:])
+
+    def __setstate__(self, state) -> None:
+        eigenvalues, expected, *rest = state
+        super().__setstate__((MappingProxyType(dict(eigenvalues)), MappingProxyType(dict(expected)), *rest))
 
 
 def ghz_state() -> np.ndarray:
@@ -232,9 +242,8 @@ class NoCloningReport(_Record):
         self.__setstate__((output_amplitudes, target_amplitudes, fidelity, cross_amplitudes, basis_fidelities))
 
 
-def _clone_linearly(ket: np.ndarray) -> np.ndarray:
-    """Image of |ket>|blank> under the linear extension of basis cloning."""
-    kets = spin_half_basis()
+def _clone_linearly(ket: np.ndarray, kets: SpinHalfBasis) -> np.ndarray:
+    """Image of |ket>|blank> under the linear extension of basis cloning, in the z basis of kets."""
     out = ket[0] * np.kron(kets.z_plus, kets.z_plus)
     out = out + ket[1] * np.kron(kets.z_minus, kets.z_minus)
     return out
@@ -245,10 +254,10 @@ def no_cloning_demo() -> NoCloningReport:
     basis_fidelities = []
     for basis_ket in (kets.z_plus, kets.z_minus):
         target = np.kron(basis_ket, basis_ket)
-        out = _clone_linearly(basis_ket)
+        out = _clone_linearly(basis_ket, kets)
         basis_fidelities.append(float(abs(np.vdot(target, out)) ** 2))
 
-    out = _clone_linearly(kets.x_plus)
+    out = _clone_linearly(kets.x_plus, kets)
     target = np.kron(kets.x_plus, kets.x_plus)
     fidelity = float(abs(np.vdot(target, out)) ** 2)
     for a in (out, target):

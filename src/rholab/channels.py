@@ -296,7 +296,9 @@ class Trajectory(_Record):
     Sample i is times[i], raw_traces[i] and states[i], and states.eigenvalues[i, 0] is
     its smallest eigenvalue.  raw_traces[i] is the real trace of the state at the end
     of its sample interval, after hermitizing and just before renormalization (of the
-    interval's last step if it was replayed one step at a time).
+    interval's last step if it was replayed one step at a time); for an interval
+    propagated in a batch, the ratio of its raw trace to the one before, the same
+    number in exact arithmetic.
     """
 
     __slots__ = ("times", "raw_traces", "states")
@@ -343,6 +345,14 @@ def _taylor_propagator(
     matvec on row-major rho, its power taken once per distinct `full` by
     repeated squaring.  Above that size it is `full` (plus `last`) steps of the
     flow `_generator_flow`, so no N^2 x N^2 array is built.
+
+    Where T is tabulated, propagate(rho, full, False, out) also takes a (R, N, N)
+    array out and writes P^r rho into out[r - 1] for r = 1 ... R, with P =
+    T(dt L)^full, by doubling on the states: out[m + r] = P^m out[r] for r < m, one
+    batched product per doubling, and P^2m is squared from P^m only when more
+    states remain.  Besides the cached P, at most two powers are alive at once, and
+    no stack of powers is built.  It returns out.  The states are not renormalized,
+    and for an unstable P their entries may overflow.
     """
     n = g.dim
     if n > PROPAGATOR_MATRIX_MAX_DIM:
@@ -364,8 +374,19 @@ def _taylor_propagator(
         p = np.linalg.matrix_power(t_full, full)
         return t_last @ p if last else p
 
-    def propagate(rho: np.ndarray, full: int, last: bool) -> np.ndarray:
-        return (power(full, last) @ rho.reshape(-1)).reshape(n, n)
+    def propagate(rho: np.ndarray, full: int, last: bool, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return (power(full, last) @ rho.reshape(-1)).reshape(n, n)
+        states, step = out.reshape(len(out), n * n), power(full, False)  # a view: out[r] is states[r]
+        np.matmul(step, rho.reshape(-1), out=states[0])
+        done = 1
+        while done < len(states):  # step is P^done: states[done + r] = P^done states[r]
+            take = min(done, len(states) - done)
+            np.matmul(states[:take], step.T, out=states[done:done + take])
+            done += take
+            if done < len(states):
+                step = step @ step
+        return out
 
     return propagate
 
@@ -428,25 +449,41 @@ def evolve_lindblad(
     its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at
     the sample's time.
 
+    Where T is tabulated (dim <= PROPAGATOR_MATRIX_MAX_DIM), the raw states of every
+    full-length interval are propagated at once from the initial state, by doubling
+    (see `_taylor_propagator`), and cleaned up a chunk at a time in place: hermitized,
+    their drifts taken as the ratio of each raw trace to the one before (in exact
+    arithmetic the trace the interval gives a unit-trace state), then renormalized.
+    From the first sample whose drift fails the check or that has a non-finite entry,
+    every interval is stepped alone from the sample before, as above, and none is
+    batched again; so the replays, errors and their times are those of a run stepped
+    alone.  The last, shorter interval, and every interval in operator form, is
+    stepped alone.  Sample times are the running sum of the steps, one dt at a time,
+    on either path.
+
     The returned Trajectory's arrays are allocated once from the schedule; each
-    interval reads its state from the sample before and writes its clean-up straight
-    into the next one.  The states are validated in place, one `hermitian_eig` solve
-    per chunk_length(dim) states (CHUNK_ENTRIES matrix entries) and one for the rest.
-    The errors keep the order of the trajectory: the first invalid state of a chunk is
-    the one reported, and the states pending when a replayed step fails the drift
-    check are validated before that failure is raised.  The debug log line sums the
-    drift of every interval, or of every step of a replayed one.
+    interval stepped alone reads its state from the sample before and writes its
+    clean-up straight into the next one.  The states are validated in place, one
+    `hermitian_eig` solve per chunk_length(dim) states (CHUNK_ENTRIES matrix entries)
+    and one for the rest.  The errors keep the order of the trajectory: the first
+    invalid state of a chunk is the one reported, and the states pending when a
+    replayed step fails the drift check are validated before that failure is raised.
+    The debug log line sums the drift of every interval, or of every step of a
+    replayed one.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
     n_steps = n_full + (remainder > 0.0)
     bound, psd_atol = 10.0 * TRACE_DRIFT_TOL, 10.0 * MIN_EIGENVALUE_TOL
-    starts = range(0, n_steps, sample_every)
-    n, d = 1 + len(starts), g.dim  # samples: step 0, then one per interval
+    n, d = 1 + -(-n_steps // sample_every), g.dim  # samples: step 0, then one per interval
     times, raw_traces, eigenvalues = np.empty(n), np.empty(n), np.empty((n, d))
     matrices, eigenvectors = np.empty((n, d, d), dtype=complex), np.empty((n, d, d), dtype=complex)
     matrices[0] = as_square(d0.matrix, d)
     chunk = chunk_length(d)
+    # Samples 1 to `batched` end the full-length intervals, propagated at once when T is tabulated.
+    batched = n_full // sample_every if d <= PROPAGATOR_MATRIX_MAX_DIM else 0
+    # previous: the raw trace of the last batched sample; 1 for rho0, as a stepped interval's drift counts it.
+    t, cumulative_drift, previous = 0.0, 0.0, 1.0
 
     def step(k: int, source: np.ndarray, full: int, last: bool) -> float:
         """Apply `full` steps of dt and, if `last`, the remainder step to source; write
@@ -457,6 +494,53 @@ def evolve_lindblad(
         raw_traces[k] = raw_trace = float(out.trace().real)
         out /= raw_trace
         return abs(raw_trace - 1.0)
+
+    def interval(k: int) -> None:
+        """Step sample interval k alone, from sample k - 1; a drift that fails the check
+        replays it one step at a time."""
+        nonlocal t, cumulative_drift
+        start = (k - 1) * sample_every
+        stop = min(start + sample_every, n_steps)
+        full = min(stop, n_full) - start
+        drift = step(k, matrices[k - 1], full, stop > n_full)
+        if not drift <= bound:  # also catches NaN; replay to find the failing step
+            for i in range(start, stop):  # step i is a full step unless it is the remainder
+                drift = step(k, matrices[k if i > start else k - 1], int(i < n_full), i >= n_full)
+                t += dt if i < n_full else remainder
+                if not drift <= bound:
+                    if k % chunk:  # an invalid state emitted before this interval is reported first
+                        validate(k)
+                    raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
+                cumulative_drift += drift
+        else:
+            for i in range(start, stop):  # one dt per step: sample times do not depend on sample_every
+                t += dt if i < n_full else remainder
+            cumulative_drift += drift
+        times[k] = t
+
+    def settle(k: int, stop: int) -> int:
+        """Clean up the batched samples k to stop - 1 in place, as `step` does one, up to
+        the first whose drift fails the check or that is not finite; return that sample,
+        or stop.  A sample's drift is its raw trace over the one before, the trace the
+        interval gives a unit-trace state."""
+        nonlocal t, cumulative_drift, previous
+        batch = matrices[k:stop]
+        np.add(batch, batch.conj().swapaxes(1, 2), out=batch)
+        batch *= 0.5
+        traces = batch.trace(axis1=1, axis2=2).real
+        ratios = traces / np.append(previous, traces[:-1])
+        drifts = np.abs(ratios - 1.0)
+        passed = (drifts <= bound) & np.isfinite(batch).all(axis=(1, 2))  # an overflowing power fails here
+        accepted = len(batch) if passed.all() else int(passed.argmin())
+        batch[:accepted] /= traces[:accepted, None, None]
+        raw_traces[k:k + accepted] = ratios[:accepted]
+        for j, drift in enumerate(drifts[:accepted].tolist(), k):
+            for _ in range(sample_every):
+                t += dt
+            times[j] = t
+            cumulative_drift += drift
+        previous = traces[accepted - 1] if accepted else previous
+        return k + accepted
 
     def validate(stop: int) -> None:
         """Validate the pending chunk, samples (stop - 1) // chunk * chunk to stop - 1,
@@ -471,33 +555,25 @@ def evolve_lindblad(
         eigenvalues[pending] = states.eigenvalues
         eigenvectors[pending] = states.eigenvectors
 
-    t = 0.0
-    cumulative_drift = 0.0
     times[0], raw_traces[0] = t, matrices[0].trace().real
-    # A blow-up (of the propagator too) ends in the drift check; the renormalization
-    # before it may divide by 0.
+    # A blow-up (of the propagator too) ends in the drift or finite check; the
+    # renormalization before it may divide by 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         propagate = _taylor_propagator(g, dt, remainder)
-        for k, start in enumerate(starts, 1):
+        if batched:  # the raw states, hermitized and renormalized by settle
+            propagate(matrices[0], sample_every, False, matrices[1:batched + 1])
+        k = 1
+        while k < n:
             if k % chunk == 0:  # samples k - chunk to k - 1 fill a chunk
                 validate(k)
-            stop = min(start + sample_every, n_steps)
-            full = min(stop, n_full) - start
-            drift = step(k, matrices[k - 1], full, stop > n_full)
-            if not drift <= bound:  # also catches NaN; replay to find the failing step
-                for i in range(start, stop):  # step i is a full step unless it is the remainder
-                    drift = step(k, matrices[k if i > start else k - 1], int(i < n_full), i >= n_full)
-                    t += dt if i < n_full else remainder
-                    if not drift <= bound:
-                        if k % chunk:  # an invalid state emitted before this interval is reported first
-                            validate(k)
-                        raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
-                    cumulative_drift += drift
-            else:
-                for i in range(start, stop):  # one dt per step: sample times do not depend on sample_every
-                    t += dt if i < n_full else remainder
-                cumulative_drift += drift
-            times[k] = t
+            end = min(k - k % chunk + chunk, n)  # the end of sample k's chunk
+            if k <= batched:
+                k = settle(k, min(end, batched + 1))
+                if k < end:  # from a failing sample or the last interval on, each is stepped alone
+                    batched = 0
+            for j in range(k, end):
+                interval(j)
+            k = end
         validate(n)
     logger.debug(
         "lindblad trajectory: %d steps, cumulative trace correction %.3e",

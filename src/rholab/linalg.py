@@ -124,6 +124,19 @@ class _Record:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, frozen(value) if isinstance(value, np.ndarray) else value)
 
+    def __deepcopy__(self, memo):
+        """A record of deep copies of the fields, each array copied once: a deep copy of an
+        array is writable and unshared, so marking it read-only keeps frozen from copying it again."""
+        import copy  # loaded by the caller; at module level it would add ~0.6 ms to every start-up
+
+        record = memo[id(self)] = object.__new__(type(self))
+        state = copy.deepcopy(self.__getstate__(), memo)
+        for value in state:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        record.__setstate__(state)
+        return record
+
 
 class _ValueRecord(_Record):
     """A _Record of hashable fields that compares and hashes by value: equal to a

@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from rholab import (
     DetectorPair,
+    GhzReport,
     UnitVector3,
     ValidationError,
     X_AXIS,
@@ -29,6 +31,7 @@ from rholab import (
     singlet_variance,
     spin_half_basis,
 )
+from rholab import bell
 from conftest import random_rotation, random_unit_vector, rotated
 
 KETS = spin_half_basis()
@@ -334,6 +337,21 @@ class TestGhz:
         assert report.classical_xxx_product == 1.0
         assert report.eigenvalues["xxx"] < 0.0
 
+    def test_eigenvalues_and_expected_are_read_only(self):
+        # A report that passed cannot be edited into one that claims other eigenvalues,
+        # also after a copy or unpickling; a caller's dicts are copied.
+        report = ghz_check()
+        for mapping in (report.eigenvalues, report.expected, pickle.loads(pickle.dumps(report)).eigenvalues):
+            with pytest.raises(TypeError):
+                mapping["xxx"] = 5.0
+            with pytest.raises(TypeError):
+                del mapping["xxx"]
+        assert report.passed and report.eigenvalues["xxx"] == pytest.approx(-1.0, abs=1e-12)
+        mine = {"xxx": -1.0}
+        built = GhzReport(mine, mine, 0.0, 1.0, True)
+        mine["xxx"] = 5.0
+        assert built.eigenvalues == built.expected == {"xxx": -1.0}
+
     def test_operator_construction(self):
         xyy = np.kron(pauli("x"), np.kron(pauli("y"), pauli("y")))
         psi = ghz_state()
@@ -362,6 +380,12 @@ class TestNoCloning:
         report = no_cloning_demo()
         assert abs(report.cross_amplitudes[0]) < 1e-15
         assert abs(report.cross_amplitudes[1]) < 1e-15
+
+    def test_builds_the_spin_half_basis_once(self, monkeypatch):
+        built, build = [], bell.spin_half_basis
+        monkeypatch.setattr(bell, "spin_half_basis", lambda: built.append(1) or build())
+        no_cloning_demo()
+        assert built == [1]
 
     def test_output_amplitudes(self):
         report = no_cloning_demo()

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -400,17 +401,29 @@ def rk4_trajectory(h, jumps, rho0, t_end, dt, sample_every):
     return out
 
 
-def drifting(monkeypatch, per_step: float) -> None:
+def drifting(monkeypatch, per_step: float, after: int = 0) -> list:
     """Patch the propagator to scale rho by 1 + 1e-6 when it applies more than one
     step, which fails the drift check and replays the interval, and by 1 + per_step
-    when it applies one."""
-    build = channels._taylor_propagator
+    when it applies one.  A batch of intervals written into `out` has its sample
+    after + 1 scaled the same way in place, so that sample drifts.  Returns a list
+    that gains, per application, the number of intervals it writes into `out`, or
+    None for a single interval."""
+    build, applied = channels._taylor_propagator, []
 
     def propagator(g, dt, remainder=0.0):
         propagate = build(g, dt, remainder)
-        return lambda rho, full, last: propagate(rho, full, last) * (1.0 + (1e-6 if full > 1 else per_step))
+
+        def drifted(rho, full, last, out=None):
+            result = propagate(rho, full, last, out)
+            applied.append(None if out is None else len(out))
+            scaled = result if out is None else result[after:after + 1]
+            scaled *= 1.0 + (1e-6 if full > 1 else per_step)
+            return result
+
+        return drifted
 
     monkeypatch.setattr(channels, "_taylor_propagator", propagator)
+    return applied
 
 
 class TestEvolveLindblad:
@@ -563,6 +576,85 @@ class TestEvolveLindblad:
         for state, (_, rho) in zip(samples.states, expected):
             assert np.max(np.abs(state.matrix - rho)) < 1e-12
 
+    @pytest.mark.parametrize("dim, t_end, sample_every", [(2, 4.0, 1), (8, 0.3, 3)], ids=["2-4001", "8-every-3"])
+    def test_batched_intervals_match_stagewise_rk4(self, dim, t_end, sample_every):
+        # Every full-length interval is propagated at once, by doubling on the states,
+        # and cleaned up a chunk at a time.  The reference steps one renormalized
+        # interval at a time: each entry of each state stays within 1e-12 of it, and
+        # the sample times are the same sums of dt, bit for bit.  4001 samples at d = 2
+        # (amplitude damping, four chunks) and 101 at d = 8 (two chunks).
+        if dim == 2:
+            s = load_scenario(str(REPO / "scenarios" / "amplitude_damping.json"))
+            g, d0 = s.generator, s.rho0
+        else:
+            rng = np.random.default_rng(162)
+            scale = 1.0 / math.sqrt(dim)
+            g = LindbladGenerator(scale * random_hermitian(rng, dim), [scale * random_complex(rng, (dim, dim))])
+            d0 = random_density(rng, dim)
+        samples = evolve_lindblad(g, d0, t_end, 0.001, sample_every)
+        expected = rk4_trajectory(g.hamiltonian, g.jump_ops, d0.matrix, t_end, 0.001, sample_every)
+        assert len(samples) == {2: 4001, 8: 101}[dim]
+        assert samples.times.tolist() == [t for t, _ in expected]
+        assert np.max(np.abs(samples.states.matrices - np.array([rho for _, rho in expected]))) <= 1e-12
+        assert np.max(np.abs(samples.raw_traces - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("after", [0, 7])
+    def test_a_drift_inside_the_batch_steps_every_later_interval_alone(self, monkeypatch, after):
+        # 2.0 / 0.01 sampled every 5 steps is 40 full-length intervals, one batch, and
+        # 41 samples in chunks of 16.  A propagator that drifts at sample after + 1 fails
+        # the check there: samples 1 to after keep their batched states, and every later
+        # interval, also in the later chunks whose batched states would pass, is stepped
+        # alone and replayed as five steps.  With a one-step replay that passes, the run
+        # ends with the times of the undrifted run, bit for bit; with one that drifts by
+        # 1e-3, it fails at the first replayed step, as a run stepped alone would.
+        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
+        d0, g = DensityOperator(projector(KETS.x_plus)), dephasing_generator(1.0)
+        reference = evolve_lindblad(g, d0, 2.0, 0.01, sample_every=5)
+        applied = drifting(monkeypatch, per_step=0.0, after=after)
+        trajectory = evolve_lindblad(g, d0, 2.0, 0.01, sample_every=5)
+        assert applied == [40] + [None] * 6 * (40 - after)
+        assert trajectory.times.tobytes() == reference.times.tobytes()
+        kept = slice(0, after + 1)
+        assert trajectory.states.matrices[kept].tobytes() == reference.states.matrices[kept].tobytes()
+        assert np.max(np.abs(trajectory.states.matrices - reference.states.matrices)) < 1e-12
+        monkeypatch.undo()
+        applied = drifting(monkeypatch, per_step=1e-3, after=after)
+        t = 0.0
+        for _ in range(5 * after + 1):
+            t += 0.01
+        with pytest.raises(IntegrationError, match=rf"^trace drift 1\.000e-03 exceeds 1e-07 at t={t:.6g}$") as info:
+            evolve_lindblad(g, d0, 2.0, 0.01, sample_every=5)
+        assert info.value.time == t and applied == [40, None, None]
+
+    def test_batch_powers_raise_the_peak_by_at_most_one_d4_array(self, monkeypatch):
+        # At d = 8, T and each of its powers is a 64 x 64 complex array (64 KiB).  1000
+        # intervals of 4 steps are propagated at once, with powers up to T^2048, and the
+        # run peaks no higher than one whose every interval is stepped alone (the batch is
+        # filled with NaN, which fails the check at its first sample), plus one such
+        # array.  Keeping the ten powers would add 0.15 MB.
+        rng = np.random.default_rng(163)
+        g = LindbladGenerator(random_hermitian(rng, 8), [0.3 * random_complex(rng, (8, 8))])
+        d0 = random_density(rng, 8)
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                evolve_lindblad(g, d0, 4.0, 0.001, sample_every=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # fills the eigensolver's cached tables
+        batched = peak()
+        build = channels._taylor_propagator
+
+        def unbatched(g, dt, remainder=0.0):
+            propagate = build(g, dt, remainder)
+            return lambda rho, full, last, out=None: propagate(rho, full, last) if out is None else out.fill(np.nan)
+
+        monkeypatch.setattr(channels, "_taylor_propagator", unbatched)
+        assert batched <= peak() + 16 * 8**4
+
     @pytest.mark.parametrize("replayed", [False, True])
     def test_sample_times_do_not_depend_on_sample_every(self, monkeypatch, replayed):
         # 0.105 / 0.01 is ten full steps and a shorter one.  Sampled every step and
@@ -579,10 +671,13 @@ class TestEvolveLindblad:
         assert every[:9:4].tobytes() == fourth[:3].tobytes() and every[-1] == fourth[-1]
         assert every[-1] == pytest.approx(0.105, abs=1e-15) and every[-1] != 0.105
 
-    @pytest.mark.parametrize("dim", [2, 8])
+    @pytest.mark.parametrize("dim", [2, 8, 16])
     def test_one_propagator_application_per_sample_interval(self, dim, monkeypatch):
         # 0.105 / 0.01 is ten full steps and a shorter one; with sample_every = 4
-        # the intervals hold 4, 4 and 3 steps: three applications, not eleven.
+        # the intervals hold 4, 4 and 3 steps.  Where T is tabulated (d <= 8) the two
+        # full-length intervals are one application that writes both states into `out`,
+        # and the last interval is another: two applications, not eleven.  In operator
+        # form (d = 16) each interval is one application: three.
         rng = np.random.default_rng(160 + dim)
         g = LindbladGenerator(random_hermitian(rng, dim), [random_complex(rng, (dim, dim))])
         applied = []
@@ -595,7 +690,11 @@ class TestEvolveLindblad:
         monkeypatch.setattr(channels, "_taylor_propagator", counting_propagator)
         samples = evolve_lindblad(g, random_density(rng, dim), 0.105, 0.01, sample_every=4)
         assert len(samples) == 4
-        assert len(applied) == 3
+        calls = [(full, last, len(out[0]) if out else None) for _, full, last, *out in applied]
+        if dim == 16:
+            assert calls == [(4, False, None), (4, False, None), (2, True, None)]
+        else:
+            assert calls == [(4, False, 2), (2, True, None)]
 
     @pytest.mark.parametrize("source", ["dephasing", "precession", "amplitude_damping", 2, 4, 8])
     def test_taylor_table_equals_horner_on_the_identity(self, source):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import operator
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -793,6 +794,26 @@ def test_value_objects_are_immutable_records(name):
         assert repr(value) == _REPRS[name]
     if name in _UNSHOWN:
         assert repr(value).startswith(f"{name}(") and _UNSHOWN[name] not in repr(value)
+
+
+def test_deepcopy_copies_each_array_once():
+    # A 64 x 64 density operator holds 132 KB of arrays (matrix, eigenvalues and
+    # eigenvectors).  Its deep copy allocates each array once, not a writable copy and
+    # then a read-only copy of that, and shares no memory with the original.
+    value = DensityOperator(np.eye(64) / 64)
+    arrays = list(_arrays(value))
+    size = sum(a.nbytes for a in arrays)
+    tracemalloc.start()
+    try:
+        back = copy.deepcopy(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 130_000 and peak <= 1.2 * size
+    copies = list(_arrays(back))
+    assert len(copies) == len(arrays) == 3
+    for a, b in zip(arrays, copies):
+        assert np.array_equal(a, b) and not b.flags.writeable and not np.shares_memory(a, b)
 
 
 class TestKetDimension:
