@@ -294,11 +294,10 @@ class Trajectory(_Record):
     read-only (N,) float arrays, and `states`, one DensityStack of the N states.
 
     Sample i is times[i], raw_traces[i] and states[i], and states.eigenvalues[i, 0] is
-    its smallest eigenvalue.  raw_traces[i] is the real trace of the state at the end
-    of its sample interval, after hermitizing and just before renormalization (of the
-    interval's last step if it was replayed one step at a time); for an interval
-    propagated in a batch, the ratio of its raw trace to the one before, the same
-    number in exact arithmetic.
+    its smallest eigenvalue.  raw_traces[i] is the trace its sample interval gives the
+    renormalized state before it: the real trace of the interval's hermitized raw
+    state over that of the sample before, with 1 before an interval stepped alone (of
+    the interval's last step if it was replayed one step at a time).
     """
 
     __slots__ = ("times", "raw_traces", "states")
@@ -346,19 +345,24 @@ def _taylor_propagator(
     repeated squaring.  Above that size it is `full` (plus `last`) steps of the
     flow `_generator_flow`, so no N^2 x N^2 array is built.
 
-    Where T is tabulated, propagate(rho, full, False, out) also takes a (R, N, N)
-    array out and writes P^r rho into out[r - 1] for r = 1 ... R, with P =
-    T(dt L)^full, by doubling on the states: out[m + r] = P^m out[r] for r < m, one
+    propagate(rho, full, False, out) also takes a (R, N, N) array out, writes P^r rho
+    into out[r - 1] for r = 1 ... R, with P = T(dt L)^full, and returns out.  In
+    operator form each state is P applied to the one before it in out; where T is
+    tabulated it doubles on the states: out[m + r] = P^m out[r] for r < m, one
     batched product per doubling, and P^2m is squared from P^m only when more
     states remain.  Besides the cached P, at most two powers are alive at once, and
-    no stack of powers is built.  It returns out.  The states are not renormalized,
-    and for an unstable P their entries may overflow.
+    no stack of powers is built.  The states are not renormalized, and for an
+    unstable P their entries may overflow.
     """
     n = g.dim
     if n > PROPAGATOR_MATRIX_MAX_DIM:
         flow = _generator_flow(g)
 
-        def propagate(rho: np.ndarray, full: int, last: bool) -> np.ndarray:
+        def propagate(rho: np.ndarray, full: int, last: bool, out: np.ndarray | None = None) -> np.ndarray:
+            if out is not None:
+                for r in range(len(out)):
+                    out[r] = propagate(out[r - 1] if r else rho, full, False)
+                return out
             for _ in range(full):
                 rho = _taylor_polynomial(flow, rho, dt)
             return _taylor_polynomial(flow, rho, remainder) if last else rho
@@ -422,6 +426,26 @@ def step_schedule(t_end: float, dt: float, sample_every: int) -> tuple[int, floa
     return n_full, remainder
 
 
+def _sample_times(n_full: int, remainder: float, dt: float, sample_every: int) -> np.ndarray:
+    """The sample times of a `step_schedule`: 0, then the running sum of the steps at every
+    sample_every-th step and at the last, added in order (dt n_full times, then the
+    remainder) by np.add.accumulate over blocks of at most 4096 steps."""
+    times = np.empty(1 + -(-(n_full + (remainder > 0.0)) // sample_every))
+    times[0] = t = 0.0
+    block = np.empty(min(n_full, 4096))
+    for start in range(0, n_full, 4096):
+        sums = block[:n_full - start]  # the times after steps start + 1, start + 2, ...
+        sums.fill(dt)
+        sums[0] = t + dt
+        np.add.accumulate(sums, out=sums)
+        k = start // sample_every + 1  # the first sample after step start
+        picked = sums[k * sample_every - start - 1::sample_every]
+        times[k:k + len(picked)] = picked
+        t = float(sums[-1])
+    times[-1] = t + remainder  # the last sample ends the schedule (t itself without a remainder)
+    return times
+
+
 def evolve_lindblad(
     g: LindbladGenerator,
     d0: DensityOperator,
@@ -439,27 +463,21 @@ def evolve_lindblad(
 
     Samples are emitted at step 0, every `sample_every` steps, and at t_end.
     Every generator annihilates the trace and preserves hermiticity, and so
-    does T; the clean-up therefore runs once per sample interval: the
-    interval's steps are applied at once (see `_taylor_propagator`), then the
-    state is hermitized ((rho + rho(dag))/2) and trace-renormalized.  The
-    interval's trace drift and the smallest eigenvalue at each emitted sample
-    are diagnostics.  A NaN drift or one above ten times TRACE_DRIFT_TOL
-    replays the interval one step at a time with the same clean-up after each
-    step, and the first step that fails the check raises IntegrationError at
-    its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at
-    the sample's time.
+    does T; the clean-up therefore runs once per sample interval.  The raw states
+    of every full-length interval are propagated at once from the initial state
+    (see `_taylor_propagator`) and cleaned up a chunk at a time in place:
+    hermitized ((rho + rho(dag))/2), their drifts taken as the ratio of each raw
+    trace to the one before (in exact arithmetic the trace the interval gives a
+    unit-trace state), then trace-renormalized.  The interval's trace drift and
+    the smallest eigenvalue at each emitted sample are diagnostics.
 
-    Where T is tabulated (dim <= PROPAGATOR_MATRIX_MAX_DIM), the raw states of every
-    full-length interval are propagated at once from the initial state, by doubling
-    (see `_taylor_propagator`), and cleaned up a chunk at a time in place: hermitized,
-    their drifts taken as the ratio of each raw trace to the one before (in exact
-    arithmetic the trace the interval gives a unit-trace state), then renormalized.
-    From the first sample whose drift fails the check or that has a non-finite entry,
-    every interval is stepped alone from the sample before, as above, and none is
-    batched again; so the replays, errors and their times are those of a run stepped
-    alone.  The last, shorter interval, and every interval in operator form, is
-    stepped alone.  Sample times are the running sum of the steps, one dt at a time,
-    on either path.
+    From the first sample whose drift is NaN or above ten times TRACE_DRIFT_TOL, or
+    that has a non-finite entry, every interval is stepped alone from the sample
+    before and cleaned up the same way, its drift counted from a trace of 1; so is
+    the last, shorter interval.  A stepped drift that fails the check replays the
+    interval one step at a time, and the first step that fails raises IntegrationError
+    at its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at the
+    sample's time.  Sample times sum the steps one at a time (`_sample_times`).
 
     The returned Trajectory's arrays are allocated once from the schedule; each
     interval stepped alone reads its state from the sample before and writes its
@@ -475,72 +493,53 @@ def evolve_lindblad(
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
     n_steps = n_full + (remainder > 0.0)
     bound, psd_atol = 10.0 * TRACE_DRIFT_TOL, 10.0 * MIN_EIGENVALUE_TOL
-    n, d = 1 + -(-n_steps // sample_every), g.dim  # samples: step 0, then one per interval
-    times, raw_traces, eigenvalues = np.empty(n), np.empty(n), np.empty((n, d))
+    times, d = _sample_times(n_full, remainder, dt, sample_every), g.dim
+    n = len(times)  # samples: step 0, then one per interval
+    raw_traces, eigenvalues = np.empty(n), np.empty((n, d))
     matrices, eigenvectors = np.empty((n, d, d), dtype=complex), np.empty((n, d, d), dtype=complex)
     matrices[0] = as_square(d0.matrix, d)
     chunk = chunk_length(d)
-    # Samples 1 to `batched` end the full-length intervals, propagated at once when T is tabulated.
-    batched = n_full // sample_every if d <= PROPAGATOR_MATRIX_MAX_DIM else 0
-    # previous: the raw trace of the last batched sample; 1 for rho0, as a stepped interval's drift counts it.
-    t, cumulative_drift, previous = 0.0, 0.0, 1.0
+    batched = n_full // sample_every  # samples 1 to `batched` end the full-length intervals
+    cumulative_drift, previous = 0.0, 1.0  # previous: the raw trace of the last batched sample
 
-    def step(k: int, source: np.ndarray, full: int, last: bool) -> float:
-        """Apply `full` steps of dt and, if `last`, the remainder step to source; write
-        the result into sample k, hermitized and renormalized once.  Returns its drift."""
-        propagated = propagate(source, full, last)
-        out = np.add(propagated, propagated.conj().T, out=matrices[k])
-        out *= 0.5  # exact, so the same bits as dividing by 2
-        raw_traces[k] = raw_trace = float(out.trace().real)
-        out /= raw_trace
-        return abs(raw_trace - 1.0)
+    def settle(k: int, stop: int, batch: bool = False) -> int:
+        """Clean up samples k to stop - 1 in place: hermitize each, take its drift as its
+        raw trace over the one before (1 before a stepped sample, `previous` before a
+        batch, which moves it on) and renormalize it.  Return the first sample whose drift
+        fails the check or, in a batch, that is not finite; or stop."""
+        nonlocal cumulative_drift, previous
+        states = matrices[k:stop]
+        np.add(states, states.conj().swapaxes(1, 2), out=states)
+        states *= 0.5  # exact, so the same bits as dividing by 2
+        traces = states.trace(axis1=1, axis2=2).real
+        raw_traces[k:stop] = ratios = traces / np.append(previous if batch else 1.0, traces[:-1])
+        drifts = np.abs(ratios - 1.0)
+        passed = drifts <= bound  # NaN fails too
+        if batch:
+            passed &= np.isfinite(states).all(axis=(1, 2))  # an overflowing power fails here
+        accepted = len(states) if passed.all() else int(passed.argmin())
+        states /= traces[:, None, None]
+        cumulative_drift += float(drifts[:accepted].sum())
+        if batch and accepted:
+            previous = traces[accepted - 1]
+        return k + accepted
 
     def interval(k: int) -> None:
         """Step sample interval k alone, from sample k - 1; a drift that fails the check
         replays it one step at a time."""
-        nonlocal t, cumulative_drift
         start = (k - 1) * sample_every
         stop = min(start + sample_every, n_steps)
-        full = min(stop, n_full) - start
-        drift = step(k, matrices[k - 1], full, stop > n_full)
-        if not drift <= bound:  # also catches NaN; replay to find the failing step
-            for i in range(start, stop):  # step i is a full step unless it is the remainder
-                drift = step(k, matrices[k if i > start else k - 1], int(i < n_full), i >= n_full)
-                t += dt if i < n_full else remainder
-                if not drift <= bound:
-                    if k % chunk:  # an invalid state emitted before this interval is reported first
-                        validate(k)
-                    raise IntegrationError(f"trace drift {drift:.3e} exceeds {bound:.0e}", t)
-                cumulative_drift += drift
-        else:
-            for i in range(start, stop):  # one dt per step: sample times do not depend on sample_every
-                t += dt if i < n_full else remainder
-            cumulative_drift += drift
-        times[k] = t
-
-    def settle(k: int, stop: int) -> int:
-        """Clean up the batched samples k to stop - 1 in place, as `step` does one, up to
-        the first whose drift fails the check or that is not finite; return that sample,
-        or stop.  A sample's drift is its raw trace over the one before, the trace the
-        interval gives a unit-trace state."""
-        nonlocal t, cumulative_drift, previous
-        batch = matrices[k:stop]
-        np.add(batch, batch.conj().swapaxes(1, 2), out=batch)
-        batch *= 0.5
-        traces = batch.trace(axis1=1, axis2=2).real
-        ratios = traces / np.append(previous, traces[:-1])
-        drifts = np.abs(ratios - 1.0)
-        passed = (drifts <= bound) & np.isfinite(batch).all(axis=(1, 2))  # an overflowing power fails here
-        accepted = len(batch) if passed.all() else int(passed.argmin())
-        batch[:accepted] /= traces[:accepted, None, None]
-        raw_traces[k:k + accepted] = ratios[:accepted]
-        for j, drift in enumerate(drifts[:accepted].tolist(), k):
-            for _ in range(sample_every):
-                t += dt
-            times[j] = t
-            cumulative_drift += drift
-        previous = traces[accepted - 1] if accepted else previous
-        return k + accepted
+        matrices[k] = propagate(matrices[k - 1], min(stop, n_full) - start, stop > n_full)
+        if settle(k, k + 1) > k:
+            return
+        t = float(times[k - 1])
+        for i in range(start, stop):  # step i is a full step unless it is the remainder
+            matrices[k] = propagate(matrices[k if i > start else k - 1], int(i < n_full), i >= n_full)
+            t += dt if i < n_full else remainder
+            if settle(k, k + 1) == k:
+                if k % chunk:  # an invalid state emitted before this interval is reported first
+                    validate(k)
+                raise IntegrationError(f"trace drift {abs(raw_traces[k] - 1.0):.3e} exceeds {bound:.0e}", t)
 
     def validate(stop: int) -> None:
         """Validate the pending chunk, samples (stop - 1) // chunk * chunk to stop - 1,
@@ -555,7 +554,7 @@ def evolve_lindblad(
         eigenvalues[pending] = states.eigenvalues
         eigenvectors[pending] = states.eigenvectors
 
-    times[0], raw_traces[0] = t, matrices[0].trace().real
+    raw_traces[0] = matrices[0].trace().real
     # A blow-up (of the propagator too) ends in the drift or finite check; the
     # renormalization before it may divide by 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -568,18 +567,14 @@ def evolve_lindblad(
                 validate(k)
             end = min(k - k % chunk + chunk, n)  # the end of sample k's chunk
             if k <= batched:
-                k = settle(k, min(end, batched + 1))
+                k = settle(k, min(end, batched + 1), batch=True)
                 if k < end:  # from a failing sample or the last interval on, each is stepped alone
                     batched = 0
             for j in range(k, end):
                 interval(j)
             k = end
         validate(n)
-    logger.debug(
-        "lindblad trajectory: %d steps, cumulative trace correction %.3e",
-        n_steps,
-        cumulative_drift,
-    )
+    logger.debug("lindblad trajectory: %d steps, cumulative trace correction %.3e", n_steps, cumulative_drift)
     for a in (times, raw_traces, matrices, eigenvalues, eigenvectors):
         a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
     states = DensityStack._stored(matrices, eigenvalues, eigenvectors)  # validated above

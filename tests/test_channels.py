@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -426,6 +427,30 @@ def drifting(monkeypatch, per_step: float, after: int = 0) -> list:
     return applied
 
 
+def batched_and_stepped_peaks(monkeypatch, run: Callable[[], object]) -> tuple[int, int]:
+    """The tracemalloc peaks of run() as it is, and with every interval stepped alone:
+    the batch is filled with NaN, which fails the check at its first sample."""
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # fills the eigensolver's cached tables
+    batched = peak()
+    build = channels._taylor_propagator
+
+    def unbatched(g, dt, remainder=0.0):
+        propagate = build(g, dt, remainder)
+        return lambda rho, full, last, out=None: propagate(rho, full, last) if out is None else out.fill(np.nan)
+
+    monkeypatch.setattr(channels, "_taylor_propagator", unbatched)
+    return batched, peak()
+
+
 class TestEvolveLindblad:
     def test_dephasing_against_closed_form(self):
         gamma = 1.0
@@ -598,17 +623,22 @@ class TestEvolveLindblad:
         assert np.max(np.abs(samples.states.matrices - np.array([rho for _, rho in expected]))) <= 1e-12
         assert np.max(np.abs(samples.raw_traces - 1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("after", [0, 7])
-    def test_a_drift_inside_the_batch_steps_every_later_interval_alone(self, monkeypatch, after):
+    @pytest.mark.parametrize("dim, after", [(2, 0), (2, 7), (16, 0), (16, 7)])
+    def test_a_drift_inside_the_batch_steps_every_later_interval_alone(self, monkeypatch, dim, after):
         # 2.0 / 0.01 sampled every 5 steps is 40 full-length intervals, one batch, and
         # 41 samples in chunks of 16.  A propagator that drifts at sample after + 1 fails
         # the check there: samples 1 to after keep their batched states, and every later
         # interval, also in the later chunks whose batched states would pass, is stepped
         # alone and replayed as five steps.  With a one-step replay that passes, the run
         # ends with the times of the undrifted run, bit for bit; with one that drifts by
-        # 1e-3, it fails at the first replayed step, as a run stepped alone would.
-        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
+        # 1e-3, it fails at the first replayed step, as a run stepped alone would.  At
+        # d = 16 the batch is propagated in operator form (the first of four qubits
+        # dephased), and the same holds.
+        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * dim**2)
         d0, g = DensityOperator(projector(KETS.x_plus)), dephasing_generator(1.0)
+        if dim == 16:
+            d0 = DensityOperator(projector(np.kron(KETS.x_plus, np.eye(8)[0])))
+            g = LindbladGenerator(np.zeros((16, 16)), [np.kron(pauli("z"), np.eye(8))])
         reference = evolve_lindblad(g, d0, 2.0, 0.01, sample_every=5)
         applied = drifting(monkeypatch, per_step=0.0, after=after)
         trajectory = evolve_lindblad(g, d0, 2.0, 0.01, sample_every=5)
@@ -635,25 +665,18 @@ class TestEvolveLindblad:
         rng = np.random.default_rng(163)
         g = LindbladGenerator(random_hermitian(rng, 8), [0.3 * random_complex(rng, (8, 8))])
         d0 = random_density(rng, 8)
+        batched, stepped = batched_and_stepped_peaks(monkeypatch, lambda: evolve_lindblad(g, d0, 4.0, 0.001, 4))
+        assert batched <= stepped + 16 * 8**4
 
-        def peak() -> int:
-            tracemalloc.start()
-            try:
-                evolve_lindblad(g, d0, 4.0, 0.001, sample_every=4)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak()  # fills the eigensolver's cached tables
-        batched = peak()
-        build = channels._taylor_propagator
-
-        def unbatched(g, dt, remainder=0.0):
-            propagate = build(g, dt, remainder)
-            return lambda rho, full, last, out=None: propagate(rho, full, last) if out is None else out.fill(np.nan)
-
-        monkeypatch.setattr(channels, "_taylor_propagator", unbatched)
-        assert batched <= peak() + 16 * 8**4
+    def test_an_operator_form_batch_keeps_no_extra_state(self, monkeypatch):
+        # At d = 16 each of 200 intervals of 2 steps is propagated from the state before
+        # it, read back from the trajectory's own array, and the run peaks no higher than
+        # one whose every interval is stepped alone, plus one 16 x 16 complex array.
+        rng = np.random.default_rng(164)
+        g = LindbladGenerator(random_hermitian(rng, 16), [0.3 * random_complex(rng, (16, 16))])
+        d0 = random_density(rng, 16)
+        batched, stepped = batched_and_stepped_peaks(monkeypatch, lambda: evolve_lindblad(g, d0, 0.4, 0.001, 2))
+        assert batched <= stepped + 16 * 16**2
 
     @pytest.mark.parametrize("replayed", [False, True])
     def test_sample_times_do_not_depend_on_sample_every(self, monkeypatch, replayed):
@@ -671,13 +694,36 @@ class TestEvolveLindblad:
         assert every[:9:4].tobytes() == fourth[:3].tobytes() and every[-1] == fourth[-1]
         assert every[-1] == pytest.approx(0.105, abs=1e-15) and every[-1] != 0.105
 
+    def test_sample_times_are_the_sum_of_the_steps_one_at_a_time(self):
+        # dt = 0.001 is not a power of two, so the order of the sum shows in the last
+        # bits (adding it 10^6 times does not give 10^6 * 0.001).  Over 10^6 full steps, with and without a shorter
+        # last one, and sampled every 1, 7 and 10^4 steps, the times are those of a Python
+        # loop adding one step at a time, bit for bit; so are those of a run.
+        n_full, remainder = step_schedule(1000.0004, 0.001, 10**4)
+        assert n_full == 10**6 and remainder > 0.0
+        clock = np.empty(n_full + 2)  # clock[i]: the time after i steps, the last the remainder
+        clock[0] = t = 0.0
+        for i in range(1, n_full + 1):
+            t += 0.001
+            clock[i] = t
+        clock[-1] = t + remainder
+        assert clock[n_full] != n_full * 0.001
+        for every in (1, 7, 10**4):
+            for last in (0.0, remainder):
+                n_steps = n_full + (last > 0.0)
+                expected = clock[np.append(np.arange(0, n_steps, every), n_steps)]
+                assert channels._sample_times(n_full, last, 0.001, every).tobytes() == expected.tobytes()
+        d0 = DensityOperator(projector(KETS.x_plus))
+        run = evolve_lindblad(dephasing_generator(1.0), d0, 1000.0004, 0.001, 10**4)
+        assert run.times.tobytes() == clock[np.append(np.arange(0, n_full + 1, 10**4), n_full + 1)].tobytes()
+
     @pytest.mark.parametrize("dim", [2, 8, 16])
     def test_one_propagator_application_per_sample_interval(self, dim, monkeypatch):
         # 0.105 / 0.01 is ten full steps and a shorter one; with sample_every = 4
-        # the intervals hold 4, 4 and 3 steps.  Where T is tabulated (d <= 8) the two
-        # full-length intervals are one application that writes both states into `out`,
-        # and the last interval is another: two applications, not eleven.  In operator
-        # form (d = 16) each interval is one application: three.
+        # the intervals hold 4, 4 and 3 steps.  The two full-length intervals are one
+        # application that writes both states into `out`, and the last interval is
+        # another: two applications, not eleven, where T is tabulated (d <= 8) and in
+        # operator form (d = 16) alike.
         rng = np.random.default_rng(160 + dim)
         g = LindbladGenerator(random_hermitian(rng, dim), [random_complex(rng, (dim, dim))])
         applied = []
@@ -691,10 +737,7 @@ class TestEvolveLindblad:
         samples = evolve_lindblad(g, random_density(rng, dim), 0.105, 0.01, sample_every=4)
         assert len(samples) == 4
         calls = [(full, last, len(out[0]) if out else None) for _, full, last, *out in applied]
-        if dim == 16:
-            assert calls == [(4, False, None), (4, False, None), (2, True, None)]
-        else:
-            assert calls == [(4, False, 2), (2, True, None)]
+        assert calls == [(4, False, 2), (2, True, None)]
 
     @pytest.mark.parametrize("source", ["dephasing", "precession", "amplitude_damping", 2, 4, 8])
     def test_taylor_table_equals_horner_on_the_identity(self, source):
