@@ -461,33 +461,34 @@ def evolve_lindblad(
     MAX_STEPS steps are taken and MAX_SAMPLES samples emitted: a longer
     schedule raises ValidationError before any work starts.
 
-    Samples are emitted at step 0, every `sample_every` steps, and at t_end.
-    Every generator annihilates the trace and preserves hermiticity, and so
-    does T; the clean-up therefore runs once per sample interval.  The raw states
-    of every full-length interval are propagated at once from the initial state
-    (see `_taylor_propagator`) and cleaned up a chunk at a time in place:
-    hermitized ((rho + rho(dag))/2), their drifts taken as the ratio of each raw
-    trace to the one before (in exact arithmetic the trace the interval gives a
-    unit-trace state), then trace-renormalized.  The interval's trace drift and
-    the smallest eigenvalue at each emitted sample are diagnostics.
+    Samples are emitted at step 0, every `sample_every` steps, and at t_end; their
+    times sum the steps one at a time (`_sample_times`).  Every generator
+    annihilates the trace and preserves hermiticity, and so does T; the clean-up
+    therefore runs once per sample interval: the state is hermitized
+    ((rho + rho(dag))/2), its drift taken as the ratio of its raw trace to the one
+    before (in exact arithmetic the trace the interval gives a unit-trace state),
+    then trace-renormalized.  The returned Trajectory's arrays are allocated once
+    from the schedule, and the run fills them in place in three phases:
 
-    From the first sample whose drift is NaN or above ten times TRACE_DRIFT_TOL, or
-    that has a non-finite entry, every interval is stepped alone from the sample
-    before and cleaned up the same way, its drift counted from a trace of 1; so is
-    the last, shorter interval.  A stepped drift that fails the check replays the
-    interval one step at a time, and the first step that fails raises IntegrationError
-    at its time; a smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises it at the
-    sample's time.  Sample times sum the steps one at a time (`_sample_times`).
+    1. The raw states of every full-length interval are propagated at once from
+       the initial state (see `_taylor_propagator`).
+    2. They are cleaned up a chunk at a time, chunk_length(dim) states
+       (CHUNK_ENTRIES matrix entries), up to the first sample whose drift is NaN or
+       above ten times TRACE_DRIFT_TOL, or that has a non-finite entry.  From that
+       sample on, and for the last, shorter interval, each interval is stepped
+       alone from the sample before and cleaned up the same way, its drift counted
+       from a trace of 1.  A stepped drift that fails the check replays the
+       interval one step at a time, and the first step that fails stops the
+       integration: its IntegrationError, at its time, is kept for phase 3.
+    3. The samples before the failing one, all of them if none fails, are
+       validated a chunk at a time, one `hermitian_eig` solve per chunk.  A smallest
+       eigenvalue below -10 MIN_EIGENVALUE_TOL raises IntegrationError at the
+       sample's time; after them the kept drift failure, if any, is raised.
 
-    The returned Trajectory's arrays are allocated once from the schedule; each
-    interval stepped alone reads its state from the sample before and writes its
-    clean-up straight into the next one.  The states are validated in place, one
-    `hermitian_eig` solve per chunk_length(dim) states (CHUNK_ENTRIES matrix entries)
-    and one for the rest.  The errors keep the order of the trajectory: the first
-    invalid state of a chunk is the one reported, and the states pending when a
-    replayed step fails the drift check are validated before that failure is raised.
-    The debug log line sums the drift of every interval, or of every step of a
-    replayed one.
+    The earliest failing sample is the error: an invalid state before the first
+    failing step wins.  The interval's trace drift and the smallest eigenvalue at
+    each emitted sample are diagnostics.  The debug log line sums the drift of
+    every interval, or of every step of a replayed one.
     """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
@@ -524,35 +525,21 @@ def evolve_lindblad(
             previous = traces[accepted - 1]
         return k + accepted
 
-    def interval(k: int) -> None:
+    def interval(k: int) -> IntegrationError | None:
         """Step sample interval k alone, from sample k - 1; a drift that fails the check
-        replays it one step at a time."""
+        replays it one step at a time and returns the failure of the first step that fails."""
         start = (k - 1) * sample_every
         stop = min(start + sample_every, n_steps)
         matrices[k] = propagate(matrices[k - 1], min(stop, n_full) - start, stop > n_full)
         if settle(k, k + 1) > k:
-            return
+            return None
         t = float(times[k - 1])
         for i in range(start, stop):  # step i is a full step unless it is the remainder
             matrices[k] = propagate(matrices[k if i > start else k - 1], int(i < n_full), i >= n_full)
             t += dt if i < n_full else remainder
             if settle(k, k + 1) == k:
-                if k % chunk:  # an invalid state emitted before this interval is reported first
-                    validate(k)
-                raise IntegrationError(f"trace drift {abs(raw_traces[k] - 1.0):.3e} exceeds {bound:.0e}", t)
-
-    def validate(stop: int) -> None:
-        """Validate the pending chunk, samples (stop - 1) // chunk * chunk to stop - 1,
-        with one solve and keep their spectra.  The states are stored exactly Hermitian,
-        so the stack's hermitized copy of them holds the same bits."""
-        pending = slice((stop - 1) // chunk * chunk, stop)
-        try:
-            states = DensityStack(matrices[pending], psd_atol)
-        except ValidationError as exc:  # name the first invalid state, checked alone
-            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[pending]) or (0, exc)
-            raise IntegrationError(f"emitted state invalid ({exc})", float(times[pending.start + i])) from exc
-        eigenvalues[pending] = states.eigenvalues
-        eigenvectors[pending] = states.eigenvectors
+                return IntegrationError(f"trace drift {abs(raw_traces[k] - 1.0):.3e} exceeds {bound:.0e}", t)
+        return None
 
     raw_traces[0] = matrices[0].trace().real
     # A blow-up (of the propagator too) ends in the drift or finite check; the
@@ -561,24 +548,30 @@ def evolve_lindblad(
         propagate = _taylor_propagator(g, dt, remainder)
         if batched:  # the raw states, hermitized and renormalized by settle
             propagate(matrices[0], sample_every, False, matrices[1:batched + 1])
-        k = 1
-        while k < n:
-            if k % chunk == 0:  # samples k - chunk to k - 1 fill a chunk
-                validate(k)
-            end = min(k - k % chunk + chunk, n)  # the end of sample k's chunk
-            if k <= batched:
-                k = settle(k, min(end, batched + 1), batch=True)
-                if k < end:  # from a failing sample or the last interval on, each is stepped alone
-                    batched = 0
-            for j in range(k, end):
-                interval(j)
-            k = end
-        validate(n)
+        k, failure = 1, None
+        while k <= batched:  # a chunk at a time, to the first failing sample
+            stop = min(k - k % chunk + chunk, batched + 1)
+            k = settle(k, stop, batch=True)
+            if k < stop:
+                break
+        while k < n and (failure := interval(k)) is None:
+            k += 1
+    for start in range(0, k, chunk):  # samples 0 to k - 1 passed the drift check
+        block = slice(start, min(start + chunk, k))
+        try:  # the states are stored exactly Hermitian, so the stack's copy keeps their bits
+            states = DensityStack(matrices[block], psd_atol)
+        except ValidationError as exc:  # name the first invalid state, checked alone
+            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[block]) or (0, exc)
+            raise IntegrationError(f"emitted state invalid ({exc})", float(times[start + i])) from exc
+        eigenvalues[block] = states.eigenvalues
+        eigenvectors[block] = states.eigenvectors
+    if failure:
+        raise failure
     logger.debug("lindblad trajectory: %d steps, cumulative trace correction %.3e", n_steps, cumulative_drift)
     for a in (times, raw_traces, matrices, eigenvalues, eigenvectors):
         a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
     states = DensityStack._stored(matrices, eigenvalues, eigenvectors)  # validated above
-    return Trajectory(times, raw_traces, states)
+    return Trajectory._stored(times, raw_traces, states)
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:
@@ -600,23 +593,19 @@ def lindblad_spectrum(g: LindbladGenerator) -> list[tuple[complex, np.ndarray]]:
     Solves the (generally non-Hermitian) N^2 x N^2 eigenproblem with a dense
     direct eigensolver.  Nonzero eigenvalues come with traceless
     eigenmatrices, and the spectrum always contains (at least) one zero
-    eigenvalue; pairs are returned sorted by descending real part.
+    eigenvalue; pairs are returned sorted by descending real part, then
+    descending imaginary part, ties in the eigensolver's order.
     """
-    mat = generator_matrix(g)
-    values, vectors = np.linalg.eig(mat)
+    values, vectors = np.linalg.eig(generator_matrix(g))
     n = g.dim
-    pairs = []
-    for i in range(values.size):
-        q = vectors[:, i].reshape(n, n)
-        pairs.append((complex(values[i]), q))
-    pairs.sort(key=lambda p: (-p[0].real, -p[0].imag))
-
-    scale = max(1.0, float(np.max(np.abs(values))))
-    for lam, q in pairs:
-        if abs(lam) > 1e-9 * scale and abs(np.trace(q)) > 1e-9:
-            raise ArithmeticError(
-                f"eigenmatrix with eigenvalue {lam!r} has nonzero trace {np.trace(q)!r}"
-            )
-    if min(abs(lam) for lam, _ in pairs) > 1e-9 * scale:
+    order = np.lexsort((-values.imag, -values.real))  # stable; the last key sorts first
+    pairs = [(complex(values[i]), vectors[:, i].reshape(n, n)) for i in order]
+    magnitudes, traces = np.abs(values[order]), vectors.reshape(n, n, -1).trace()[order]
+    scale = max(1.0, float(magnitudes.max()))
+    traced = (magnitudes > 1e-9 * scale) & (np.abs(traces) > 1e-9)
+    if traced.any():
+        lam, q = pairs[traced.argmax()]
+        raise ArithmeticError(f"eigenmatrix with eigenvalue {lam!r} has nonzero trace {np.trace(q)!r}")
+    if magnitudes.min() > 1e-9 * scale:
         raise ArithmeticError("generator spectrum lacks a zero eigenvalue")
     return pairs

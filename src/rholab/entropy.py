@@ -1,10 +1,10 @@
 """Von Neumann entropy and entropy rates under the two open-system flows.
 
 All entropies are in nats (natural log).  Eigenvalues at or below
-EIGENVALUE_FLOOR contribute nothing to the entropy (the 0 log 0 = 0
-convention); rate computations floor eigenvalues there before taking logs
-and emit a RuntimeWarning when an input is rank-deficient, since log(rho)
-is undefined on the kernel.
+EIGENVALUE_FLOOR are the kernel: they contribute nothing to the entropy (the
+0 log 0 = 0 convention) nor to the Hamiltonian rate.  Only the jump rates
+floor them there before taking logs, and emit a RuntimeWarning when an input
+is rank-deficient, since log(rho) is undefined on the kernel.
 
 `von_neumann_entropy`, `entropy_production` and `jump_entropy_rate` take one
 DensityOperator and return a float, or a sequence of them (a DensityStack
@@ -50,11 +50,14 @@ def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:
     """dS/dt = i Tr(log rho [H, rho]) for isolated Hamiltonian flow.
 
     Vanishes identically (the trace of a product of Hermitian operators is
-    reversal-conjugate), so the returned value is a numerical zero.
+    reversal-conjugate), so the returned value is a numerical zero.  log rho is
+    taken on the support alone: in rho's eigenbasis the diagonal of [H, rho]
+    vanishes, so each kernel term is exactly 0.
     """
     hm = require_hermitian(h, d.dim)
-    p, v = _floored(d.eigenvalues), d.eigenvectors
-    log_rho = (v * np.log(p)) @ v.conj().T
+    support = d.eigenvalues > EIGENVALUE_FLOOR
+    v = d.eigenvectors[:, support]
+    log_rho = (v * np.log(d.eigenvalues[support])) @ v.conj().T
     commutator = hm @ d.matrix - d.matrix @ hm
     return float((1j * np.trace(log_rho @ commutator)).real)
 

@@ -831,6 +831,20 @@ class TestEvolveLindblad:
         with pytest.raises(IntegrationError, match="^trace drift nan exceeds 1e-07 at t=1005$"):
             run()
 
+    def test_invalid_state_wins_over_a_drift_failure_chunks_later(self, monkeypatch):
+        # In chunks of 16 d = 2 states, sampled every step: the state at t = 5 (chunk 0)
+        # is not positive and the trace turns NaN at t = 635 (sample 127, chunk 7).
+        # The earliest failing sample is the error, found by one solve of chunk 0 and
+        # the first invalid state of it checked alone.
+        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
+        d0 = DensityOperator(projector(KETS.x_plus))
+        calls = count_eigensolves(monkeypatch)
+        message = r"^emitted state invalid \(density is not positive: min eigenvalue = -1\.450e\+02\) at t=5$"
+        with pytest.raises(IntegrationError, match=message) as info:
+            evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=1)
+        assert info.value.time == 5.0
+        assert calls == [16, 1, 1]
+
     def test_a_replay_that_passes_keeps_the_chunks_full(self, monkeypatch):
         # A propagator that scales rho by 1 + 1e-6 over more than one step fails the
         # drift check in every 5-step interval, and the one-step replay passes: 41
@@ -1090,6 +1104,22 @@ class TestLindbladSpectrum:
             )
             samples = evolve_lindblad(g, d0, t, 0.0005, sample_every=10**9)
             assert np.max(np.abs(rebuilt - samples.states[-1].matrix)) < 1e-6
+
+    def test_pairs_in_the_documented_order(self):
+        # Descending real part, then descending imaginary part, ties in the order eig
+        # gives them: Python's stable sort of eig's pairs.  The zero generator ties every
+        # eigenvalue, a dephasing generator ties them in pairs.
+        rng = np.random.default_rng(148)
+        generators = [LindbladGenerator(np.zeros((3, 3)), []), dephasing_generator(0.8)]
+        generators += [LindbladGenerator(np.diag(np.arange(n) * 1.0), [np.diag(np.arange(n) * 0.5)]) for n in (3, 4)]
+        generators += [LindbladGenerator(random_hermitian(rng, n), [random_complex(rng, (n, n))]) for n in (1, 2, 5)]
+        for g in generators:
+            values, vectors = np.linalg.eig(generator_matrix(g))
+            order = sorted(range(len(values)), key=lambda i: (-values[i].real, -values[i].imag))
+            pairs = lindblad_spectrum(g)
+            assert [lam for lam, _ in pairs] == [complex(values[i]) for i in order]
+            for (_, q), i in zip(pairs, order):
+                assert np.array_equal(q, vectors[:, i].reshape(g.dim, g.dim))
 
     @pytest.mark.parametrize("dim", [2, 4, 16])
     def test_generator_matrix_matches_kronecker_form(self, dim):
