@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -65,8 +65,10 @@ MIN_EIGENVALUE_TOL = 1e-7
 
 # Most integrator steps one trajectory may take, and most samples it may emit.
 # A finite but huge t_end/dt would otherwise start a run that never finishes,
-# and every sample is held until the run ends (tracemalloc peak through cli.main: 0.40 KB
-# per sample at d = 2 over 10^5 samples, 8.6 KB at d = 16 over 5 * 10^3; 0.9 GB at the cap).
+# and every sample's state, time and raw trace are held until the run ends; `rholab
+# evolve` makes and writes the spectra and rows a chunk at a time (tracemalloc peak
+# through cli.main: 0.086 KB per sample at d = 2 over 10^5 samples, 8.6 MB in all; 4.2 KB
+# at d = 16 over 5 * 10^3; about 0.41 GB at the cap).
 MAX_STEPS = 10**7
 MAX_SAMPLES = 10**5
 
@@ -467,8 +469,9 @@ def evolve_lindblad(
     therefore runs once per sample interval: the state is hermitized
     ((rho + rho(dag))/2), its drift taken as the ratio of its raw trace to the one
     before (in exact arithmetic the trace the interval gives a unit-trace state),
-    then trace-renormalized.  The returned Trajectory's arrays are allocated once
-    from the schedule, and the run fills them in place in three phases:
+    then trace-renormalized.  The returned Trajectory's times, raw traces and states
+    are allocated once from the schedule, and the run fills them in place in three
+    phases:
 
     1. The raw states of every full-length interval are propagated at once from
        the initial state (see `_taylor_propagator`).
@@ -485,19 +488,44 @@ def evolve_lindblad(
        eigenvalue below -10 MIN_EIGENVALUE_TOL raises IntegrationError at the
        sample's time; after them the kept drift failure, if any, is raised.
 
+    Phases 1 and 2 are `_integrate` and phase 3 is `_validated_chunks`, which
+    `rholab evolve` iterates to write each chunk as it is validated; here the
+    chunks' spectra are gathered into the trajectory's.
+
     The earliest failing sample is the error: an invalid state before the first
     failing step wins.  The interval's trace drift and the smallest eigenvalue at
     each emitted sample are diagnostics.  The debug log line sums the drift of
     every interval, or of every step of a replayed one.
     """
+    run = _integrate(g, d0, t_end, dt, sample_every)
+    times, raw_traces, matrices = run[:3]
+    eigenvalues, eigenvectors = np.empty(matrices.shape[:2]), np.empty(matrices.shape, dtype=complex)
+    start = 0
+    for _, _, states in _validated_chunks(*run):
+        block = slice(start, start + len(states))
+        eigenvalues[block], eigenvectors[block] = states.eigenvalues, states.eigenvectors
+        start = block.stop
+    for a in (eigenvalues, eigenvectors):
+        a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
+    states = DensityStack._stored(matrices, eigenvalues, eigenvectors)  # validated above
+    return Trajectory._stored(times, raw_traces, states)
+
+
+def _integrate(
+    g: LindbladGenerator, d0: DensityOperator, t_end: float, dt: float, sample_every: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, IntegrationError | None, tuple[int, float]]:
+    """Phases 1 and 2 of `evolve_lindblad`.  Returns the sample times, raw traces and
+    cleaned-up states, each one read-only array allocated from the schedule; the count
+    k of samples that passed the drift check (all of them unless a step failed); the
+    kept drift failure or None; and the steps and cumulative trace correction that the
+    debug line reports."""
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
     n_steps = n_full + (remainder > 0.0)
-    bound, psd_atol = 10.0 * TRACE_DRIFT_TOL, 10.0 * MIN_EIGENVALUE_TOL
+    bound = 10.0 * TRACE_DRIFT_TOL
     times, d = _sample_times(n_full, remainder, dt, sample_every), g.dim
     n = len(times)  # samples: step 0, then one per interval
-    raw_traces, eigenvalues = np.empty(n), np.empty((n, d))
-    matrices, eigenvectors = np.empty((n, d, d), dtype=complex), np.empty((n, d, d), dtype=complex)
+    raw_traces, matrices = np.empty(n), np.empty((n, d, d), dtype=complex)
     matrices[0] = as_square(d0.matrix, d)
     chunk = chunk_length(d)
     batched = n_full // sample_every  # samples 1 to `batched` end the full-length intervals
@@ -556,22 +584,45 @@ def evolve_lindblad(
                 break
         while k < n and (failure := interval(k)) is None:
             k += 1
-    for start in range(0, k, chunk):  # samples 0 to k - 1 passed the drift check
-        block = slice(start, min(start + chunk, k))
-        try:  # the states are stored exactly Hermitian, so the stack's copy keeps their bits
+    for a in (times, raw_traces, matrices):
+        a.setflags(write=False)  # built here, so the chunks view them without a copy
+    return times, raw_traces, matrices, k, failure, (n_steps, cumulative_drift)
+
+
+def _validated_chunks(
+    times: np.ndarray,
+    raw_traces: np.ndarray,
+    matrices: np.ndarray,
+    k: int,
+    failure: IntegrationError | None,
+    summary: tuple[int, float],
+) -> Iterator[tuple[np.ndarray, np.ndarray, DensityStack]]:
+    """Phase 3 of `evolve_lindblad` on the result of `_integrate`: samples 0 to k - 1
+    are validated chunk_length(dim) at a time, and each chunk is yielded as its times,
+    raw traces and DensityStack, views of the run's arrays.  The first invalid state
+    raises IntegrationError at its time.  When the integration kept a drift failure,
+    every chunk is validated, none is yielded, and the failure is raised after them.
+    No chunk is held between yields."""
+    psd_atol, chunk = 10.0 * MIN_EIGENVALUE_TOL, chunk_length(matrices.shape[-1])
+
+    def spectra(block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues and eigenvectors of the states of block, validated as a stack."""
+        try:
             states = DensityStack(matrices[block], psd_atol)
         except ValidationError as exc:  # name the first invalid state, checked alone
             i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[block]) or (0, exc)
-            raise IntegrationError(f"emitted state invalid ({exc})", float(times[start + i])) from exc
-        eigenvalues[block] = states.eigenvalues
-        eigenvectors[block] = states.eigenvectors
+            raise IntegrationError(f"emitted state invalid ({exc})", float(times[block.start + i])) from exc
+        return states.eigenvalues, states.eigenvectors
+
+    for start in range(0, k, chunk):
+        block = slice(start, min(start + chunk, k))
+        if failure:
+            spectra(block)
+        else:  # the states are stored exactly Hermitian, so the stack's hermitized copy has their bits
+            yield times[block], raw_traces[block], DensityStack._stored(matrices[block], *spectra(block))
     if failure:
         raise failure
-    logger.debug("lindblad trajectory: %d steps, cumulative trace correction %.3e", n_steps, cumulative_drift)
-    for a in (times, raw_traces, matrices, eigenvalues, eigenvectors):
-        a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
-    states = DensityStack._stored(matrices, eigenvalues, eigenvectors)  # validated above
-    return Trajectory._stored(times, raw_traces, states)
+    logger.debug("lindblad trajectory: %d steps, cumulative trace correction %.3e", *summary)
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:

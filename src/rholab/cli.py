@@ -16,8 +16,8 @@ import json
 import math
 import os
 import sys
-from itertools import chain
-from typing import Callable, Sequence, TextIO
+from itertools import chain, islice
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from .bell import (
     singlet_variance,
 )
 from .bipartite import no_signalling_check, partial_trace_a, singlet
-from .channels import LindbladGenerator, chunk_length, evolve_lindblad, step_schedule
+from .channels import LindbladGenerator, _integrate, _validated_chunks, step_schedule
 from .density import (
     DensityOperator,
+    DensityStack,
     ProperMixture,
     gram_factor,
     mixture_to_density,
@@ -337,32 +338,48 @@ TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS)
 _TRAJECTORY_ROW = ",".join([_NUMBER] * len(_TRAJECTORY_COLUMNS)) + "\n"
 
 
-def trajectory_rows(scenario: Scenario) -> list[tuple[float, ...]]:
-    """Integrate the scenario and tabulate its samples, one tuple of the
-    TRAJECTORY_HEADER columns per sample, chunk_length(dim) samples at a
-    time, straight from views of the trajectory's arrays: purity, entropy
-    and entropy rate each take one call per chunk.
+class _Rows:
+    """An iterable of rows made as it is iterated, which knows their number beforehand
+    (len, by which perfbench's span tracer counts samples).  It is iterated once."""
 
-    Raises IntegrationError, at the time of the first sample concerned, when
-    the integration fails or a sample's entropy rate is not finite.
+    __slots__ = ("_rows", "_count")
+
+    def __init__(self, rows: Iterator[tuple[float, ...]], count: int):
+        self._rows, self._count = rows, count
+
+    def __iter__(self) -> Iterator[tuple[float, ...]]:
+        return self._rows
+
+    def __len__(self) -> int:
+        return self._count
+
+
+def trajectory_rows(scenario: Scenario) -> _Rows:
+    """Integrate the scenario, then tabulate its samples as iteration reaches them: one
+    tuple of the TRAJECTORY_HEADER columns per sample, a validated chunk of
+    chunk_length(dim) samples at a time (`channels._validated_chunks`), from views of
+    the chunk's arrays.  Purity, entropy and entropy rate each take one call per chunk,
+    and no more than one chunk's spectra and rows are held.  len() is the number of
+    samples.
+
+    Iterating raises IntegrationError, at the time of the first sample concerned, when
+    the integration fails or a sample's entropy rate is not finite; a chunk's rates are
+    taken before the next chunk is validated.
     """
     g = scenario.generator
-    trajectory = evolve_lindblad(
-        g, scenario.rho0, scenario.t_end, scenario.dt, sample_every=scenario.sample_every
-    )
-    rows, chunk = [], chunk_length(g.dim)
-    for start in range(0, len(trajectory), chunk):
-        part = slice(start, start + chunk)
-        times, states = trajectory.times[part], trajectory.states[part]
+    run = _integrate(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
+
+    def tabulate(chunk: tuple[np.ndarray, np.ndarray, DensityStack]) -> Iterator[tuple[float, ...]]:
+        times, raw_traces, states = chunk
         try:
             rates = jump_entropy_rate(states, g.jump_ops)
         except ValidationError as exc:  # the entropy rate overflows: name the first such sample
             i, exc = first_failure(lambda s: jump_entropy_rate(s, g.jump_ops), states) or (0, exc)
             raise IntegrationError(str(exc), float(times[i])) from exc
-        rows.extend(zip(times.tolist(), trajectory.raw_traces[part].tolist(), purity(states).tolist(),
-                        von_neumann_entropy(states).tolist(), states.eigenvalues[:, 0].tolist(),
-                        rates.tolist()))
-    return rows
+        return zip(times.tolist(), raw_traces.tolist(), purity(states).tolist(),
+                   von_neumann_entropy(states).tolist(), states.eigenvalues[:, 0].tolist(), rates.tolist())
+
+    return _Rows(chain.from_iterable(map(tabulate, _validated_chunks(*run))), len(run[0]))
 
 
 def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
@@ -399,20 +416,33 @@ def cmd_evolve(scenario_path: str, output_path: str) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    try:
-        rows = trajectory_rows(scenario)
-    except IntegrationError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return 3
+    return _write_trajectory(scenario, output_path)
+
+
+def _write_trajectory(scenario: Scenario, output_path: str) -> int:
+    """Write the scenario's trajectory CSV to output_path as its rows are made, a block
+    of _WRITE_BLOCK rows per write, and return `cmd_evolve`'s exit code.  A function of
+    its own, so that its closure's cells are not alive while the scenario loads."""
+    written = 0
 
     def write(fh: TextIO) -> None:
+        nonlocal written
         fh.write(TRAJECTORY_HEADER + "\n")
-        fh.writelines("".join(map(_TRAJECTORY_ROW.__mod__, rows[i:i + _WRITE_BLOCK]))
-                      for i in range(0, len(rows), _WRITE_BLOCK))
+        while block:
+            fh.write("".join(map(_TRAJECTORY_ROW.__mod__, block)))
+            written += len(block)
+            block.clear()  # freed before the next chunk is validated and tabulated
+            block.extend(islice(rows, _WRITE_BLOCK))
 
-    if not _write_output(output_path, write):
-        return 2
-    print(f"wrote {len(rows)} samples to {output_path}")
+    try:
+        rows = iter(trajectory_rows(scenario))
+        block = list(islice(rows, _WRITE_BLOCK))  # made before the file is opened
+        if not _write_output(output_path, write):
+            return 2
+    except IntegrationError as exc:  # the temp file, if any, is removed and output_path untouched
+        print(f"integration failure: {exc}", file=sys.stderr)
+        return 3
+    print(f"wrote {written} samples to {output_path}")
     return 0
 
 

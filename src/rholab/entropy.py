@@ -4,7 +4,8 @@ All entropies are in nats (natural log).  Eigenvalues at or below
 EIGENVALUE_FLOOR are the kernel: they contribute nothing to the entropy (the
 0 log 0 = 0 convention) nor to the Hamiltonian rate.  Only the jump rates
 floor them there before taking logs, and emit a RuntimeWarning when an input
-is rank-deficient, since log(rho) is undefined on the kernel.
+is rank-deficient, since log(rho) is undefined on the kernel.  Without jump
+operators a jump rate is 0 exactly, and no log is taken.
 
 `von_neumann_entropy`, `entropy_production` and `jump_entropy_rate` take one
 DensityOperator and return a float, or a sequence of them (a DensityStack
@@ -93,8 +94,9 @@ def entropy_production(d: States, jump_ops) -> float | np.ndarray:
     s = stacked(d)
     p, v = s.eigenvalues, s.eigenvectors
     ops = as_square_stack(jump_ops, s.dim)
-    if len(ops):  # as_square rejects an empty stack; an empty set is Hermitian
-        require_hermitian(ops, stack=True)
+    if not len(ops):  # no jump flow: as_square would reject the empty stack
+        return per_state(d, np.zeros(len(s)))
+    require_hermitian(ops, stack=True)
     p = _floored(p)
     return _rate(d, ops, p, v, 0.5 * (p[:, None, :] - p[:, :, None]))
 
@@ -111,5 +113,7 @@ def jump_entropy_rate(d: States, jump_ops) -> float | np.ndarray:
     s = stacked(d)
     p, v = s.eigenvalues, s.eigenvectors
     ops = as_square_stack(jump_ops, s.dim)
+    if not len(ops):  # no jump flow
+        return per_state(d, np.zeros(len(s)))
     p = _floored(p)
     return _rate(d, ops, p, v, p[:, None, :])

@@ -1037,7 +1037,7 @@ class TestChunkLength:
             solves = calls.copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return solves, trajectory, trajectory_rows(scenario)
+                return solves, trajectory, list(trajectory_rows(scenario))
 
         shipped_solves, shipped, shipped_rows = run()
         monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * dim**2)

@@ -16,9 +16,12 @@ import pytest
 
 import rholab.cli
 from rholab import (
+    DensityStack,
     DetectorPair,
+    IntegrationError,
     LindbladGenerator,
     UnitVector3,
+    ValidationError,
     X_AXIS,
     Z_AXIS,
     empirical_correlation,
@@ -311,7 +314,7 @@ class TestEvolve:
 
         monkeypatch.setattr(rholab.cli, "LindbladGenerator", rebuilt)
         with pytest.warns(RuntimeWarning, match="rank-deficient"):
-            assert len(trajectory_rows(scenario)) == 11
+            assert len(list(trajectory_rows(scenario))) == 11
 
     @pytest.mark.parametrize(
         "field, value",
@@ -397,7 +400,7 @@ class TestEvolve:
         calls = count_eigensolves(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rows = trajectory_rows(scenario)
+            rows = list(trajectory_rows(scenario))
             assert calls == [16, 5]
             trajectory = evolve_lindblad(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
             states = trajectory.states
@@ -435,12 +438,179 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
-            rows = trajectory_rows(load_scenario(str(path)))
+            rows = list(trajectory_rows(load_scenario(str(path))))
         assert len(rows) == 2001
         with open(expected, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TRAJECTORY_HEADER + "\n")
             fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_precession_runs_without_warnings(self, tmp_path):
+        # The shipped precession run has no jump operators: its entropy rate is 0
+        # exactly, with no rank-deficient warning though its state stays pure.
+        out = tmp_path / "precession.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--scenario", str(REPO / "scenarios" / "precession.json"), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 33 and all(row["entropy_production"] == 0.0 for row in rows)
+
+
+def dephasing_run(tmp_path, samples: int):
+    """The shipped dephasing scenario sampled at every step of dt = 1/1024 for `samples`
+    samples: at d = 2, chunks of 1024 states, one write block each."""
+    scenario = json.loads((REPO / "scenarios" / "dephasing.json").read_text())
+    scenario.update(t_end=(samples - 1) / 1024, dt=1 / 1024, sample_every=1)
+    return write_scenario(tmp_path / "s.json", **scenario)
+
+
+def d16_run(tmp_path):
+    """51 samples at d = 16, as in CI: rho0 = I/16, H = diag(0..15)/16 and one jump
+    operator 0.3 times the lower shift; chunks of 16 states."""
+    def m(a):
+        return [[[float(x), 0.0] for x in row] for row in a]
+
+    n = 16
+    return write_scenario(tmp_path / "s.json", dim=n, rho0=m(np.eye(n) / n), hamiltonian=m(np.diag(np.arange(n)) / n),
+                          jump_ops=[m(0.3 * np.eye(n, k=-1))], t_end=50 / 64, dt=1 / 64, sample_every=1)
+
+
+def whole_run_csv(path) -> bytes:
+    """The trajectory CSV of a scenario from evolve_lindblad's whole-run Trajectory,
+    tabulated chunk_length(dim) samples at a time, every row built before any is written."""
+    s = load_scenario(str(path))
+    g = s.generator
+    trajectory = evolve_lindblad(g, s.rho0, s.t_end, s.dt, s.sample_every)
+    rows, chunk = [], rholab.channels.chunk_length(g.dim)
+    for start in range(0, len(trajectory), chunk):
+        part = slice(start, start + chunk)
+        states = trajectory.states[part]
+        rows.extend(zip(trajectory.times[part].tolist(), trajectory.raw_traces[part].tolist(), purity(states).tolist(),
+                        von_neumann_entropy(states).tolist(), states.eigenvalues[:, 0].tolist(),
+                        jump_entropy_rate(states, g.jump_ops).tolist()))
+    return "".join([TRAJECTORY_HEADER + "\n"] + [",".join(f"{x:.17g}" for x in row) + "\n" for row in rows]).encode()
+
+
+class TestStreamedEvolve:
+    """`rholab evolve` writes each validated chunk's rows as they are made, a block of
+    1024 rows per write."""
+
+    @pytest.mark.parametrize("chunk_entries", [rholab.channels.CHUNK_ENTRIES, 16 * 2**2], ids=["chunks", "small-chunks"])
+    @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 2049, "d16"])
+    def test_streamed_csv_equals_the_whole_run_table(self, tmp_path, monkeypatch, samples, chunk_entries):
+        # Runs that end inside, at and just past a write block, in chunks of 1024 d = 2
+        # states (one per block) and of 16 (64 per block; one state per chunk at d = 16).
+        monkeypatch.setattr(rholab.channels, "CHUNK_ENTRIES", chunk_entries)
+        path = d16_run(tmp_path) if samples == "d16" else dephasing_run(tmp_path, samples)
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
+            expected = whole_run_csv(path)
+        assert out.read_bytes() == expected
+        assert len(expected.splitlines()) == 1 + (51 if samples == "d16" else samples)
+
+    RATE_MARKER = np.diag([0.75, 0.25]).astype(complex)  # valid, and off the dephasing path from |x+><x+|
+
+    def plant(self, monkeypatch, invalid=None, overflow=None, drift=None):
+        """Make sample `invalid` of the next run a state that is not positive, sample
+        `overflow` a valid state whose entropy rate overflows, and sample `drift` the
+        first to fail the drift check (with NaN).  Returns the list of states that
+        jump_entropy_rate is called on."""
+        integrate, rate, rated = rholab.cli._integrate, rholab.cli.jump_entropy_rate, []
+
+        def planted(*args):
+            times, raw_traces, matrices, k, failure, summary = integrate(*args)
+            matrices = matrices.copy()
+            if invalid is not None:
+                matrices[invalid] = np.diag([1.5, -0.5])
+            if overflow is not None:
+                matrices[overflow] = self.RATE_MARKER
+            matrices.setflags(write=False)
+            if drift is not None:
+                k, failure = drift, IntegrationError("trace drift nan exceeds 1e-07", float(times[drift]))
+            return times, raw_traces, matrices, k, failure, summary
+
+        def overflowing(states, jumps):
+            rated.append(states)
+            matrices = states.matrices if isinstance(states, DensityStack) else states.matrix[None]
+            if (matrices == self.RATE_MARKER).all(axis=(1, 2)).any():
+                raise ValidationError("entropy rate overflows or is not finite")
+            return rate(states, jumps)
+
+        monkeypatch.setattr(rholab.cli, "_integrate", planted)
+        monkeypatch.setattr(rholab.cli, "jump_entropy_rate", overflowing)
+        return rated
+
+    @pytest.mark.parametrize("planted, sample, message", [
+        ({"invalid": 1500}, 1500, "emitted state invalid (density is not positive: min eigenvalue = -5.000e-01)"),
+        ({"overflow": 1500}, 1500, "entropy rate overflows or is not finite"),
+        # An earlier chunk's rate overflow wins over a later chunk's invalid state.
+        ({"overflow": 1100, "invalid": 2048}, 1100, "entropy rate overflows or is not finite"),
+    ], ids=["invalid-state", "rate-overflow", "overflow-before-invalid-state"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_a_failure_after_the_first_write_block_exits_3_leaving_out_as_it_was(
+            self, tmp_path, monkeypatch, capsys, planted, sample, message, existing):
+        # 2049 d = 2 samples, three chunks and write blocks: the failing sample is in the
+        # second or third, after the header and the first block went to the temp file.
+        path, out = dephasing_run(tmp_path, 2049), tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
+        first_block = b"".join(out.read_bytes().splitlines(keepends=True)[:1025])
+        if existing:
+            out.write_text("stale")
+        else:
+            out.unlink()
+        self.plant(monkeypatch, **planted)
+        write_output, written = rholab.cli._write_output, []
+
+        def spied(path, write):
+            def recorded(fh):
+                try:
+                    write(fh)
+                finally:
+                    fh.flush()
+                    written.append(Path(fh.name).read_bytes())
+            return write_output(path, recorded)
+
+        monkeypatch.setattr(rholab.cli, "_write_output", spied)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"integration failure: {message} at t={sample / 1024:.6g}\n")
+        assert written == [first_block]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"] + ["t.csv"] * existing
+        if existing:
+            assert out.read_text() == "stale"
+
+    def test_a_drift_failure_tabulates_no_chunk(self, tmp_path, monkeypatch, capsys):
+        # The drift check fails at sample 1500: samples 0 to 1499 are validated in two
+        # chunks, and none of them is tabulated or written.
+        path = dephasing_run(tmp_path, 2049)
+        rated = self.plant(monkeypatch, drift=1500)
+        calls = count_eigensolves(monkeypatch)
+        assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "t.csv")]) == 3
+        assert capsys.readouterr().err == f"integration failure: trace drift nan exceeds 1e-07 at t={1500 / 1024:.6g}\n"
+        assert rated == [] and calls == [1, 1024, 476]  # rho0 as the scenario loads, then the two chunks
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_peak_memory(self, tmp_path):
+        # Only the run's states, times and raw traces (1.6 MB at 2 * 10^4 d = 2 samples)
+        # are held for the whole run; spectra and rows are made and written a chunk at a
+        # time.  Building every row and spectrum first peaked at 8.1 MB.
+        path, out = dephasing_run(tmp_path, 2 * 10**4), tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0  # fills the solver's tables
+            tracemalloc.start()
+            try:
+                assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 class TestSample:
@@ -650,7 +820,7 @@ def test_writes_each_block_once(tmp_path, monkeypatch, command, rows):
     monkeypatch.setattr(rholab.cli, "_write_output", lambda path, write: write(fh) or True)
     if command == "evolve":
         table = [tuple((k + c) / 3 for c in range(6)) for k in range(rows)]
-        monkeypatch.setattr(rholab.cli, "trajectory_rows", lambda scenario: table)
+        monkeypatch.setattr(rholab.cli, "trajectory_rows", lambda scenario: iter(table))
         assert main(["evolve", "--scenario", str(write_scenario(tmp_path / "s.json")), "--out", "t.csv"]) == 0
         head, tail = [TRAJECTORY_HEADER + "\n"], []
         body = [",".join(f"{x:.17g}" for x in row) + "\n" for row in table]

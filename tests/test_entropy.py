@@ -264,6 +264,17 @@ class TestSequenceForm:
             assert entropy_production(states[0], jumps) == 0.0
             assert jump_entropy_rate(states, jumps).tolist() == [0.0] * 4
 
+    def test_empty_jump_set_takes_no_log_of_a_rank_deficient_state(self):
+        # Without jumps there is no flow to regularize: a pure state's rates are +0.0,
+        # exactly, with no rank-deficient warning.
+        rng = np.random.default_rng(121)
+        pure = [DensityOperator(projector(random_ket(rng, 3))) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rate in (jump_entropy_rate, entropy_production):
+                assert [math.copysign(1.0, r) for r in rate(pure, [])] == [1.0] * 3
+                assert math.copysign(1.0, rate(pure[0], [])) == 1.0
+
     def test_rejects_an_empty_or_mixed_sequence(self):
         rng = np.random.default_rng(120)
         with pytest.raises(ShapeError):
