@@ -10,7 +10,6 @@ writes an event CSV.  Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -266,41 +265,123 @@ def _complex_entry(value, where: str) -> complex:
     return complex(_finite_number(value[0], where), _finite_number(value[1], where))
 
 
-def _complex_matrix(value, dim: int, where: str) -> np.ndarray:
-    """A dim x dim matrix of [re, im] pairs as a read-only complex array.
+def _complex_array(value) -> np.ndarray | None:
+    """value as a read-only complex array, if it is a non-empty list of equally long
+    rows of finite [re, im] number pairs; otherwise None.
 
     The numbers are type-checked in one pass and converted as one float array
     viewed as complex, which is exact and keeps the sign of zero.
     """
+    if not isinstance(value, list) or set(map(type, value)) != {list} or len(set(map(len, value))) != 1:
+        return None
+    entries = list(chain.from_iterable(value))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    numbers = list(chain.from_iterable(entries))
+    if not set(map(type, numbers)) <= _NUMBER_TYPES:
+        return None
+    try:
+        flat = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    flat.setflags(write=False)  # so the validated values keep it without a copy
+    return flat.view(complex).reshape(len(value), -1)
+
+
+def _complex_matrix(value, dim: int, where: str) -> np.ndarray:
+    """A dim x dim matrix of [re, im] pairs, or one that `_complex_array` converted as
+    it was read, as a read-only complex array."""
+    if isinstance(value, np.ndarray):
+        if len(value) != dim:
+            raise ScenarioError(f"{where}: expected {dim} rows")
+        if value.shape[1] != dim:  # every row has this length
+            raise ScenarioError(f"{where}: row 0 must have {dim} entries")
+        return value
     if not isinstance(value, list) or len(value) != dim:
         raise ScenarioError(f"{where}: expected {dim} rows")
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
             raise ScenarioError(f"{where}: row {i} must have {dim} entries")
-    entries = list(chain.from_iterable(value))
-    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
-        numbers = list(chain.from_iterable(entries))
-        if set(map(type, numbers)) <= _NUMBER_TYPES:
-            with contextlib.suppress(OverflowError):  # an integer beyond the float range
-                flat = np.array(numbers, dtype=float)
-                if np.isfinite(flat).all():
-                    flat.setflags(write=False)  # so the validated values keep it without a copy
-                    return flat.view(complex).reshape(dim, dim)
+    matrix = _complex_array(value)
+    if matrix is not None:
+        return matrix
     # Some entry fails that check, and so fails _complex_entry: name the first.
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(chain.from_iterable(value)):
         _complex_entry(entry, f"{where}[{k // dim}][{k % dim}]")
     raise ScenarioError(f"{where}: entries must be finite [re, im] pairs")
 
 
+_scan = json.JSONDecoder().scan_once  # json.loads' C scanner: the JSON value at an index
+_skip_whitespace = json.decoder.WHITESPACE.match
+
+
+def _read_matrix(text: str, idx: int) -> tuple[object, int]:
+    """The JSON value at idx and the index after it, converted by `_complex_array`
+    where it can be, so that only one matrix's boxed numbers are alive at a time."""
+    value, end = _scan(text, idx)
+    matrix = _complex_array(value)
+    return (value if matrix is None else matrix), end
+
+
+class _MemberReader(dict):
+    """The value reader and key memo that `json.decoder.JSONObject` takes for the
+    top-level object.  JSONObject passes each member's key to the memo's setdefault
+    right before it reads the member's value, so the reader knows the member: rho0
+    and hamiltonian are read by `_read_matrix`, the elements of a jump_ops list one at
+    a time by `_read_matrix`, and every other value by the C scanner."""
+
+    key = None
+
+    def setdefault(self, key, default=None):
+        self.key = key
+        return key
+
+    def __call__(self, text: str, idx: int) -> tuple[object, int]:
+        if self.key in ("rho0", "hamiltonian"):
+            return _read_matrix(text, idx)
+        if self.key == "jump_ops" and text.startswith("[", idx):
+            return json.decoder.JSONArray((text, idx + 1), _read_matrix)
+        return _scan(text, idx)
+
+
+def _read_document(text: str):
+    """json.loads(text), with the matrices of a top-level object converted as they are
+    parsed (`_MemberReader`).  It raises json.loads' JSONDecodeError, with the same
+    message and position, on the same documents."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = _skip_whitespace(text, 0).end()
+    if text.startswith("{", start):
+        reader = _MemberReader()
+        document, end = json.decoder.JSONObject((text, start + 1), True, reader, None, None, reader)
+    else:
+        try:
+            document, end = _scan(text, start)
+        except StopIteration as exc:
+            raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+    end = _skip_whitespace(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return document
+
+
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario JSON document."""
+    """Parse and validate a scenario document: UTF-8 JSON, its matrices converted one
+    at a time as they are parsed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    try:
+        raw = _read_document(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # nested deeper than the C scanner recurses
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
+    del text  # 43 KB at d = 16, which the checks below need not hold
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
 
@@ -322,7 +403,6 @@ def load_scenario(path: str) -> Scenario:
     t_end = _finite_number(raw["t_end"], "t_end")
     dt = _finite_number(raw["dt"], "dt")
     sample_every = raw["sample_every"]  # checked by step_schedule
-    del raw  # the parsed document outweighs the arrays taken from it (0.34 MB at d = 16)
 
     try:
         step_schedule(t_end, dt, sample_every)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 
 import rholab.cli
 from rholab import (
+    DensityOperator,
     DensityStack,
     DetectorPair,
     IntegrationError,
@@ -39,20 +41,25 @@ from conftest import count_eigensolves, time_limit
 REPO = Path(__file__).resolve().parents[1]
 
 
+BASE_SCENARIO = {
+    "dim": 2,
+    "rho0": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],  # |x+><x+|
+    "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    "jump_ops": [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]  # sigma_z
+    ],
+    "t_end": 1.0,
+    "dt": 0.01,
+    "sample_every": 10,
+}
+
+
+def scenario_text(**overrides) -> str:
+    return json.dumps({**BASE_SCENARIO, **overrides})
+
+
 def write_scenario(path, **overrides):
-    base = {
-        "dim": 2,
-        "rho0": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]],  # |x+><x+|
-        "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-        "jump_ops": [
-            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]  # sigma_z
-        ],
-        "t_end": 1.0,
-        "dt": 0.01,
-        "sample_every": 10,
-    }
-    base.update(overrides)
-    path.write_text(json.dumps(base))
+    path.write_text(scenario_text(**overrides))
     return path
 
 
@@ -454,6 +461,151 @@ class TestEvolve:
             assert main(["evolve", "--scenario", str(REPO / "scenarios" / "precession.json"), "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert len(rows) == 33 and all(row["entropy_production"] == 0.0 for row in rows)
+
+
+def assert_read_as_json_load(path):
+    """load_scenario's scenario holds, bit for bit, the arrays that it holds when built
+    from json.load's document through _complex_matrix."""
+    scenario = load_scenario(str(path))
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    matrices = [rholab.cli._complex_matrix(m, raw["dim"], "m") for m in [raw["rho0"], raw["hamiltonian"], *raw["jump_ops"]]]
+    rho0, generator = DensityOperator(matrices[0]), LindbladGenerator(matrices[1], matrices[2:])
+    read = [scenario.rho0.matrix, scenario.generator.hamiltonian, *scenario.generator.jump_ops]
+    expected = [rho0.matrix, generator.hamiltonian, *generator.jump_ops]
+    assert len(read) == len(expected)
+    assert (scenario.t_end, scenario.dt, scenario.sample_every) == (raw["t_end"], raw["dt"], raw["sample_every"])
+    for a, b in zip(read, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def ising_chain_scenario(path, seed: int):
+    """A 4-qubit (d = 16) scenario drawn as the benchmark's evolve-d16 workload draws
+    it, and written as compact as it writes it: an Ising chain with random couplings
+    and transverse fields, per-site decay and dephasing (8 jump operators) and a pure
+    product rho0."""
+    rng = np.random.default_rng(seed)
+    x, z, lower = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.array([[0, 0], [1, 0]])
+
+    def site(op, i):
+        return functools.reduce(np.kron, [op if j == i else np.eye(2) for j in range(4)])
+
+    def m(a):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
+
+    h = sum(rng.uniform(0.8, 1.2) * site(z, i) @ site(z, i + 1) for i in range(3))
+    h = h + sum(rng.uniform(0.8, 1.2) * site(x, i) for i in range(4))
+    jumps = [math.sqrt(rng.uniform(0.25, 0.35)) * site(op, i) for op in (lower, z) for i in range(4)]
+    ket = functools.reduce(np.kron, [[math.cos(math.pi / 6), np.exp(1j * math.pi / 4) * math.sin(math.pi / 6)]] * 4)
+    return write_scenario(path, dim=16, rho0=m(np.outer(ket, ket.conj())), hamiltonian=m(h),
+                          jump_ops=[m(op) for op in jumps], t_end=30 / 64, dt=1 / 64, sample_every=5)
+
+
+SYNTAX = "the message of json.loads' JSONDecodeError"
+READ = "read as json.load reads it"
+TEXT = scenario_text()
+JUMP_OPS = TEXT.index('"jump_ops": ') + len('"jump_ops": ')
+SIGMA_Z = BASE_SCENARIO["jump_ops"][0]
+
+# Each case with the outcome load_scenario gave when it read the document with json.load.
+DOCUMENTS = {
+    "empty": ("", SYNTAX),
+    "whitespace-only": (" \n\t", SYNTAX),
+    "bom": ("\ufeff" + TEXT, SYNTAX),
+    **{f"truncated-{k}": (TEXT[:k], SYNTAX) for k in (1, 9, 40, 120, JUMP_OPS + 3, len(TEXT) - 1)},
+    "jump-ops-cut-after-an-element": (TEXT[:TEXT.index("]]]]") + 3] + ",", SYNTAX),
+    "jump-ops-cut-before-a-comma": (TEXT[:TEXT.index("]]]]") + 3] + " ", SYNTAX),
+    "jump-ops-trailing-comma": (TEXT.replace("]]]]", "]]],]"), SYNTAX),
+    "missing-comma": (TEXT.replace(', "hamiltonian"', ' "hamiltonian"'), SYNTAX),
+    "missing-colon": (TEXT.replace('"dt":', '"dt"'), SYNTAX),
+    "trailing-data": (TEXT + " {}", SYNTAX),
+    "trailing-comma": (TEXT[:-1] + ",}", SYNTAX),
+    "unquoted-key": ("{dim: 2}", SYNTAX),
+    "form-feed": ("\f" + TEXT, SYNTAX),
+    "not-an-object": ("[1, 2]", "scenario document must be a JSON object"),
+    "empty-object": (" { } ", "missing required field 'dim'"),
+    "nan": (scenario_text(t_end=math.nan), "t_end must be a finite number, got nan"),
+    "infinity": (scenario_text(dt=-math.inf), "dt must be a finite number, got -inf"),
+    "infinity-entry": (TEXT.replace("[0.5, 0.0]]]", "[Infinity, 0.0]]]", 1), "rho0[1][1] must be a finite number, got inf"),
+    "duplicate-keys": (TEXT[:-1] + ', "dt": 0.5, "rho0": 3}', "rho0: expected 2 rows"),
+    "duplicate-matrix": (TEXT[:-1] + ', "rho0": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}', READ),
+    "unknown-keys": (TEXT[:-1] + ', "x": [[[1, 2]]], "y": [[[[1, 0]]]]}', READ),
+    "dim-last": (json.dumps({**{k: v for k, v in BASE_SCENARIO.items() if k != "dim"}, "dim": 2}), READ),
+    "escaped-key": (TEXT.replace('"rho0"', '"rho\\u0030"'), READ),
+    "indented": (json.dumps(BASE_SCENARIO, indent=2), READ),
+    "whitespace-between-brackets": (TEXT.replace("[", "[ \n").replace("]", "\t]"), READ),
+    "integers-and-signed-zeros": (scenario_text(rho0=[[[1, 0], [0, 0]], [[0, 0], [0, -0.0]]]), READ),
+    "ragged-rows": (scenario_text(rho0=[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0]]]), "rho0: row 1 must have 2 entries"),
+    "wide-rows": (scenario_text(rho0=[[[0.5, 0.0]] * 3] * 2), "rho0: row 0 must have 2 entries"),
+    "too-many-rows": (scenario_text(hamiltonian=[[[0.0, 0.0]] * 2] * 3), "hamiltonian: expected 2 rows"),
+    "ragged-entry": (scenario_text(rho0=[[[0.5, 0.0], [0.5]], [[0.5, 0.0], [0.5, 0.0]]]),
+                     "rho0[0][1]: complex entries must be [re, im] pairs, got [0.5]"),
+    "string-entry": (TEXT.replace("[0.5, 0.0]]]", '["0.5", 0.0]]]', 1), "rho0[1][1] must be a finite number, got '0.5'"),
+    "1e400-entry": (TEXT.replace("[0.5, 0.0]]]", "[1e400, 0.0]]]", 1), "rho0[1][1] must be a finite number, got inf"),
+    "10**400-entry": (scenario_text(hamiltonian=[[[10**400, 0]] * 2] * 2),
+                      f"hamiltonian[0][0] must be a finite number, got {10**400!r}"),
+    "matrix-not-a-list": (scenario_text(rho0={"a": [[[1, 0]]]}), "rho0: expected 2 rows"),
+    "jump-ops-empty": (scenario_text(jump_ops=[]), READ),
+    "jump-ops-not-a-list": (scenario_text(jump_ops={"a": SIGMA_Z}), "jump_ops must be a list of matrices"),
+    "jump-ops-a-matrix": (scenario_text(jump_ops=SIGMA_Z), "jump_ops[0][0][0]: complex entries must be [re, im] pairs, got 1.0"),
+    "jump-ops-holding-a-number": (scenario_text(jump_ops=[SIGMA_Z, 3]), "jump_ops[1]: expected 2 rows"),
+    "dim-a-matrix": (scenario_text(dim=[[[1, 2]]]), "dim must be a positive integer, got [[[1, 2]]]"),
+    "t_end-a-matrix": (scenario_text(t_end=[[[1, 2]]]), "t_end must be a finite number, got [[[1, 2]]]"),
+}
+
+
+class TestScenarioDocument:
+    """load_scenario reads the document a matrix at a time, with json.load's outcome."""
+
+    @pytest.mark.parametrize("text, expected", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+    def test_outcome_of_json_load(self, tmp_path, text, expected):
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        if expected is READ:
+            assert_read_as_json_load(path)
+            return
+        if expected is SYNTAX:
+            with pytest.raises(json.JSONDecodeError) as parsed:
+                json.loads(text)
+            exc = parsed.value
+            expected = f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(str(path))
+        assert str(caught.value) == expected
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"dim": 2, \xff\xfe}', "scenario error: cannot read scenario file: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 200_000 + b"]" * 200_000, "scenario error: invalid JSON: "),
+            *((TEXT[:-1].encode() + b', "%s": ' % key.encode() + b"[" * 200_000 + b"]" * 200_000 + b"}",
+               "scenario error: invalid JSON: ") for key in ("x", "rho0", "jump_ops")),
+        ],
+        ids=["invalid-utf8", "deep-document", "deep-member", "deep-matrix", "deep-jump-ops"],
+    )
+    def test_unreadable_document_exits_2_with_one_line(self, tmp_path, data, message):
+        # In a child process, so an uncaught exception would show as exit 1 and a traceback.
+        scenario, out = tmp_path / "s.json", tmp_path / "t.csv"
+        scenario.write_bytes(data)
+        result = run_cli_process(["evolve", "--scenario", str(scenario), "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stderr.startswith(message) and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_matrices_are_read_one_at_a_time(self, tmp_path):
+        # The benchmark's d = 16 scenario is 43 KB of text; json.load's document of it,
+        # 5,120 boxed floats in 2,560 [re, im] lists, peaked the load at 0.43 MB.  Each
+        # matrix converted as it is parsed, the load peaks at 0.17 MB.
+        path = ising_chain_scenario(tmp_path / "d16.json", seed=1)
+        load_scenario(str(path))  # imports and fills what is filled once per process
+        tracemalloc.start()
+        try:
+            load_scenario(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.22e6
+        assert_read_as_json_load(path)
 
 
 def dephasing_run(tmp_path, samples: int):
