@@ -50,6 +50,7 @@ from .channels import (
     Superoperator,
     Trajectory,
     eigenmatrix_decompose,
+    evolve_chunks,
     evolve_lindblad,
     generator_matrix,
     kraus_from_decomposition,

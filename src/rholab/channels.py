@@ -361,12 +361,13 @@ def _taylor_propagator(
         flow = _generator_flow(g)
 
         def propagate(rho: np.ndarray, full: int, last: bool, out: np.ndarray | None = None) -> np.ndarray:
+            for r in range(1 if out is None else len(out)):  # not recursive: no cycle holds the flow
+                for _ in range(full):
+                    rho = _taylor_polynomial(flow, rho, dt)
+                if out is not None:
+                    out[r] = rho
             if out is not None:
-                for r in range(len(out)):
-                    out[r] = propagate(out[r - 1] if r else rho, full, False)
                 return out
-            for _ in range(full):
-                rho = _taylor_polynomial(flow, rho, dt)
             return _taylor_polynomial(flow, rho, remainder) if last else rho
 
         return propagate
@@ -488,41 +489,62 @@ def evolve_lindblad(
        eigenvalue below -10 MIN_EIGENVALUE_TOL raises IntegrationError at the
        sample's time; after them the kept drift failure, if any, is raised.
 
-    Phases 1 and 2 are `_integrate` and phase 3 is `_validated_chunks`, which
-    `rholab evolve` iterates to write each chunk as it is validated; here the
-    chunks' spectra are gathered into the trajectory's.
+    Phases 1 and 2 run when `evolve_chunks` is called and phase 3 as its chunks are
+    iterated; `rholab evolve` writes each chunk as it is validated, and here the
+    chunks are gathered into one trajectory.
 
     The earliest failing sample is the error: an invalid state before the first
     failing step wins.  The interval's trace drift and the smallest eigenvalue at
     each emitted sample are diagnostics.  The debug log line sums the drift of
     every interval, or of every step of a replayed one.
     """
-    run = _integrate(g, d0, t_end, dt, sample_every)
-    times, raw_traces, matrices = run[:3]
-    eigenvalues, eigenvectors = np.empty(matrices.shape[:2]), np.empty(matrices.shape, dtype=complex)
+    chunks = evolve_chunks(g, d0, t_end, dt, sample_every)
+    eigenvalues, eigenvectors = np.empty((len(chunks), g.dim)), np.empty((len(chunks), g.dim, g.dim), dtype=complex)
     start = 0
-    for _, _, states in _validated_chunks(*run):
+    for times, raw_traces, states in chunks:
         block = slice(start, start + len(states))
         eigenvalues[block], eigenvectors[block] = states.eigenvalues, states.eigenvectors
         start = block.stop
     for a in (eigenvalues, eigenvectors):
         a.setflags(write=False)  # built here, so the trajectory keeps them without a copy
-    states = DensityStack._stored(matrices, eigenvalues, eigenvectors)  # validated above
-    return Trajectory._stored(times, raw_traces, states)
+    # Every chunk views the run's read-only arrays, so their bases are the whole run's.
+    states = DensityStack._stored(states.matrices.base, eigenvalues, eigenvectors)
+    return Trajectory._stored(times.base, raw_traces.base, states)
 
 
-def _integrate(
-    g: LindbladGenerator, d0: DensityOperator, t_end: float, dt: float, sample_every: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, IntegrationError | None, tuple[int, float]]:
-    """Phases 1 and 2 of `evolve_lindblad`.  Returns the sample times, raw traces and
-    cleaned-up states, each one read-only array allocated from the schedule; the count
-    k of samples that passed the drift check (all of them unless a step failed); the
-    kept drift failure or None; and the steps and cumulative trace correction that the
-    debug line reports."""
+class SampleStream:
+    """The samples of one run, made as they are iterated, once: a chunk or a row at a
+    time.  len() is the number of samples."""
+
+    __slots__ = ("_items", "_samples")
+
+    def __init__(self, items: Iterator, samples: int):
+        self._items, self._samples = items, samples
+
+    def __iter__(self) -> Iterator:
+        return self._items
+
+    def __len__(self) -> int:
+        return self._samples
+
+
+def evolve_chunks(
+    g: LindbladGenerator, d0: DensityOperator, t_end: float, dt: float, sample_every: int = 1
+) -> SampleStream:
+    """`evolve_lindblad`'s run as a stream: one (times, raw_traces, DensityStack) per
+    validated chunk of chunk_length(dim) samples, in order, views of the run's
+    read-only arrays; len() is the number of samples.
+
+    Phases 1 and 2 run before it returns, so a bad schedule raises ValidationError at
+    the call.  Phase 3 runs as the stream is iterated, a chunk per step, and no chunk
+    is held between yields.  Iteration raises IntegrationError at the earliest failing
+    sample's time: an invalid state when its chunk is reached; a drift failure once
+    every chunk before it is validated, none of them yielded.
+    """
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
     n_steps = n_full + (remainder > 0.0)
-    bound = 10.0 * TRACE_DRIFT_TOL
+    bound, psd_atol = 10.0 * TRACE_DRIFT_TOL, 10.0 * MIN_EIGENVALUE_TOL
     times, d = _sample_times(n_full, remainder, dt, sample_every), g.dim
     n = len(times)  # samples: step 0, then one per interval
     raw_traces, matrices = np.empty(n), np.empty((n, d, d), dtype=complex)
@@ -569,6 +591,15 @@ def _integrate(
                 return IntegrationError(f"trace drift {abs(raw_traces[k] - 1.0):.3e} exceeds {bound:.0e}", t)
         return None
 
+    def spectra(block: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues and eigenvectors of the states of block, validated as a stack."""
+        try:
+            states = DensityStack(matrices[block], psd_atol)
+        except ValidationError as exc:  # name the first invalid state, checked alone
+            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[block]) or (0, exc)
+            raise IntegrationError(f"emitted state invalid ({exc})", float(times[block.start + i])) from exc
+        return states.eigenvalues, states.eigenvectors
+
     raw_traces[0] = matrices[0].trace().real
     # A blow-up (of the propagator too) ends in the drift or finite check; the
     # renormalization before it may divide by 0.
@@ -586,43 +617,19 @@ def _integrate(
             k += 1
     for a in (times, raw_traces, matrices):
         a.setflags(write=False)  # built here, so the chunks view them without a copy
-    return times, raw_traces, matrices, k, failure, (n_steps, cumulative_drift)
 
-
-def _validated_chunks(
-    times: np.ndarray,
-    raw_traces: np.ndarray,
-    matrices: np.ndarray,
-    k: int,
-    failure: IntegrationError | None,
-    summary: tuple[int, float],
-) -> Iterator[tuple[np.ndarray, np.ndarray, DensityStack]]:
-    """Phase 3 of `evolve_lindblad` on the result of `_integrate`: samples 0 to k - 1
-    are validated chunk_length(dim) at a time, and each chunk is yielded as its times,
-    raw traces and DensityStack, views of the run's arrays.  The first invalid state
-    raises IntegrationError at its time.  When the integration kept a drift failure,
-    every chunk is validated, none is yielded, and the failure is raised after them.
-    No chunk is held between yields."""
-    psd_atol, chunk = 10.0 * MIN_EIGENVALUE_TOL, chunk_length(matrices.shape[-1])
-
-    def spectra(block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues and eigenvectors of the states of block, validated as a stack."""
-        try:
-            states = DensityStack(matrices[block], psd_atol)
-        except ValidationError as exc:  # name the first invalid state, checked alone
-            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[block]) or (0, exc)
-            raise IntegrationError(f"emitted state invalid ({exc})", float(times[block.start + i])) from exc
-        return states.eigenvalues, states.eigenvectors
-
-    for start in range(0, k, chunk):
-        block = slice(start, min(start + chunk, k))
+    def validated() -> Iterator[tuple[np.ndarray, np.ndarray, DensityStack]]:  # phase 3
+        for start in range(0, k, chunk):
+            block = slice(start, min(start + chunk, k))
+            if failure:
+                spectra(block)
+            else:  # the states are stored exactly Hermitian, so the stack's hermitized copy has their bits
+                yield times[block], raw_traces[block], DensityStack._stored(matrices[block], *spectra(block))
         if failure:
-            spectra(block)
-        else:  # the states are stored exactly Hermitian, so the stack's hermitized copy has their bits
-            yield times[block], raw_traces[block], DensityStack._stored(matrices[block], *spectra(block))
-    if failure:
-        raise failure
-    logger.debug("lindblad trajectory: %d steps, cumulative trace correction %.3e", *summary)
+            raise failure
+        logger.debug("lindblad trajectory: %d steps, cumulative trace correction %.3e", n_steps, cumulative_drift)
+
+    return SampleStream(validated(), n)
 
 
 def generator_matrix(g: LindbladGenerator) -> np.ndarray:

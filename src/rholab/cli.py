@@ -34,7 +34,7 @@ from .bell import (
     singlet_variance,
 )
 from .bipartite import no_signalling_check, partial_trace_a, singlet
-from .channels import LindbladGenerator, _integrate, _validated_chunks, step_schedule
+from .channels import LindbladGenerator, SampleStream, evolve_chunks, step_schedule
 from .density import (
     DensityOperator,
     DensityStack,
@@ -379,7 +379,9 @@ def load_scenario(path: str) -> Scenario:
         raw = _read_document(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:  # nested deeper than the C scanner recurses
+    except (RecursionError, ValueError) as exc:  # too deep for the C scanner, or an integer too long for int()
+        if isinstance(exc, ValueError) and not str(exc).startswith("Exceeds the limit"):
+            raise
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     del text  # 43 KB at d = 16, which the checks below need not hold
     if not isinstance(raw, dict):
@@ -418,36 +420,19 @@ TRAJECTORY_HEADER = ",".join(_TRAJECTORY_COLUMNS)
 _TRAJECTORY_ROW = ",".join([_NUMBER] * len(_TRAJECTORY_COLUMNS)) + "\n"
 
 
-class _Rows:
-    """An iterable of rows made as it is iterated, which knows their number beforehand
-    (len, by which perfbench's span tracer counts samples).  It is iterated once."""
-
-    __slots__ = ("_rows", "_count")
-
-    def __init__(self, rows: Iterator[tuple[float, ...]], count: int):
-        self._rows, self._count = rows, count
-
-    def __iter__(self) -> Iterator[tuple[float, ...]]:
-        return self._rows
-
-    def __len__(self) -> int:
-        return self._count
-
-
-def trajectory_rows(scenario: Scenario) -> _Rows:
-    """Integrate the scenario, then tabulate its samples as iteration reaches them: one
-    tuple of the TRAJECTORY_HEADER columns per sample, a validated chunk of
-    chunk_length(dim) samples at a time (`channels._validated_chunks`), from views of
-    the chunk's arrays.  Purity, entropy and entropy rate each take one call per chunk,
-    and no more than one chunk's spectra and rows are held.  len() is the number of
-    samples.
+def trajectory_rows(scenario: Scenario) -> SampleStream:
+    """Integrate the scenario (`channels.evolve_chunks`), then tabulate its samples as
+    iteration reaches them: one tuple of the TRAJECTORY_HEADER columns per sample, a
+    validated chunk of chunk_length(dim) samples at a time, from views of the chunk's
+    arrays.  Purity, entropy and entropy rate each take one call per chunk, and no more
+    than one chunk's spectra and rows are held.  len() is the number of samples.
 
     Iterating raises IntegrationError, at the time of the first sample concerned, when
     the integration fails or a sample's entropy rate is not finite; a chunk's rates are
     taken before the next chunk is validated.
     """
     g = scenario.generator
-    run = _integrate(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
+    chunks = evolve_chunks(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
 
     def tabulate(chunk: tuple[np.ndarray, np.ndarray, DensityStack]) -> Iterator[tuple[float, ...]]:
         times, raw_traces, states = chunk
@@ -459,7 +444,7 @@ def trajectory_rows(scenario: Scenario) -> _Rows:
         return zip(times.tolist(), raw_traces.tolist(), purity(states).tolist(),
                    von_neumann_entropy(states).tolist(), states.eigenvalues[:, 0].tolist(), rates.tolist())
 
-    return _Rows(chain.from_iterable(map(tabulate, _validated_chunks(*run))), len(run[0]))
+    return SampleStream(chain.from_iterable(map(tabulate, chunks)), len(chunks))
 
 
 def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:

@@ -918,6 +918,79 @@ class TestEvolveLindblad:
             assert matrices == [] and built == [g] and len(applied) == 12
 
 
+class TestEvolveChunks:
+    """evolve_chunks integrates at the call and validates a chunk per step of iteration;
+    evolve_lindblad gathers its chunks."""
+
+    @pytest.mark.parametrize("t_end, dt, sample_every", [
+        (1.0, -0.1, 1), (math.nan, 0.1, 1), (1.0, 0.1, 0), (1.0, 0.1, 2.5), (1e13, 0.01, 10**9),
+    ], ids=["negative-dt", "nan-t_end", "every-zero", "every-float", "step-cap"])
+    def test_a_bad_schedule_raises_at_the_call(self, monkeypatch, t_end, dt, sample_every):
+        built = []
+        monkeypatch.setattr(channels, "_taylor_propagator", lambda *args: built.append(args))
+        with pytest.raises(ValidationError):
+            channels.evolve_chunks(dephasing_generator(1.0), DensityOperator(np.eye(2) / 2), t_end, dt, sample_every)
+        assert built == []
+
+    @pytest.mark.parametrize("dim, samples", [(2, 1023), (2, 1024), (2, 1025), (16, 15), (16, 16), (16, 17)])
+    def test_gathered_chunks_are_the_trajectory(self, monkeypatch, dim, samples):
+        # Runs that end inside, at and just past a chunk of chunk_length(dim) states.  The
+        # run is propagated before the call returns and validated only as it is iterated,
+        # with the solves of evolve_lindblad, one per chunk.
+        rng = np.random.default_rng(dim * samples)
+        g = LindbladGenerator(random_hermitian(rng, dim), [0.3 * random_complex(rng, (dim, dim))])
+        d0, t_end, dt = random_density(rng, dim), (samples - 1) / 1024, 1 / 1024
+        calls = count_eigensolves(monkeypatch)
+        trajectory = evolve_lindblad(g, d0, t_end, dt)
+        solves, chunk = calls.copy(), channels.chunk_length(dim)
+        calls.clear()
+        build, built = channels._taylor_propagator, []
+        monkeypatch.setattr(channels, "_taylor_propagator", lambda *args: built.append(args) or build(*args))
+        stream = channels.evolve_chunks(g, d0, t_end, dt)
+        assert (len(stream), len(built), calls) == (samples, 1, [])
+        chunks = list(stream)
+        assert calls == solves == [min(chunk, samples - i) for i in range(0, samples, chunk)]
+        assert [len(times) for times, _, _ in chunks] == solves
+        gathered = [np.concatenate(parts) for parts in zip(*(
+            (times, raw_traces, states.matrices, states.eigenvalues, states.eigenvectors)
+            for times, raw_traces, states in chunks))]
+        expected = [trajectory.times, trajectory.raw_traces, trajectory.states.matrices,
+                    trajectory.states.eigenvalues, trajectory.states.eigenvectors]
+        assert [a.tobytes() for a in gathered] == [a.tobytes() for a in expected]
+
+    def test_an_invalid_state_raises_when_iteration_reaches_its_chunk(self, monkeypatch):
+        # As in test_first_invalid_state_may_open_the_second_chunk: sample C, the first of
+        # the second chunk of C states, is not positive.  The first chunk is yielded.
+        chunk, dt = channels.chunk_length(2), 1.5
+        c0 = 0.5 / 1.375 ** (chunk - 0.5)
+        d0 = DensityOperator(np.array([[0.5, c0], [c0, 0.5]]))
+        calls = count_eigensolves(monkeypatch)
+        chunks = iter(channels.evolve_chunks(dephasing_generator(1.0), d0, (chunk + 3) * dt, dt))
+        assert calls == []
+        times, _, states = next(chunks)
+        assert len(states) == chunk and times[-1] == (chunk - 1) * dt
+        with pytest.raises(IntegrationError, match=r"min eigenvalue = -8\.630e-02\)") as info:
+            next(chunks)
+        assert info.value.time == chunk * dt
+
+    def test_a_drift_failure_raises_once_the_chunks_before_it_are_validated(self, monkeypatch):
+        # In chunks of 16 d = 2 states, 41 samples: the drift check fails at sample 21, in
+        # the second chunk, and its one-step replay drifts by 1e-3.  The call returns; the
+        # first step of iteration validates samples 0 to 20 and raises, yielding no chunk.
+        monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
+        drifting(monkeypatch, per_step=1e-3, after=20)
+        d0 = DensityOperator(projector(KETS.x_plus))
+        calls = count_eigensolves(monkeypatch)
+        chunks = iter(channels.evolve_chunks(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5))
+        assert calls == []
+        t = 0.0
+        for _ in range(5 * 20 + 1):
+            t += 0.01
+        with pytest.raises(IntegrationError, match=rf"^trace drift 1\.000e-03 exceeds 1e-07 at t={t:.6g}$") as info:
+            next(chunks)
+        assert info.value.time == t and calls == [16, 5]
+
+
 class TestTrajectory:
     @staticmethod
     def _run() -> Trajectory:

@@ -20,7 +20,6 @@ from rholab import (
     DensityOperator,
     DensityStack,
     DetectorPair,
-    IntegrationError,
     LindbladGenerator,
     UnitVector3,
     ValidationError,
@@ -579,8 +578,13 @@ class TestScenarioDocument:
             (b"[" * 200_000 + b"]" * 200_000, "scenario error: invalid JSON: "),
             *((TEXT[:-1].encode() + b', "%s": ' % key.encode() + b"[" * 200_000 + b"]" * 200_000 + b"}",
                "scenario error: invalid JSON: ") for key in ("x", "rho0", "jump_ops")),
+            # An integer of more digits than int() converts raises a plain ValueError in the scanner.
+            *(pytest.param(TEXT.replace(old, new).encode(), "scenario error: invalid JSON: Exceeds the limit",
+                           marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                                    reason="no integer digit limit"))
+              for old, new in (('"dt": 0.01', '"dt": ' + "1" * 5000), ("[[[0.5, 0.0]", "[[[" + "1" * 5000 + ", 0.0]"))),
         ],
-        ids=["invalid-utf8", "deep-document", "deep-member", "deep-matrix", "deep-jump-ops"],
+        ids=["invalid-utf8", "deep-document", "deep-member", "deep-matrix", "deep-jump-ops", "huge-int", "huge-int-matrix"],
     )
     def test_unreadable_document_exits_2_with_one_line(self, tmp_path, data, message):
         # In a child process, so an uncaught exception would show as exit 1 and a traceback.
@@ -667,21 +671,25 @@ class TestStreamedEvolve:
     def plant(self, monkeypatch, invalid=None, overflow=None, drift=None):
         """Make sample `invalid` of the next run a state that is not positive, sample
         `overflow` a valid state whose entropy rate overflows, and sample `drift` the
-        first to fail the drift check (with NaN).  Returns the list of states that
-        jump_entropy_rate is called on."""
-        integrate, rate, rated = rholab.cli._integrate, rholab.cli.jump_entropy_rate, []
+        first to fail the drift check (with NaN), planted in the states that
+        `evolve_chunks` propagates, before their clean-up and validation.  Returns the
+        list of states that jump_entropy_rate is called on."""
+        build, rate, rated = rholab.channels._taylor_propagator, rholab.cli.jump_entropy_rate, []
+        planted = [(sample, matrix) for sample, matrix in ((invalid, np.diag([1.5, -0.5])), (overflow, self.RATE_MARKER),
+                                                          (drift, np.nan)) if sample is not None]
 
-        def planted(*args):
-            times, raw_traces, matrices, k, failure, summary = integrate(*args)
-            matrices = matrices.copy()
-            if invalid is not None:
-                matrices[invalid] = np.diag([1.5, -0.5])
-            if overflow is not None:
-                matrices[overflow] = self.RATE_MARKER
-            matrices.setflags(write=False)
-            if drift is not None:
-                k, failure = drift, IntegrationError("trace drift nan exceeds 1e-07", float(times[drift]))
-            return times, raw_traces, matrices, k, failure, summary
+        def propagator(g, dt, remainder=0.0):
+            propagate = build(g, dt, remainder)
+
+            def planting(rho, full, last, out=None):
+                if out is None:  # an interval stepped alone, from the planted drift on: it drifts too
+                    return np.full_like(rho, np.nan)
+                propagate(rho, full, last, out)  # samples 1, 2, ... of a d = 2 run, all at once
+                for sample, matrix in planted:
+                    out[sample - 1] = matrix
+                return out
+
+            return planting
 
         def overflowing(states, jumps):
             rated.append(states)
@@ -690,7 +698,7 @@ class TestStreamedEvolve:
                 raise ValidationError("entropy rate overflows or is not finite")
             return rate(states, jumps)
 
-        monkeypatch.setattr(rholab.cli, "_integrate", planted)
+        monkeypatch.setattr(rholab.channels, "_taylor_propagator", propagator)
         monkeypatch.setattr(rholab.cli, "jump_entropy_rate", overflowing)
         return rated
 

@@ -1,6 +1,9 @@
+import ast
 import types
+from pathlib import Path
 
 import rholab
+import rholab.cli
 
 
 def test_all_is_the_public_namespace():
@@ -13,3 +16,17 @@ def test_all_is_the_public_namespace():
     exec("from rholab import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(names)
+
+
+def test_cli_uses_only_public_names_of_channels():
+    # The CLI runs a trajectory through the public chunk stream, like any caller.
+    tree = ast.parse(Path(rholab.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "channels"), (0, "rholab.channels"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
