@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .density import DensityOperator, _with_spectrum
+from .density import DensityOperator, _with_spectrum, require_state
 from .errors import ShapeError, ValidationError
 from .linalg import (_Record, _ValueRecord, as_ket, as_kets, as_square, hermitian_eig, in_basis, is_integer,
                      max_deviation, pinch, require_basis, require_finite, require_unit_ket)
@@ -200,6 +200,7 @@ def _ket_dim(basis) -> int:
 
 
 def _infer_space(d: DensityOperator, basis_a, basis_b) -> BipartiteSpace:
+    require_state(d)
     if basis_a is not None:
         dim_a = _ket_dim(basis_a)
     elif basis_b is not None:

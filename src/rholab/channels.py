@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack
+from .density import DensityOperator, DensityStack, require_state
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -67,20 +67,21 @@ MIN_EIGENVALUE_TOL = 1e-7
 # A finite but huge t_end/dt would otherwise start a run that never finishes,
 # and every sample's state, time and raw trace are held until the run ends; `rholab
 # evolve` makes and writes the spectra and rows a chunk at a time (tracemalloc peak
-# through cli.main: 0.086 KB per sample at d = 2 over 10^5 samples, 8.6 MB in all; 4.2 KB
+# through cli.main: 0.085 KB per sample at d = 2 over 10^5 samples, 8.5 MB in all; 4.2 KB
 # at d = 16 over 5 * 10^3; about 0.41 GB at the cap).
 MAX_STEPS = 10**7
 MAX_SAMPLES = 10**5
 
 # Emitted states are validated a chunk at a time, with one eigensolve per chunk.  A
 # chunk holds CHUNK_ENTRIES matrix entries (64 KiB of complex128), so chunk_length(d)
-# states.  Its hermitized copy and the solver's work arrays are alive together; the
-# DensityStack of a full chunk peaks near 0.4-0.5 MiB at every dimension (tracemalloc),
-# a cost that does not grow with the run:
+# states.  The solver holds the matrices still rotating, their eigenvectors, one rotation
+# and one product, and the eigenpairs of those that left; the hermitized copy is made
+# after it, next to the spectra.  The DensityStack of a full chunk peaks near 4.1-4.3
+# times the chunk at every dimension (tracemalloc), a cost that does not grow with the run:
 #
 #     d                   16     8      4      3      2
 #     states per chunk    16     64     256    455    1024
-#     peak (KiB)          407    424    463    466    525
+#     peak (KiB)          261    265    278    273    274
 #
 # At d = 2 a solve of 1 to 33 states costs about 0.2 ms, nearly all of it per call, so a
 # shipped-size trajectory (21 or 33 samples) takes one solve, not two or three.
@@ -269,7 +270,8 @@ def _generator_flow(g: LindbladGenerator) -> Callable[[np.ndarray], np.ndarray]:
     k = g.effective_hamiltonian
     k_dag = k.conj().T.copy()
     column = g.jump_ops.reshape(m, n)  # L^1 over L^2 over ...: a view
-    column_dag = g.jump_ops.conj().swapaxes(1, 2).reshape(m, n)
+    column_dag = np.empty((m, n), dtype=complex)  # L^1(dag) over L^2(dag) over ...
+    np.conjugate(g.jump_ops.swapaxes(1, 2), out=column_dag.reshape(-1, n, n))
 
     def flow(rho: np.ndarray) -> np.ndarray:
         out = k @ rho + rho @ k_dag
@@ -288,7 +290,7 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
 
     with K the generator's `effective_hamiltonian`.  The output is Hermitian and traceless.
     """
-    return _generator_flow(g)(as_square(d.matrix, g.dim))
+    return _generator_flow(g)(as_square(require_state(d).matrix, g.dim))
 
 
 class Trajectory(_Record):
@@ -541,6 +543,7 @@ def evolve_chunks(
     sample's time: an invalid state when its chunk is reached; a drift failure once
     every chunk before it is validated, none of them yielded.
     """
+    require_state(d0)
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
     n_steps = n_full + (remainder > 0.0)

@@ -103,7 +103,8 @@ def _validated(
     min_eig = float(eig.eigenvalues[..., 0].min())
     if min_eig < -psd_atol:
         raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
-    hermitized = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    hermitized = m + m.conj().swapaxes(-1, -2)
+    hermitized /= 2.0
     hermitized.setflags(write=False)
     return hermitized, eig
 
@@ -194,15 +195,26 @@ def mixture_to_density(m: ProperMixture) -> DensityOperator:
 States = DensityOperator | Sequence[DensityOperator]  # one state, or a sequence of them
 
 
+def require_state(d) -> DensityOperator:
+    """d, the input of a single-state entry point, if it is a DensityOperator; anything
+    else, a matrix included, raises ValidationError."""
+    if not isinstance(d, DensityOperator):
+        raise ValidationError(f"expected a DensityOperator, got {type(d).__name__}")
+    return d
+
+
 def stacked(d: States) -> DensityStack:
     """The states as one non-empty DensityStack, the one input of the per-state
     kernels: a DensityStack as it is; one density operator as a stack of one,
     viewing its arrays; a sequence of density operators of one dimension
-    stacked anew."""
+    stacked anew.  Anything else, a matrix or a stack of matrices included,
+    raises ValidationError."""
     if isinstance(d, DensityOperator):
         d = DensityStack._stored(d.matrix[None], d.eigenvalues[None], d.eigenvectors[None])
     elif not isinstance(d, DensityStack):
-        states = list(d)
+        states = list(d) if np.iterable(d) else [d]
+        if not all(isinstance(s, DensityOperator) for s in states):
+            raise ValidationError(f"expected a DensityOperator or a sequence of them, got {type(d).__name__}")
         if any(s.dim != states[0].dim for s in states):
             raise ShapeError("expected density operators of one dimension")
         arrays = [np.array([getattr(s, a) for s in states]) for a in DensityOperator.__slots__]
@@ -292,7 +304,7 @@ def remix(g: GramFactor, u) -> ProperMixture:
 
 def expectation(d: DensityOperator, obs) -> float:
     """Tr(rho K) for a Hermitian observable K."""
-    k = require_hermitian(obs, d.dim)
+    k = require_hermitian(obs, require_state(d).dim)
     return float(np.trace(d.matrix @ k).real)
 
 
@@ -305,7 +317,7 @@ def evolve_unitary(d: DensityOperator, h, t: float) -> DensityOperator:
     """
     if not is_finite_real(t):
         raise ValidationError(f"t must be finite and real, got {t!r}")
-    hm = require_hermitian(h, d.dim)
+    hm = require_hermitian(h, require_state(d).dim)
     u = apply_matrix_function(hm, lambda lam: cmath.exp(-1j * lam * t))
     vectors = u @ d.eigenvectors
     vectors.setflags(write=False)  # built here, so the state keeps it without a copy
@@ -319,4 +331,4 @@ def measurement_channel(d: DensityOperator, basis) -> DensityOperator:
     equal to the pre-measurement outcome probabilities; the trace is
     preserved and the map is not unitary.
     """
-    return DensityOperator(pinch(d.matrix, require_basis(basis, d.dim), np.eye(d.dim)))
+    return DensityOperator(pinch(require_state(d).matrix, require_basis(basis, d.dim), np.eye(d.dim)))

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .density import DensityOperator, States, per_state, stacked
+from .density import DensityOperator, States, per_state, require_state, stacked
 from .linalg import as_square_stack, require_finite, require_hermitian
 
 EIGENVALUE_FLOOR = 1e-14
@@ -55,7 +55,7 @@ def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:
     taken on the support alone: in rho's eigenbasis the diagonal of [H, rho]
     vanishes, so each kernel term is exactly 0.
     """
-    hm = require_hermitian(h, d.dim)
+    hm = require_hermitian(h, require_state(d).dim)
     support = d.eigenvalues > EIGENVALUE_FLOOR
     v = d.eigenvectors[:, support]
     log_rho = (v * np.log(d.eigenvalues[support])) @ v.conj().T
@@ -67,15 +67,15 @@ def _rate(d: States, ops: np.ndarray, p: np.ndarray, v: np.ndarray, weight) -> f
     """sum_mn Lambda_mn weight(p)_mn (log p_n - log p_m) per state, where
     Lambda_mn = sum_k |L^k_mn|^2 with L expressed in the eigenbasis of rho,
     accumulated one operator at a time over the (B, n, n) stack of bases."""
-    log_p = np.log(p)
-    dlog = log_p[:, None, :] - log_p[:, :, None]
-    vh = v.conj().swapaxes(-1, -2)
 
     def rates() -> np.ndarray:
         lam = np.zeros(v.shape)
-        for op in ops:
-            lam += np.abs(vh @ op @ v) ** 2
-        return (lam * weight * dlog).reshape(len(p), -1).sum(-1)
+        for op in ops:  # V^dag made anew per operator, so no stack of it is held
+            lam += np.abs(v.conj().swapaxes(-1, -2) @ op @ v) ** 2
+        log_p = np.log(p)
+        lam *= weight  # in place, in the order of lam * weight * dlog: the same bits
+        lam *= log_p[:, None, :] - log_p[:, :, None]
+        return lam.reshape(len(p), -1).sum(-1)
 
     return per_state(d, require_finite(rates, "entropy rate"))
 

@@ -358,6 +358,22 @@ def _stacked(n: int, count: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np
     return tuple(idx[:, : count * pairs] for idx in rounds), upper[:count], identity[:count]
 
 
+def _rotations(work: np.ndarray, idx: np.ndarray, skip: float) -> tuple[np.ndarray, ...]:
+    """The Jacobi rotations of one round at the (p, p), (p, q), (q, p), (q, q) entries idx of
+    work: cos(theta), sin(theta) times the phase of work[p, q], and whether |work[p, q]| is
+    above skip (below it the rotation is the identity).  The entries taken from work are
+    freed on return, before the round's products."""
+    pp, pq, _, qq = work.take(idx)
+    r = np.abs(pq)
+    big = r > skip
+    half = (qq.real - pp.real) / 2.0
+    # tan(theta) = g r: the smallest rotation, |theta| <= pi/4; g = 0 under skip.
+    g = np.divide(np.copysign(1.0, half), np.abs(half) + np.hypot(r, half),
+                  out=np.zeros(r.size), where=big)
+    c = 1.0 / np.hypot(1.0, g * r)
+    return c, c * g * pq, big
+
+
 def hermitian_eig(a) -> HermitianEig:
     """Eigendecompose a Hermitian matrix, or each matrix of a (B, n, n) stack,
     by round-robin Jacobi rotations.
@@ -369,9 +385,13 @@ def hermitian_eig(a) -> HermitianEig:
     when its off-diagonal Frobenius norm drops below 1e-13, and leaves the
     stack at that sweep boundary: each matrix gets exactly the rotations it
     gets alone, so a stack's eigenpairs equal the one-at-a-time ones bit for
-    bit.  Dependency-free at the matrix sizes used here.  Overflow, or no
-    convergence, in any matrix of a stack raises ArithmeticError for the
-    stack.  The returned arrays are read-only and owned by the result.
+    bit.  The stack is compacted only at a boundary where some matrix leaves,
+    and the eigenpairs of those that left are gathered once none is left, so
+    the solve holds the active matrices, their eigenvectors, one rotation J
+    and one product at a time.  Dependency-free at the matrix sizes used
+    here.  Overflow, or no convergence, in any matrix of a stack raises
+    ArithmeticError for the stack.  The returned arrays are read-only and
+    owned by the result.
     """
     m = require_hermitian(a, stack=True)
     n = m.shape[-1]
@@ -380,12 +400,13 @@ def hermitian_eig(a) -> HermitianEig:
     else:
         rounds, upper, eye = _stacked(n, len(m))
         rest = np.arange(len(m))  # the matrices still rotating
-        values, vectors = np.empty(m.shape[:-1]), np.empty_like(m)
+        left = []  # (indices, eigenvalues, eigenvectors) of the matrices that left, per boundary
     skip = _JACOBI_OFF_TOL / (4.0 * n * n)
     # Overflow raises as soon as the working matrix or spectrum is not finite; the squared
     # off-diagonal norm overflows first (entries above ~1e154), so alone it proves nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        work = (m + m.conj().swapaxes(-1, -2)) / 2.0
+        work = m + m.conj().swapaxes(-1, -2)
+        work /= 2.0
         vecs = eye
         for _ in range(_MAX_SWEEPS):
             # Each matrix's squared off-diagonal norm by one row-wise sum, on both paths: a
@@ -393,42 +414,48 @@ def hermitian_eig(a) -> HermitianEig:
             off2 = 2.0 * np.add.reduce(np.square(work.take(upper).view(float)), -1)
             if m.ndim == 3:  # the matrices that pass the stop test leave at this sweep boundary
                 done = off2 < _JACOBI_OFF_TOL**2
-                values[rest[done]] = work[done].diagonal(0, -2, -1).real
-                vectors[rest[done]] = vecs[done]
-                rest, work, vecs, off2 = rest[~done], work[~done], vecs[~done], off2[~done]
-                if 0 < rest.size < done.size:
+                if done.all():  # the last to leave keep their arrays, uncopied
+                    break
+                if done.any():
+                    left.append((rest[done], work.diagonal(0, -2, -1)[done].real, vecs[done]))
+                    keep = ~done
+                    rest, off2, work = rest[keep], off2[keep], work[keep]
+                    vecs = vecs[keep]  # once the old work is freed
                     rounds, upper, eye = _stacked(n, rest.size)
-                off2 = off2.max(initial=0.0)  # the stop test and overflow check of those left
+                off2 = off2.max()  # the stop test and overflow check of those left
             if off2 < _JACOBI_OFF_TOL**2:
                 break
             if not math.isfinite(off2) and not np.isfinite(work).all():
                 raise ArithmeticError("Jacobi iteration overflowed: the working matrix is not finite")
             for idx in rounds:
-                pp, pq, _, qq = work.take(idx)
-                r = np.abs(pq)
-                big = r > skip
-                half = (qq.real - pp.real) / 2.0
-                # tan(theta) = g r: the smallest rotation, |theta| <= pi/4; g = 0 under skip.
-                g = np.divide(np.copysign(1.0, half), np.abs(half) + np.hypot(r, half),
-                              out=np.zeros(r.size), where=big)
-                c = 1.0 / np.hypot(1.0, g * r)
-                se = c * g * pq  # sin(theta) times the phase of work[p, q]
+                c, se, big = _rotations(work, idx, skip)
                 j = eye.copy()  # 2x2 blocks [[c, se], [-conj(se), c]] at (p, q)
                 np.put(j, idx, np.concatenate((c, se, -se.conj(), c)))
-                work = j.conj().swapaxes(-1, -2) @ work @ j
+                np.conjugate(j, out=j)  # J^dag W as a product with J's conjugate's transpose,
+                work = j.swapaxes(-1, -2) @ work
+                np.conjugate(j, out=j)  # then J again: conjugating twice is exact
+                work = work @ j
                 work.ravel()[idx[1:3, big]] = 0.0  # a product is C-contiguous
                 vecs = vecs @ j
+            del j  # no rotation is held across the sweep boundary
         else:
             raise ArithmeticError("Jacobi iteration failed to converge")
+    values = work.diagonal(0, -2, -1).real
     if m.ndim == 2:
-        values = work.diagonal().real
         order = np.argsort(values, kind="stable")
         values, vectors = values[order], vecs.take(order, -1)  # take: a C-ordered copy
     else:
+        if left:  # every matrix's rows, gathered in the order the matrices left
+            left.append((rest, values, vecs))
+            rest, values, vecs = (np.concatenate(a) for a in zip(*left))
+            del left  # the pieces, now copied into the gathered arrays
+        at = np.argsort(rest)  # at[b]: the row of matrix b
+        values = values[at]
+        del work  # values is a copy: the last active stack is not held through the gather
         order = np.argsort(values, axis=-1, kind="stable")
         row = n * np.arange(len(m))[:, None]  # b n: where matrix b's values start
         values = values.take(row + order)  # flat: b n + order[b, j]
-        vectors = vectors.take(n * (row + np.arange(n))[:, :, None] + order[:, None, :])
+        vectors = vecs.take(n * (n * at[:, None] + np.arange(n))[:, :, None] + order[:, None, :])
     if not np.isfinite(values).all():
         raise ArithmeticError("Jacobi iteration overflowed: the eigenvalues are not finite")
     values.setflags(write=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import signal
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,6 +36,14 @@ def random_density(rng: np.random.Generator, n: int) -> DensityOperator:
     x = random_complex(rng, (n, n))
     m = x @ x.conj().T
     return DensityOperator(m / np.trace(m).real)
+
+
+def random_density_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """`count` full-rank n x n density matrices as one (count, n, n) array, each exactly Hermitian."""
+    x = random_complex(rng, (count, n, n))
+    m = x @ x.conj().swapaxes(1, 2)
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return (m + m.conj().swapaxes(1, 2)) / 2.0
 
 
 def random_mixture(rng: np.random.Generator, n: int, terms: int) -> ProperMixture:
@@ -104,3 +113,37 @@ def count_eigensolves(monkeypatch) -> list:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_sweeps(monkeypatch) -> list:
+    """Route the Jacobi rounds of `hermitian_eig` through a spy; the returned list gains
+    one entry per sweep, the number of matrices it rotates: 1 for one matrix, and for a
+    (B, n, n) stack the matrices still active in that sweep.  A sweep in dimension n is
+    n - 1 rounds, or n for odd n, and no solve stops inside one."""
+    sweeps = []
+    left = 0  # rounds left in the current sweep
+    original = rholab.linalg._rotations
+
+    def counted(work, idx, skip):
+        nonlocal left
+        if not left:
+            n = work.shape[-1]
+            sweeps.append(len(work) if work.ndim == 3 else 1)
+            left = n - 1 + n % 2
+        left -= 1
+        return original(work, idx, skip)
+
+    monkeypatch.setattr(rholab.linalg, "_rotations", counted)
+    return sweeps
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes, after a first call that fills what is
+    filled once per process (the solver's tables, imports)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

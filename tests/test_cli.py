@@ -27,6 +27,7 @@ from rholab import (
     Z_AXIS,
     empirical_correlation,
     evolve_lindblad,
+    hermitian_eig,
     joint_outcome_probabilities,
     jump_entropy_rate,
     purity,
@@ -35,7 +36,7 @@ from rholab import (
 )
 from rholab.bell import MAX_EVENTS
 from rholab.cli import EVENT_HEADER, TRAJECTORY_HEADER, main, load_scenario, trajectory_rows, ScenarioError
-from conftest import count_eigensolves, time_limit
+from conftest import count_eigensolves, count_sweeps, time_limit
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -418,6 +419,35 @@ class TestEvolve:
                 )
             ]
         assert [tuple(row) for row in rows] == expected
+
+    @pytest.mark.parametrize(
+        "name, solves, sweeps",
+        [
+            ("dephasing", [1, 21], [1, 21]),
+            ("precession", [1, 33], [1, 33]),
+            ("amplitude_damping", [1, 21], [1, 21]),
+            ("evolve-d16", [1, 7], [1, 7, 6, 6, 6, 6, 6, 4, 2]),
+        ],
+    )
+    def test_eigensolves_and_sweeps(self, tmp_path, monkeypatch, name, solves, sweeps):
+        # rho0 as the scenario loads it, in one sweep, then one chunk.  The d = 16 chunk's
+        # pure first state leaves after sweep 1 and the others after sweeps 6, 7 and 8, so
+        # four boundaries see none leave; each state's spectrum is its spectrum alone.
+        if name == "evolve-d16":
+            path = ising_chain_scenario(tmp_path / "d16.json", seed=1)
+        else:
+            path = REPO / "scenarios" / f"{name}.json"
+        calls, swept = count_eigensolves(monkeypatch), count_sweeps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "t.csv")]) == 0
+        assert calls == solves and swept == sweeps
+        s = load_scenario(str(path))
+        states = evolve_lindblad(s.generator, s.rho0, s.t_end, s.dt, s.sample_every).states
+        for k, m in enumerate(states.matrices):
+            alone = hermitian_eig(m)
+            assert np.array_equal(states.eigenvalues[k], alone.eigenvalues), k
+            assert np.array_equal(states.eigenvectors[k], alone.eigenvectors), k
 
     def test_unwritable_output(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")

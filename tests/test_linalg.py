@@ -64,7 +64,7 @@ from rholab import (
 )
 from rholab import channels, linalg
 from rholab.cli import Scenario
-from conftest import random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
+from conftest import count_sweeps, random_hermitian, random_complex, random_ket, random_unit_vector, random_unitary
 
 
 # Entries whose squared modulus overflows: |BIG|^2 = 2e400.
@@ -320,14 +320,35 @@ class TestStacks:
             stacks.setdefault(len(a), []).append(np.asarray(a, dtype=complex))
         return stacks
 
-    def test_stack_matches_one_at_a_time_bitwise(self):
-        for n, mats in self._eig_stacks().items():
+    @staticmethod
+    def _staggered() -> list[np.ndarray]:
+        """Five d = 16 matrices that leave a stack at sweeps 7, 1, 7, 7 and 3: a random
+        Hermitian matrix, a pure product state, a rank-3 one, a random density matrix
+        and a perturbed diagonal one."""
+        rng = np.random.default_rng(32)
+        ket = np.array([1.0])
+        for _ in range(4):
+            ket = np.kron(ket, [math.cos(math.pi / 6), np.exp(1j * math.pi / 4) * math.sin(math.pi / 6)])
+        low = random_complex(rng, (16, 3))
+        full = random_complex(rng, (16, 16))
+        return [random_hermitian(rng, 16), np.outer(ket, ket.conj()), low @ low.conj().T, full @ full.conj().T,
+                np.diag(np.arange(16.0)) + 1e-3 * random_hermitian(rng, 16)]
+
+    def test_stack_matches_one_at_a_time_bitwise(self, monkeypatch):
+        # The staggered stack's matrices leave out of order at sweep boundaries 1, 3 and
+        # 7, and none leaves at 2, 4, 5 or 6.
+        sweeps = count_sweeps(monkeypatch)
+        for n, mats in [*self._eig_stacks().items(), (16, self._staggered())]:
+            sweeps.clear()
             eig = hermitian_eig(np.array(mats))
+            stack_sweeps = sweeps[:]
             assert eig.eigenvalues.shape == (len(mats), n)
             for k, a in enumerate(mats):
                 alone = hermitian_eig(a)
                 assert np.array_equal(eig.eigenvalues[k], alone.eigenvalues), (n, k)
                 assert np.array_equal(eig.eigenvectors[k], alone.eigenvectors), (n, k)
+        assert stack_sweeps == [5, 4, 4, 3, 3, 3, 3]
+        assert sweeps[len(stack_sweeps):] == [1] * (7 + 1 + 7 + 7 + 3)  # one at a time
 
     @pytest.mark.parametrize("n", [2, 4, 16])
     def test_one_set_of_stack_tables_per_dimension(self, n, monkeypatch):
