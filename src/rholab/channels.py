@@ -75,13 +75,14 @@ MAX_SAMPLES = 10**5
 # Emitted states are validated a chunk at a time, with one eigensolve per chunk.  A
 # chunk holds CHUNK_ENTRIES matrix entries (64 KiB of complex128), so chunk_length(d)
 # states.  The solver holds the matrices still rotating, their eigenvectors, one rotation
-# and one product, and the eigenpairs of those that left; the hermitized copy is made
-# after it, next to the spectra.  The DensityStack of a full chunk peaks near 4.1-4.3
-# times the chunk at every dimension (tracemalloc), a cost that does not grow with the run:
+# and one product, one round's indices, and the eigenpairs of those that left; the
+# hermitized copy is made after it, next to the spectra.  The DensityStack of a full chunk
+# peaks near 4.1-4.4 times the chunk at every dimension (tracemalloc), a cost that does
+# not grow with the run:
 #
 #     d                   16     8      4      3      2
 #     states per chunk    16     64     256    455    1024
-#     peak (KiB)          261    265    278    273    274
+#     peak (KiB)          261    264    271    273    284
 #
 # At d = 2 a solve of 1 to 33 states costs about 0.2 ms, nearly all of it per call, so a
 # shipped-size trajectory (21 or 33 samples) takes one solve, not two or three.
@@ -261,21 +262,22 @@ class LindbladGenerator(_Record):
 
 def _generator_flow(g: LindbladGenerator) -> Callable[[np.ndarray], np.ndarray]:
     """The flow rho -> K rho + rho K(dag) + sum_k L^k rho L^k(dag) on one matrix, with K
-    the generator's effective Hamiltonian, and K(dag) and the jump columns built once.
+    the generator's effective Hamiltonian, and K(dag) and the jump column built once.
 
-    The jump sum is two matrix products: the column C of the stacked L^k times rho,
-    regrouped into the row (L^1 rho | ... | L^K rho), times the column of the L^k(dag).
+    The jump sum is two matrix products: one batched product writes each L^k rho
+    straight into its block of the row (L^1 rho | ... | L^K rho), and the row times
+    the column of the L^k(dag) sums them.
     """
-    n, m = g.dim, len(g.jump_ops) * g.dim
+    n, ops = g.dim, g.jump_ops
     k = g.effective_hamiltonian
     k_dag = k.conj().T.copy()
-    column = g.jump_ops.reshape(m, n)  # L^1 over L^2 over ...: a view
-    column_dag = np.empty((m, n), dtype=complex)  # L^1(dag) over L^2(dag) over ...
-    np.conjugate(g.jump_ops.swapaxes(1, 2), out=column_dag.reshape(-1, n, n))
+    column_dag = np.empty((len(ops) * n, n), dtype=complex)  # L^1(dag) over L^2(dag) over ...
+    np.conjugate(ops.swapaxes(1, 2), out=column_dag.reshape(-1, n, n))
 
     def flow(rho: np.ndarray) -> np.ndarray:
         out = k @ rho + rho @ k_dag
-        row = (column @ rho).reshape(-1, n, n).swapaxes(0, 1).reshape(n, m)
+        row = np.empty((n, len(ops) * n), dtype=complex)
+        np.matmul(ops, rho, out=row.reshape(n, len(ops), n).swapaxes(0, 1))  # block k: L^k rho
         out += row @ column_dag
         return out
 

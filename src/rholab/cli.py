@@ -46,7 +46,7 @@ from .density import (
 )
 from .entropy import jump_entropy_rate, von_neumann_entropy
 from .errors import IntegrationError, ValidationError
-from .linalg import _Record, first_failure, is_finite_real, is_integer
+from .linalg import _Record, first_failure, is_finite_real, is_integer, require_hermitian
 from .spin import UnitVector3, spin_half_basis, spin_one_set
 
 DEFAULT_SEED = 42
@@ -407,12 +407,22 @@ def load_scenario(path: str) -> Scenario:
     sample_every = raw["sample_every"]  # checked by step_schedule
 
     try:
-        step_schedule(t_end, dt, sample_every)
-        rho0 = DensityOperator(rho0_matrix)
-        generator = LindbladGenerator(hamiltonian, jump_ops)
+        step_schedule(t_end, dt, sample_every)  # its errors name t_end, dt and sample_every
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+    rho0 = _field_checked("rho0", DensityOperator, rho0_matrix)
+    _field_checked("hamiltonian", require_hermitian, hamiltonian)
+    # With H Hermitian, only the jump set can fail: K = -iH - 1/2 sum L(dag)L overflows.
+    generator = _field_checked("jump_ops", LindbladGenerator, hamiltonian, jump_ops)
     return Scenario(rho0, generator, t_end, dt, sample_every)
+
+
+def _field_checked(field: str, check: Callable, *args):
+    """check(*args), a ValueError from it raised as a ScenarioError that names field."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"{field}: {exc}") from exc
 
 
 _TRAJECTORY_COLUMNS = ("t", "trace_re", "purity", "entropy_nats", "min_eigenvalue", "entropy_production")

@@ -277,7 +277,7 @@ class GramFactor(_Record):
 def gram_factor(m: ProperMixture, basis) -> GramFactor:
     """Factor a mixture through an orthonormal basis.
 
-    coeff[k, m] = sqrt(p_k) <basis_m | ket_k>.
+    coeff[k, m] = sqrt(p_k) <basis_m | ket_k>, for all K kets as one product.
     """
     b = require_basis(basis, m.dim)
     coeff = np.sqrt(m.weights)[:, None] * (m.kets @ b.conj())

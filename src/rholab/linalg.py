@@ -172,7 +172,8 @@ def max_deviation(diff: Callable[[], np.ndarray]) -> float:
 
 
 def require_close(diff: Callable[[], np.ndarray], atol: float, what: str) -> None:
-    """Raise ValidationError unless max_deviation(diff) <= atol."""
+    """Raise ValidationError unless max_deviation(diff) <= atol: the one closeness
+    check, behind require_hermitian, require_unit_ket and require_basis."""
     dev = max_deviation(diff)
     if not dev <= atol:  # an overflowed (inf or NaN) deviation fails too
         raise ValidationError(f"{what}: max deviation {dev:.3e}")
@@ -252,7 +253,8 @@ def in_basis(a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def pinch(a: np.ndarray, u: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """sum_m R_m a R_m over the projectors R_m onto the blocks of u's orthonormal
-    columns that the 0/1 mask marks: u (blocks * u^dag a u) u^dag."""
+    columns that the 0/1 mask marks: u (blocks * u^dag a u) u^dag.  The one kernel
+    of every projective measurement, on one system or on the factors of two."""
     return u @ (blocks * in_basis(a, u)) @ u.conj().T
 
 
@@ -335,29 +337,6 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray
     return tuple(rounds), frozen(upper), frozen(np.eye(n, dtype=complex))
 
 
-# n -> _stacked's tables for the largest stack of n x n matrices solved so far; a smaller stack
-# uses prefix views, so the process keeps one set of tables per n.
-_STACKED: dict[int, tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]] = {}
-
-
-def _stacked(n: int, count: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """_round_robin(n) for a C-contiguous stack of `count` n x n matrices, read-only: each
-    flat-index table repeated per matrix and shifted by b n^2 for matrix b, the upper
-    triangle as one row per matrix, and the identity stacked."""
-    tables = _STACKED.get(n)
-    if tables is None or len(tables[2]) < count:
-        rounds, upper, identity = _round_robin(n)
-        shift = n * n * np.arange(count)[:, None]
-        tables = _STACKED[n] = (
-            tuple(frozen((idx[:, None, :] + shift).reshape(4, -1)) for idx in rounds),
-            frozen(upper + shift), frozen(np.repeat(identity[None], count, axis=0)))
-    rounds, upper, identity = tables
-    if count == len(identity):
-        return tables
-    pairs = len(rounds[0][0]) // len(identity)  # per matrix and round: matrix b's columns come b-th
-    return tuple(idx[:, : count * pairs] for idx in rounds), upper[:count], identity[:count]
-
-
 def _rotations(work: np.ndarray, idx: np.ndarray, skip: float) -> tuple[np.ndarray, ...]:
     """The Jacobi rotations of one round at the (p, p), (p, q), (q, p), (q, q) entries idx of
     work: cos(theta), sin(theta) times the phase of work[p, q], and whether |work[p, q]| is
@@ -386,20 +365,25 @@ def hermitian_eig(a) -> HermitianEig:
     stack at that sweep boundary: each matrix gets exactly the rotations it
     gets alone, so a stack's eigenpairs equal the one-at-a-time ones bit for
     bit.  The stack is compacted only at a boundary where some matrix leaves,
-    and the eigenpairs of those that left are gathered once none is left, so
-    the solve holds the active matrices, their eigenvectors, one rotation J
-    and one product at a time.  Dependency-free at the matrix sizes used
-    here.  Overflow, or no convergence, in any matrix of a stack raises
-    ArithmeticError for the stack.  The returned arrays are read-only and
-    owned by the result.
+    and the eigenpairs of those that left are gathered once none is left.
+    A stack solve holds about four copies of the active stack at a time (the
+    matrices, their eigenvectors, one rotation J and one product) and keeps
+    nothing once it returns: its only tables are the one matrix's, per
+    dimension, and each round's indices into the stack are derived as the
+    round runs.  Dependency-free at the matrix sizes used here.  Overflow,
+    or no convergence, in any matrix of a stack raises ArithmeticError for
+    the stack.  The returned arrays are read-only and owned by the result.
     """
     m = require_hermitian(a, stack=True)
     n = m.shape[-1]
-    if m.ndim == 2:
-        rounds, upper, eye = _round_robin(n)
-    else:
-        rounds, upper, eye = _stacked(n, len(m))
+    rounds, upper, eye = _round_robin(n)
+    if m.ndim == 3:
+        # The identity broadcast over the stack, read-only: the first eigenvectors and each J's
+        # start.  It is np.broadcast_to's view, built directly: broadcast_to's Python-level
+        # setup would cost a small stack's solve a few percent.
+        eye = np.ndarray(m.shape, complex, eye, 0, (0, *eye.strides))
         rest = np.arange(len(m))  # the matrices still rotating
+        shift = rest[:, None] * (n * n)  # b n^2: where active matrix b starts, flat
         left = []  # (indices, eigenvalues, eigenvectors) of the matrices that left, per boundary
     skip = _JACOBI_OFF_TOL / (4.0 * n * n)
     # Overflow raises as soon as the working matrix or spectrum is not finite; the squared
@@ -411,7 +395,9 @@ def hermitian_eig(a) -> HermitianEig:
         for _ in range(_MAX_SWEEPS):
             # Each matrix's squared off-diagonal norm by one row-wise sum, on both paths: a
             # matrix of a stack gets the value it gets alone, so it stops where it stops alone.
-            off2 = 2.0 * np.add.reduce(np.square(work.take(upper).view(float)), -1)
+            off = work.take(upper) if m.ndim == 2 else work.reshape(len(work), -1).take(upper, 1)
+            off2 = 2.0 * np.add.reduce(np.square(off.view(float)), -1)
+            del off  # not held through the sweep
             if m.ndim == 3:  # the matrices that pass the stop test leave at this sweep boundary
                 done = off2 < _JACOBI_OFF_TOL**2
                 if done.all():  # the last to leave keep their arrays, uncopied
@@ -421,23 +407,27 @@ def hermitian_eig(a) -> HermitianEig:
                     keep = ~done
                     rest, off2, work = rest[keep], off2[keep], work[keep]
                     vecs = vecs[keep]  # once the old work is freed
-                    rounds, upper, eye = _stacked(n, rest.size)
+                    eye, shift = eye[: rest.size], shift[: rest.size]
                 off2 = off2.max()  # the stop test and overflow check of those left
             if off2 < _JACOBI_OFF_TOL**2:
                 break
             if not math.isfinite(off2) and not np.isfinite(work).all():
                 raise ArithmeticError("Jacobi iteration overflowed: the working matrix is not finite")
             for idx in rounds:
+                if m.ndim == 3:  # matrix b's entries of the round, b-th
+                    idx = (idx[:, None, :] + shift).reshape(4, -1)
                 c, se, big = _rotations(work, idx, skip)
                 j = eye.copy()  # 2x2 blocks [[c, se], [-conj(se), c]] at (p, q)
                 np.put(j, idx, np.concatenate((c, se, -se.conj(), c)))
+                idx = idx[1:3, big]  # the entries J zeroes: all the products need of the round
+                del c, se
                 np.conjugate(j, out=j)  # J^dag W as a product with J's conjugate's transpose,
                 work = j.swapaxes(-1, -2) @ work
                 np.conjugate(j, out=j)  # then J again: conjugating twice is exact
                 work = work @ j
-                work.ravel()[idx[1:3, big]] = 0.0  # a product is C-contiguous
+                work.ravel()[idx] = 0.0  # a product is C-contiguous
                 vecs = vecs @ j
-            del j  # no rotation is held across the sweep boundary
+                del j  # freed before the next round's J is built
         else:
             raise ArithmeticError("Jacobi iteration failed to converge")
     values = work.diagonal(0, -2, -1).real

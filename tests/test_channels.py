@@ -565,22 +565,24 @@ class TestEvolveLindblad:
             assert got.states.matrices.tobytes() == expected.states.matrices.tobytes()
 
     @pytest.mark.parametrize(
-        "dim, sample_every",
-        [pytest.param(dim, 4, id=str(dim)) for dim in (1, 2, 3, 4, 8, 16)]
+        "dim, sample_every, count",
+        [pytest.param(dim, 4, 2, id=str(dim)) for dim in (1, 2, 3, 4, 8, 16)]
         + [
-            pytest.param(dim, every, id=f"{dim}-every-{every}")
+            pytest.param(dim, every, 2, id=f"{dim}-every-{every}")
             for dim in (1, 2, 8, 16)
             for every in (1, 10**9)
-        ],
+        ]
+        + [pytest.param(16, 4, 0, id="16-no-jumps")],
     )
-    def test_matches_stagewise_rk4(self, dim, sample_every, monkeypatch):
+    def test_matches_stagewise_rk4(self, dim, sample_every, count, monkeypatch):
         # The step tabulated as T and applied directly, on either side of the
         # size threshold, and a t_end that leaves a shorter final step.  Sample
         # intervals of one step, of four, and one interval holding every step.
+        # Applied directly, an empty jump set leaves the flow's row of L^k rho empty.
         rng = np.random.default_rng(150 + dim)
         scale = 1.0 / math.sqrt(dim)
         h = scale * random_hermitian(rng, dim)
-        jumps = [scale * random_complex(rng, (dim, dim)) for _ in range(2)]
+        jumps = [scale * random_complex(rng, (dim, dim)) for _ in range(count)]
         d0 = random_density(rng, dim)
         generator_built = []
         real_generator_matrix = channels.generator_matrix

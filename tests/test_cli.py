@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -51,6 +52,32 @@ BASE_SCENARIO = {
     "t_end": 1.0,
     "dt": 0.01,
     "sample_every": 10,
+}
+
+
+def _matrix(rows) -> list:
+    """A real matrix as a scenario writes it: rows of [re, im] pairs."""
+    return [[[float(x), 0.0] for x in row] for row in rows]
+
+
+# Values each of the seven scenario fields rejects, crossed with the JSON types: every
+# one must exit 2 with one stderr line that names the field.  t_end = 0 and an empty
+# jump set are valid, and a jump operator need not be Hermitian.
+_ANY_FIELD = {"object": {}, "bool": True, "string": "3", "nan": math.nan, "empty-list": [], "negative": -1}
+_NOT_HERMITIAN = _matrix([[0.5, 0.5], [0.0, 0.5]])
+_WRONG_SIZE = _matrix(np.eye(3) / 3)
+SCENARIO_FIELD_ERRORS = {
+    "dim": {**_ANY_FIELD, "zero": 0, "float": 2.0, "matrix": _matrix(np.eye(2))},
+    "rho0": {**_ANY_FIELD, "zero": 0, "wrong-size": _WRONG_SIZE, "not-hermitian": _NOT_HERMITIAN,
+             "trace-2": _matrix(np.eye(2)), "not-positive": _matrix([[1.5, 0.0], [0.0, -0.5]]),
+             "ragged": [[[0.5, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    "hamiltonian": {**_ANY_FIELD, "zero": 0, "wrong-size": _WRONG_SIZE, "not-hermitian": _NOT_HERMITIAN},
+    "jump_ops": {**{k: v for k, v in _ANY_FIELD.items() if k != "empty-list"}, "zero": 0,
+                 "matrix-not-list": _matrix(np.eye(2)), "wrong-size": [_WRONG_SIZE],
+                 "overflowing": [_matrix([[1e200, 0.0], [0.0, -1e200]])]},
+    "t_end": {**_ANY_FIELD, "matrix": _matrix(np.eye(2))},
+    "dt": {**_ANY_FIELD, "zero": 0, "matrix": _matrix(np.eye(2))},
+    "sample_every": {**_ANY_FIELD, "zero": 0, "float": 2.5, "matrix": _matrix(np.eye(2))},
 }
 
 
@@ -344,13 +371,16 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [("dim", True), ("dim", 2.0), ("sample_every", True),
-                                              ("sample_every", 2.5), ("sample_every", "3")])
-    def test_non_integer_count_rejected(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}-{name}")
+        for field, cases in SCENARIO_FIELD_ERRORS.items() for name, value in cases.items()
+    ])
+    def test_an_invalid_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         scenario = write_scenario(tmp_path / "s.json", **{field: value})
         assert main(["evolve", "--scenario", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("scenario error:") and field in err and err.count("\n") == 1
+        assert err.startswith("scenario error:") and err.count("\n") == 1, err
+        assert re.search(rf"\b{field}\b", err), err
         assert list(tmp_path.iterdir()) == [scenario]
 
     def test_overflowing_jump_operator_rejected(self, tmp_path, capsys):

@@ -350,25 +350,6 @@ class TestStacks:
         assert stack_sweeps == [5, 4, 4, 3, 3, 3, 3]
         assert sweeps[len(stack_sweeps):] == [1] * (7 + 1 + 7 + 7 + 3)  # one at a time
 
-    @pytest.mark.parametrize("n", [2, 4, 16])
-    def test_one_set_of_stack_tables_per_dimension(self, n, monkeypatch):
-        # Counts below the largest seen so far read prefix views of its tables, equal
-        # to the tables built for that count alone; a larger count replaces them.
-        monkeypatch.setattr(linalg, "_STACKED", {})
-        rounds, upper, identity = linalg._round_robin(n)
-        largest = 0
-        for count in (3, *range(1, 17), 5):
-            largest = max(largest, count)
-            got_rounds, got_upper, got_identity = linalg._stacked(n, count)
-            shift = n * n * np.arange(count)[:, None]
-            for got, idx in zip(got_rounds, rounds, strict=True):
-                assert np.array_equal(got, (idx[:, None, :] + shift).reshape(4, -1))
-            assert np.array_equal(got_upper, upper + shift)
-            assert np.array_equal(got_identity, np.repeat(identity[None], count, axis=0))
-            assert list(linalg._STACKED) == [n] and len(linalg._STACKED[n][2]) == largest
-        kept = linalg._STACKED[n]
-        assert all(np.shares_memory(a, b) for a, b in zip(linalg._stacked(n, 7)[0], kept[0]))
-
     def test_results_are_read_only_and_owned(self):
         rng = np.random.default_rng(28)
         for a in (random_hermitian(rng, 3), np.array([random_hermitian(rng, 3) for _ in range(4)])):
@@ -640,7 +621,6 @@ class TestOwnership:
     def test_constants_are_read_only(self):
         spin_one = spin_one_set()
         rounds, upper, identity = linalg._round_robin(4)
-        stacked_rounds, stacked_upper, stacked_identity = linalg._stacked(4, 3)  # cached too
         arrays = [
             *spin_half_basis().axis_pair("y"),
             spin_one.sx,
@@ -650,9 +630,6 @@ class TestOwnership:
             *rounds,
             upper,
             identity,
-            *stacked_rounds,
-            stacked_upper,
-            stacked_identity,
         ]
         assert not any(a.flags.writeable for a in arrays)
 
