@@ -231,7 +231,8 @@ def local_measurement(d: DensityOperator, basis_a=None, basis_b=None) -> Density
 
     Projectors are R_m x R_n built from the given bases; a missing basis
     means the identity on that factor.  The output is sum R rho R over the
-    joint projector set.
+    joint projector set, one call of the shared pinching kernel `pinch` in the
+    basis B_a x B_b.
     """
     return DensityOperator(_pinch_factors(d, basis_a, basis_b)[1])
 
@@ -239,7 +240,8 @@ def local_measurement(d: DensityOperator, basis_a=None, basis_b=None) -> Density
 def measurement_probabilities(d: DensityOperator, basis_a, basis_b) -> np.ndarray:
     """Joint outcome probabilities p[m, n] = Tr(rho R_m x R_n).
 
-    Both bases must be complete, so the probabilities sum to 1.
+    Both bases must be complete, so the probabilities sum to 1.  They are the
+    diagonal of rho in the basis B_a x B_b (`in_basis`); no measured state is built.
     """
     space = _infer_space(d, basis_a, basis_b)
     u = np.kron(require_basis(basis_a, space.dim_a), require_basis(basis_b, space.dim_b))

@@ -9,14 +9,16 @@ operators a jump rate is 0 exactly, and no log is taken.
 
 `von_neumann_entropy`, `entropy_production` and `jump_entropy_rate` take one
 DensityOperator and return a float, or a sequence of them (a DensityStack
-passes as it is) and return an array with one value per state.  Both forms run
-one kernel on the states' stacked spectra, and a state's value is the same bit
-for bit in either form.
+passes as it is, without a copy) and return an array with one value per state.
+Both forms run one kernel on the states' stacked spectra, and a state's value is
+the same bit for bit in either form.  The jump operators are checked once per
+call, not once per state.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +43,7 @@ def _floored(p: np.ndarray) -> np.ndarray:
             "density is rank-deficient; eigenvalues floored at "
             f"{EIGENVALUE_FLOOR:g} before log (result is regularized)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of entropy_production or jump_entropy_rate
         )
         p = np.maximum(p, EIGENVALUE_FLOOR)
     return p
@@ -63,17 +65,24 @@ def entropy_rate_hamiltonian(d: DensityOperator, h) -> float:
     return float((1j * np.trace(log_rho @ commutator)).real)
 
 
-def _rate(d: States, ops: np.ndarray, p: np.ndarray, v: np.ndarray, weight) -> float | np.ndarray:
-    """sum_mn Lambda_mn weight(p)_mn (log p_n - log p_m) per state, where
-    Lambda_mn = sum_k |L^k_mn|^2 with L expressed in the eigenbasis of rho,
+def _rate(d: States, jump_ops, weight: Callable, hermitian: bool = False) -> float | np.ndarray:
+    """sum_mn Lambda_mn weight(p)_mn (log p_n - log p_m) per state, p the floored eigenvalues,
+    where Lambda_mn = sum_k |L^k_mn|^2 with L expressed in the eigenbasis of rho,
     accumulated one operator at a time over the (B, n, n) stack of bases."""
+    s = stacked(d)
+    ops = as_square_stack(jump_ops, s.dim)
+    if not len(ops):  # no jump flow: as_square would reject the empty stack
+        return per_state(d, np.zeros(len(s)))
+    if hermitian:
+        require_hermitian(ops, stack=True)
+    p, v = _floored(s.eigenvalues), s.eigenvectors
 
     def rates() -> np.ndarray:
         lam = np.zeros(v.shape)
         for op in ops:  # V^dag made anew per operator, so no stack of it is held
             lam += np.abs(v.conj().swapaxes(-1, -2) @ op @ v) ** 2
         log_p = np.log(p)
-        lam *= weight  # in place, in the order of lam * weight * dlog: the same bits
+        lam *= weight(p)  # in place, in the order of lam * weight * dlog: the same bits
         lam *= log_p[:, None, :] - log_p[:, :, None]
         return lam.reshape(len(p), -1).sum(-1)
 
@@ -91,14 +100,7 @@ def entropy_production(d: States, jump_ops) -> float | np.ndarray:
     Each factor pair has the same sign, hence the non-negativity; this is
     the dissipative entropy rate of the jump part of the Lindblad flow.
     """
-    s = stacked(d)
-    p, v = s.eigenvalues, s.eigenvectors
-    ops = as_square_stack(jump_ops, s.dim)
-    if not len(ops):  # no jump flow: as_square would reject the empty stack
-        return per_state(d, np.zeros(len(s)))
-    require_hermitian(ops, stack=True)
-    p = _floored(p)
-    return _rate(d, ops, p, v, 0.5 * (p[:, None, :] - p[:, :, None]))
+    return _rate(d, jump_ops, lambda p: 0.5 * (p[:, None, :] - p[:, :, None]), hermitian=True)
 
 
 def jump_entropy_rate(d: States, jump_ops) -> float | np.ndarray:
@@ -110,10 +112,4 @@ def jump_entropy_rate(d: States, jump_ops) -> float | np.ndarray:
     in the eigenbasis of rho.  Reduces to `entropy_production` when every
     jump operator is Hermitian; carries no sign guarantee in general.
     """
-    s = stacked(d)
-    p, v = s.eigenvalues, s.eigenvectors
-    ops = as_square_stack(jump_ops, s.dim)
-    if not len(ops):  # no jump flow
-        return per_state(d, np.zeros(len(s)))
-    p = _floored(p)
-    return _rate(d, ops, p, v, p[:, None, :])
+    return _rate(d, jump_ops, lambda p: p[:, None, :])

@@ -605,7 +605,10 @@ DOCUMENTS = {
     "matrix-not-a-list": (scenario_text(rho0={"a": [[[1, 0]]]}), "rho0: expected 2 rows"),
     "jump-ops-empty": (scenario_text(jump_ops=[]), READ),
     "jump-ops-not-a-list": (scenario_text(jump_ops={"a": SIGMA_Z}), "jump_ops must be a list of matrices"),
-    "jump-ops-a-matrix": (scenario_text(jump_ops=SIGMA_Z), "jump_ops[0][0][0]: complex entries must be [re, im] pairs, got 1.0"),
+    "jump-ops-a-matrix": (scenario_text(jump_ops=SIGMA_Z), "jump_ops must be a list of matrices, got a single matrix"),
+    # At d = 2 a list of one real-valued matrix has the depth of one complex matrix, not its length.
+    "jump-ops-real-matrix": (scenario_text(jump_ops=[[[1, 0], [0, -1]]]),
+                             "jump_ops[0][0][0]: complex entries must be [re, im] pairs, got 1"),
     "jump-ops-holding-a-number": (scenario_text(jump_ops=[SIGMA_Z, 3]), "jump_ops[1]: expected 2 rows"),
     "dim-a-matrix": (scenario_text(dim=[[[1, 2]]]), "dim must be a positive integer, got [[[1, 2]]]"),
     "t_end-a-matrix": (scenario_text(t_end=[[[1, 2]]]), "t_end must be a finite number, got [[[1, 2]]]"),
@@ -905,12 +908,16 @@ class TestSample:
         assert lines[0].startswith("input error: --a")
         assert not out.exists()
 
-    def test_bad_vector_format(self, tmp_path, capsys):
-        code = main(
-            ["sample", "--a", "0,0", "--b", "0,0,1", "--n", "10", "--out",
-             str(tmp_path / "x.csv")]
-        )
+    @pytest.mark.parametrize("a, b, label", [("0,0", "0,0,1", "--a"), ("0,0,1", "0,0,1,0", "--b")])
+    def test_bad_vector_format(self, tmp_path, capsys, a, b, label):
+        # A wrong component count is a ShapeError of UnitVector3.from_iterable.
+        out = tmp_path / "x.csv"
+        code = main(["sample", "--a", a, "--b", b, "--n", "10", "--out", str(out)])
         assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"input error: {label}")
+        assert not out.exists()
 
     def test_absurd_n_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -274,6 +274,14 @@ class TestSequenceForm:
             warnings.simplefilter("error")  # the full-rank states alone do not warn
             jump_entropy_rate([states[0], states[2]], jumps)
 
+    @pytest.mark.parametrize("rate", [jump_entropy_rate, entropy_production])
+    def test_rank_deficient_warning_names_the_caller(self, rate):
+        rng = np.random.default_rng(122)
+        pure = DensityOperator(projector(random_ket(rng, 3)))
+        with pytest.warns(RuntimeWarning, match="rank-deficient") as caught:
+            rate(pure, [random_hermitian(rng, 3)])
+        assert [w.filename for w in caught] == [__file__]
+
     def test_empty_jump_set_gives_exactly_zero(self):
         rng = np.random.default_rng(119)
         states = [random_density(rng, 3) for _ in range(4)]
