@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, require_state
+from .density import DensityOperator, DensityStack, _validated, require_state, stacked
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .linalg import (
     HERMITIAN_ATOL,
+    HermitianEig,
     _Record,
     as_matrix,
     as_square,
@@ -489,9 +490,10 @@ def evolve_lindblad(
        interval one step at a time, and the first step that fails stops the
        integration: its IntegrationError, at its time, is kept for phase 3.
     3. The samples before the failing one, all of them if none fails, are
-       validated a chunk at a time, one `hermitian_eig` solve per chunk.  A smallest
-       eigenvalue below -10 MIN_EIGENVALUE_TOL raises IntegrationError at the
-       sample's time; after them the kept drift failure, if any, is raised.
+       validated a chunk at a time, one `hermitian_eig` solve per chunk.  Sample 0
+       is d0 with the spectrum its validation solved, so each state is solved once.
+       A smallest eigenvalue below -10 MIN_EIGENVALUE_TOL raises IntegrationError
+       at the sample's time; after them the kept drift failure, if any, is raised.
 
     Phases 1 and 2 run when `evolve_chunks` is called and phase 3 as its chunks are
     iterated; `rholab evolve` writes each chunk as it is validated, and here the
@@ -541,7 +543,9 @@ def evolve_chunks(
 
     Phases 1 and 2 run before it returns, so a bad schedule raises ValidationError at
     the call.  Phase 3 runs as the stream is iterated, a chunk per step, and no chunk
-    is held between yields.  Iteration raises IntegrationError at the earliest failing
+    is held between yields.  Sample 0 is the validated d0 with the spectrum its
+    validation solved, held to the same floor as every sample, so each state is
+    eigensolved once.  Iteration raises IntegrationError at the earliest failing
     sample's time: an invalid state when its chunk is reached; a drift failure once
     every chunk before it is validated, none of them yielded.
     """
@@ -597,13 +601,26 @@ def evolve_chunks(
         return None
 
     def spectra(block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues and eigenvectors of the states of block, validated as a stack."""
+        """The eigenvalues and eigenvectors of the states of block, validated as a stack.
+        Sample 0 is d0's matrix, exactly Hermitian, so a solve of it would repeat the one
+        d0's validation made: it is checked on d0's spectrum, and only the samples after
+        it are solved.  A failing state, sample 0 included, is named by a solve of it alone."""
+        solved, parts = block, []
         try:
-            states = DensityStack(matrices[block], psd_atol)
+            if not block.start:
+                _validated(d0.matrix, psd_atol, eig=HermitianEig(d0.eigenvalues, d0.eigenvectors))
+                solved, parts = slice(1, block.stop), [stacked(d0)]
+            if solved.start < solved.stop:
+                parts.append(DensityStack(matrices[solved], psd_atol))
         except ValidationError as exc:  # name the first invalid state, checked alone
-            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[block]) or (0, exc)
-            raise IntegrationError(f"emitted state invalid ({exc})", float(times[block.start + i])) from exc
-        return states.eigenvalues, states.eigenvectors
+            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[solved]) or (0, exc)
+            raise IntegrationError(f"emitted state invalid ({exc})", float(times[solved.start + i])) from exc
+        if len(parts) == 1:
+            return parts[0].eigenvalues, parts[0].eigenvectors
+        values, vectors = (np.concatenate([getattr(p, a) for p in parts]) for a in ("eigenvalues", "eigenvectors"))
+        for a in (values, vectors):
+            a.setflags(write=False)  # built here, so the chunk keeps them without a copy
+        return values, vectors
 
     raw_traces[0] = matrices[0].trace().real
     # A blow-up (of the propagator too) ends in the drift or finite check; the

@@ -402,8 +402,9 @@ def load_scenario(path: str) -> Scenario:
     ops = raw["jump_ops"]
     if not isinstance(ops, list):
         raise ScenarioError("jump_ops must be a list of matrices")
-    if len(ops) == dim and isinstance(ops[0], list) and ops[0] and _is_pair(ops[0][0]):  # rows, not matrices
-        raise ScenarioError("jump_ops must be a list of matrices, got a single matrix")
+    if len(ops) == dim and isinstance(ops[0], list) and ops[0] and _is_pair(ops[0][0]):  # rows, or real matrices
+        raise ScenarioError("jump_ops must be a list of matrices, got a single complex matrix"
+                            " or matrices whose entries are not [re, im] pairs")
     jump_ops = tuple(_complex_matrix(op, dim, f"jump_ops[{k}]") for k, op in enumerate(ops))
     t_end = _finite_number(raw["t_end"], "t_end")
     dt = _finite_number(raw["dt"], "dt")

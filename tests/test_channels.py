@@ -826,9 +826,9 @@ class TestEvolveLindblad:
         calls = count_eigensolves(monkeypatch)
         with pytest.raises(IntegrationError, match="^emitted state invalid .* at t=500$"):
             run()
-        assert calls == [1, 1]  # the pending stack fails its finite check unsolved; samples 0, 1 alone
+        assert calls == [1]  # samples 1-2 fail their finite check unsolved; sample 0 on d0's spectrum, 1 alone
         # A stack check that accepts every state leaves the drift failure to be reported.
-        unchecked = lambda m, psd_atol: SimpleNamespace(matrices=m, eigenvalues=0.0, eigenvectors=m)  # noqa: E731
+        unchecked = lambda m, psd_atol: SimpleNamespace(matrices=m, eigenvalues=m[..., 0].real, eigenvectors=m)  # noqa: E731
         monkeypatch.setattr(channels, "DensityStack", unchecked)
         with pytest.raises(IntegrationError, match="^trace drift nan exceeds 1e-07 at t=1005$"):
             run()
@@ -836,8 +836,8 @@ class TestEvolveLindblad:
     def test_invalid_state_wins_over_a_drift_failure_chunks_later(self, monkeypatch):
         # In chunks of 16 d = 2 states, sampled every step: the state at t = 5 (chunk 0)
         # is not positive and the trace turns NaN at t = 635 (sample 127, chunk 7).
-        # The earliest failing sample is the error, found by one solve of chunk 0 and
-        # the first invalid state of it checked alone.
+        # The earliest failing sample is the error, found by one solve of chunk 0 after
+        # sample 0 (checked on d0's spectrum) and the first invalid state of it checked alone.
         monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * 2**2)
         d0 = DensityOperator(projector(KETS.x_plus))
         calls = count_eigensolves(monkeypatch)
@@ -845,7 +845,7 @@ class TestEvolveLindblad:
         with pytest.raises(IntegrationError, match=message) as info:
             evolve_lindblad(dephasing_generator(1.0), d0, 5000.0, 5.0, sample_every=1)
         assert info.value.time == 5.0
-        assert calls == [16, 1, 1]
+        assert calls == [15, 1]
 
     def test_a_replay_that_passes_keeps_the_chunks_full(self, monkeypatch):
         # A propagator that scales rho by 1 + 1e-6 over more than one step fails the
@@ -857,7 +857,7 @@ class TestEvolveLindblad:
         d0 = DensityOperator(projector(KETS.x_plus))
         calls = count_eigensolves(monkeypatch)
         trajectory = evolve_lindblad(dephasing_generator(1.0), d0, 2.0, 0.01, sample_every=5)
-        assert calls == [16, 16, 9]
+        assert calls == [15, 16, 9]  # sample 0 takes d0's spectrum
         assert trajectory.times.tolist() == pytest.approx([0.05 * i for i in range(41)], abs=1e-12)
 
     def test_cumulative_drift_adds_every_replayed_step(self, monkeypatch, caplog):
@@ -883,6 +883,43 @@ class TestEvolveLindblad:
         with pytest.raises(IntegrationError, match=r"min eigenvalue = -8\.630e-02\)") as info:
             evolve_lindblad(g, d0, (chunk + 3) * dt, dt)
         assert info.value.time == chunk * dt
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_an_invalid_first_chunk_state_names_its_time(self, monkeypatch, k):
+        # As above, from c0 = 0.5 / 1.375^(k - 1/2) sample k is the first state that is
+        # not positive.  The first chunk solves samples 1 to k + 3 as one stack, and the
+        # failing state, checked alone, is named at its own time, not one sample early.
+        dt = 1.5
+        c0 = 0.5 / 1.375 ** (k - 0.5)
+        d0 = DensityOperator(np.array([[0.5, c0], [c0, 0.5]]))
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(IntegrationError, match=rf"min eigenvalue = -8\.630e-02\) at t={k * dt:g}$") as info:
+            evolve_lindblad(dephasing_generator(1.0), d0, (k + 3) * dt, dt)
+        assert info.value.time == k * dt
+        assert calls == [k + 3] + [1] * k
+
+    @pytest.mark.parametrize("t_end", [0.0, 1.0])
+    def test_a_loosely_validated_rho0_fails_at_t0(self, t_end):
+        # A d0 accepted with psd_atol = 1e-3 is still held to the integrator's floor of
+        # 10 MIN_EIGENVALUE_TOL at sample 0, on the spectrum its validation solved.
+        d0 = DensityOperator(np.diag([1.0001, -0.0001]), psd_atol=1e-3)
+        assert d0.eigenvalues[0] == pytest.approx(-1e-4)
+        message = r"^emitted state invalid \(density is not positive: min eigenvalue = -1\.000e-04\) at t=0$"
+        with pytest.raises(IntegrationError, match=message) as info:
+            evolve_lindblad(dephasing_generator(1.0), d0, t_end, 0.1)
+        assert info.value.time == 0.0
+
+    def test_sample_0_keeps_the_spectrum_of_d0(self, monkeypatch):
+        # A d0 whose spectrum comes from its construction (evolve_unitary keeps rho's
+        # eigenvalues) passes it on to sample 0 bit for bit; only samples 1 to 5 are solved.
+        rng = np.random.default_rng(151)
+        d0 = evolve_unitary(random_density(rng, 4), random_hermitian(rng, 4), 0.7)
+        g = LindbladGenerator(random_hermitian(rng, 4), [0.3 * random_complex(rng, (4, 4))])
+        calls = count_eigensolves(monkeypatch)
+        states = evolve_lindblad(g, d0, 0.5, 0.1).states
+        assert calls == [5]
+        for field, kept in zip(("matrix", "eigenvalues", "eigenvectors"), (d0.matrix, d0.eigenvalues, d0.eigenvectors)):
+            assert getattr(states[0], field).tobytes() == kept.tobytes(), field
 
     def test_blow_up_inside_an_interval_raises_at_that_step(self):
         # d = 16 takes the operator-form path.  Dephasing the first of four
@@ -938,7 +975,7 @@ class TestEvolveChunks:
     def test_gathered_chunks_are_the_trajectory(self, monkeypatch, dim, samples):
         # Runs that end inside, at and just past a chunk of chunk_length(dim) states.  The
         # run is propagated before the call returns and validated only as it is iterated,
-        # with the solves of evolve_lindblad, one per chunk.
+        # with the solves of evolve_lindblad, one per chunk; sample 0 takes d0's spectrum.
         rng = np.random.default_rng(dim * samples)
         g = LindbladGenerator(random_hermitian(rng, dim), [0.3 * random_complex(rng, (dim, dim))])
         d0, t_end, dt = random_density(rng, dim), (samples - 1) / 1024, 1 / 1024
@@ -951,8 +988,9 @@ class TestEvolveChunks:
         stream = channels.evolve_chunks(g, d0, t_end, dt)
         assert (len(stream), len(built), calls) == (samples, 1, [])
         chunks = list(stream)
-        assert calls == solves == [min(chunk, samples - i) for i in range(0, samples, chunk)]
-        assert [len(times) for times, _, _ in chunks] == solves
+        lengths = [min(chunk, samples - i) for i in range(0, samples, chunk)]
+        assert [len(times) for times, _, _ in chunks] == lengths
+        assert calls == solves == [lengths[0] - 1] + lengths[1:]
         gathered = [np.concatenate(parts) for parts in zip(*(
             (times, raw_traces, states.matrices, states.eigenvalues, states.eigenvectors)
             for times, raw_traces, states in chunks))]
@@ -990,7 +1028,7 @@ class TestEvolveChunks:
             t += 0.01
         with pytest.raises(IntegrationError, match=rf"^trace drift 1\.000e-03 exceeds 1e-07 at t={t:.6g}$") as info:
             next(chunks)
-        assert info.value.time == t and calls == [16, 5]
+        assert info.value.time == t and calls == [15, 5]  # sample 0 takes d0's spectrum
 
 
 class TestTrajectory:
@@ -1088,15 +1126,15 @@ class TestChunkLength:
         s = load_scenario(str(REPO / "scenarios" / f"{name}.json"))
         calls = count_eigensolves(monkeypatch)
         trajectory = evolve_lindblad(s.generator, s.rho0, s.t_end, s.dt, s.sample_every)
-        assert calls == [len(trajectory)] and len(trajectory) in (21, 33)
+        assert calls == [len(trajectory) - 1] and len(trajectory) in (21, 33)  # sample 0 takes rho0's spectrum
 
     def test_a_long_run_takes_one_solve_per_chunk(self, monkeypatch):
         # dt = 0.001 with sample_every = 1 is 4001 d = 2 samples: three full chunks of
-        # 1024 states and the rest.
+        # 1024 states and the rest.  Sample 0 takes rho0's spectrum, so the first solves 1023.
         s = load_scenario(str(REPO / "scenarios" / "amplitude_damping.json"))
         calls = count_eigensolves(monkeypatch)
         assert len(evolve_lindblad(s.generator, s.rho0, s.t_end, 0.001)) == 4001
-        assert calls == [1024, 1024, 1024, 929]
+        assert calls == [1023, 1024, 1024, 929]
 
     @pytest.mark.parametrize("dim, t_end, dt, seed", [(2, 2.0, 0.001, 148), (4, 3.0, 0.01, 149)])
     def test_chunk_length_changes_no_output_bit(self, monkeypatch, dim, t_end, dt, seed):
@@ -1117,8 +1155,8 @@ class TestChunkLength:
         shipped_solves, shipped, shipped_rows = run()
         monkeypatch.setattr(channels, "CHUNK_ENTRIES", 16 * dim**2)
         small_solves, small, small_rows = run()
-        assert (shipped_solves, small_solves) == {2: ([1024, 977], [16] * 125 + [1]),
-                                                  4: ([256, 45], [16] * 18 + [13])}[dim]
+        assert (shipped_solves, small_solves) == {2: ([1023, 977], [15] + [16] * 124 + [1]),
+                                                  4: ([255, 45], [15] + [16] * 17 + [13])}[dim]
         assert (shipped.times.tolist(), shipped.raw_traces.tolist()) == (small.times.tolist(), small.raw_traces.tolist())
         for attr in ("matrices", "eigenvalues", "eigenvectors"):
             assert getattr(shipped.states, attr).tobytes() == getattr(small.states, attr).tobytes(), attr

@@ -438,7 +438,7 @@ class TestEvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             rows = list(trajectory_rows(scenario))
-            assert calls == [16, 5]
+            assert calls == [15, 5]  # sample 0 takes rho0's spectrum
             trajectory = evolve_lindblad(g, scenario.rho0, scenario.t_end, scenario.dt, scenario.sample_every)
             states = trajectory.states
             expected = [
@@ -453,16 +453,17 @@ class TestEvolve:
     @pytest.mark.parametrize(
         "name, solves, sweeps",
         [
-            ("dephasing", [1, 21], [1, 21]),
-            ("precession", [1, 33], [1, 33]),
-            ("amplitude_damping", [1, 21], [1, 21]),
-            ("evolve-d16", [1, 7], [1, 7, 6, 6, 6, 6, 6, 4, 2]),
+            ("dephasing", [1, 20], [1, 20]),
+            ("precession", [1, 32], [1, 32]),
+            ("amplitude_damping", [1, 20], [1, 20]),
+            ("evolve-d16", [1, 6], [1, 6, 6, 6, 6, 6, 6, 4, 2]),
         ],
     )
     def test_eigensolves_and_sweeps(self, tmp_path, monkeypatch, name, solves, sweeps):
-        # rho0 as the scenario loads it, in one sweep, then one chunk.  The d = 16 chunk's
-        # pure first state leaves after sweep 1 and the others after sweeps 6, 7 and 8, so
-        # four boundaries see none leave; each state's spectrum is its spectrum alone.
+        # rho0 as the scenario loads it, in one sweep, then one chunk after sample 0, which
+        # takes rho0's spectrum: the solves take as many matrices as the CSV has rows.  The
+        # d = 16 chunk's states leave after sweeps 6, 7 and 8, so five boundaries see none
+        # leave; each state's spectrum is its spectrum alone.
         if name == "evolve-d16":
             path = ising_chain_scenario(tmp_path / "d16.json", seed=1)
         else:
@@ -472,12 +473,41 @@ class TestEvolve:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "t.csv")]) == 0
         assert calls == solves and swept == sweeps
+        assert sum(calls) == len((tmp_path / "t.csv").read_text().splitlines()) - 1
         s = load_scenario(str(path))
         states = evolve_lindblad(s.generator, s.rho0, s.t_end, s.dt, s.sample_every).states
         for k, m in enumerate(states.matrices):
             alone = hermitian_eig(m)
             assert np.array_equal(states.eigenvalues[k], alone.eigenvalues), k
             assert np.array_equal(states.eigenvectors[k], alone.eigenvectors), k
+
+    @pytest.mark.parametrize("name", ["dephasing", "precession", "amplitude_damping", "evolve-d16"])
+    def test_a_one_sample_run_solves_nothing_after_the_load(self, tmp_path, monkeypatch, name):
+        # t_end = 0 is one sample, rho0 with the spectrum the load solved.  Its CSV is the
+        # header and the first row of the whole run; the shipped ones are pinned as the
+        # code that solved rho0 again wrote them.
+        if name == "evolve-d16":
+            scenario = json.loads(ising_chain_scenario(tmp_path / "d16.json", seed=1).read_text())
+        else:
+            scenario = json.loads((REPO / "scenarios" / f"{name}.json").read_text())
+        whole, one = tmp_path / "whole.csv", tmp_path / "one.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(write_scenario(tmp_path / "s.json", **scenario)),
+                         "--out", str(whole)]) == 0
+            scenario.update(t_end=0)
+            path = write_scenario(tmp_path / "s.json", **scenario)
+            calls = count_eigensolves(monkeypatch)
+            assert main(["evolve", "--scenario", str(path), "--out", str(one)]) == 0
+        assert calls == [1]  # rho0 as the scenario loads
+        assert one.read_bytes() == b"".join(whole.read_bytes().splitlines(keepends=True)[:2])
+        pinned = {
+            "dephasing": "0,1,1,2.2204460492503126e-16,-0,32.2361913019163",
+            "precession": "0,1,1,2.2204460492503126e-16,-0,0",
+            "amplitude_damping": "0,1,1,2.2204460492503126e-16,-0,4.0295239127395384",
+        }
+        if name in pinned:
+            assert one.read_text() == f"{TRAJECTORY_HEADER}\n{pinned[name]}\n"
 
     def test_unwritable_output(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")
@@ -564,6 +594,8 @@ READ = "read as json.load reads it"
 TEXT = scenario_text()
 JUMP_OPS = TEXT.index('"jump_ops": ') + len('"jump_ops": ')
 SIGMA_Z = BASE_SCENARIO["jump_ops"][0]
+JUMP_OPS_A_MATRIX = ("jump_ops must be a list of matrices, got a single complex matrix"
+                     " or matrices whose entries are not [re, im] pairs")
 
 # Each case with the outcome load_scenario gave when it read the document with json.load.
 DOCUMENTS = {
@@ -605,7 +637,9 @@ DOCUMENTS = {
     "matrix-not-a-list": (scenario_text(rho0={"a": [[[1, 0]]]}), "rho0: expected 2 rows"),
     "jump-ops-empty": (scenario_text(jump_ops=[]), READ),
     "jump-ops-not-a-list": (scenario_text(jump_ops={"a": SIGMA_Z}), "jump_ops must be a list of matrices"),
-    "jump-ops-a-matrix": (scenario_text(jump_ops=SIGMA_Z), "jump_ops must be a list of matrices, got a single matrix"),
+    "jump-ops-a-matrix": (scenario_text(jump_ops=SIGMA_Z), JUMP_OPS_A_MATRIX),
+    # At d = 2 a list of two real-valued matrices has the nesting and length of one complex matrix.
+    "jump-ops-two-real-matrices": (scenario_text(jump_ops=[[[1, 0], [0, 0]], [[0, 0], [0, 1]]]), JUMP_OPS_A_MATRIX),
     # At d = 2 a list of one real-valued matrix has the depth of one complex matrix, not its length.
     "jump-ops-real-matrix": (scenario_text(jump_ops=[[[1, 0], [0, -1]]]),
                              "jump_ops[0][0][0]: complex entries must be [re, im] pairs, got 1"),
@@ -816,7 +850,7 @@ class TestStreamedEvolve:
         calls = count_eigensolves(monkeypatch)
         assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "t.csv")]) == 3
         assert capsys.readouterr().err == f"integration failure: trace drift nan exceeds 1e-07 at t={1500 / 1024:.6g}\n"
-        assert rated == [] and calls == [1, 1024, 476]  # rho0 as the scenario loads, then the two chunks
+        assert rated == [] and calls == [1, 1023, 476]  # rho0 as the scenario loads, then the two chunks after it
         assert list(tmp_path.iterdir()) == [path]
 
     def test_peak_memory(self, tmp_path):
