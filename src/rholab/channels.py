@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, _validated, require_state, stacked
+from .density import DensityOperator, DensityStack, require_state, stacked
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     HERMITIAN_ATOL,
-    HermitianEig,
     _Record,
     as_matrix,
     as_square,
@@ -134,9 +133,15 @@ def _require_dim(dim) -> None:
 
 
 class Superoperator(_Record):
-    """Linear map on density matrices via the rank-4 coefficient tensor."""
+    """Linear map on density matrices via the rank-4 coefficient tensor.
 
-    __slots__ = ("dim", "tensor")
+    `kraus_ops` is the read-only (r, N, N) Kraus stack a map built by `superop_from_kraus`
+    was built from, and None for a map built from a tensor.  `eigenmatrix_decompose`
+    solves the r x r Gram matrix of that stack when r < N^2, and the N^2 x N^2 flattened
+    tensor otherwise.
+    """
+
+    __slots__ = ("dim", "tensor", "kraus_ops")
 
     def __init__(self, dim: int, tensor):  # tensor: shape (N, N, N, N), indexed [m, k, n, l]
         _require_dim(dim)
@@ -144,7 +149,7 @@ class Superoperator(_Record):
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
         as_matrix(t.reshape(dim * dim, dim * dim))  # entries must be finite
-        self.__setstate__((dim, t))
+        self.__setstate__((dim, t, None))
 
     def apply(self, rho) -> np.ndarray:
         return np.einsum("mknl,kl->mn", self.tensor, as_square(rho, self.dim))
@@ -165,10 +170,12 @@ class Superoperator(_Record):
 
 
 def superop_from_kraus(c: KrausChannel) -> Superoperator:
-    """Coefficient tensor M[m,k,n,l] = sum_j K^j_mk conj(K^j_nl)."""
+    """Coefficient tensor M[m,k,n,l] = sum_j K^j_mk conj(K^j_nl), kept with the channel's
+    Kraus stack.  Both are finite and of the channel's dimension: a complete Kraus set
+    has no entry above 1 in modulus."""
     tensor = np.einsum("jmk,jnl->mknl", c.kraus_ops, c.kraus_ops.conj())
     tensor.setflags(write=False)  # built here, so the superoperator keeps it without a copy
-    return Superoperator(c.dim, tensor)
+    return Superoperator._stored(c.dim, tensor, c.kraus_ops)
 
 
 class EigenmatrixDecomposition(_Record):
@@ -203,16 +210,64 @@ class EigenmatrixDecomposition(_Record):
         return (self.eigenvalues[:, None, None] * terms).sum(0)
 
 
+def _completed_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of Q^T for the n x n unitary Q of a Householder QR of the n x r matrix x,
+    r < n: row k is column k's part orthogonal to the columns before it, normalized (up
+    to a phase), and the last n - r rows complete the basis.  x is overwritten by the
+    reflectors v_k, so Q = H_0 ... H_(r-1) = I - V T V(dag) (the compact WY form of
+    LAPACK's zlarft) is one n x n product."""
+    n, r = x.shape
+    tau = np.zeros(r)
+    for k in range(r):
+        v = x[k:, k]  # the column below the rows done, reflected onto -phase(v_0) |v| e_0
+        norm = math.sqrt(np.vdot(v, v).real)
+        if norm:  # a zero column needs no reflection: tau_k = 0, H_k = I
+            head = abs(v[0])
+            v[0] += (v[0] / head if head else 1.0) * norm
+            tau[k] = 1.0 / (norm * (norm + head))  # 2 / |v|^2
+            x[k:, k + 1:] -= (tau[k] * v)[:, None] * (v.conj() @ x[k:, k + 1:])
+    x[np.triu_indices(r, 1)] = 0.0  # the part of R above the diagonal: v_k starts at row k
+    gram = x.conj().T @ x
+    t = np.zeros((r, r), dtype=complex)
+    for k in range(r):
+        t[:k, k] = -tau[k] * (t[:k, :k] @ gram[:k, k])
+        t[k, k] = tau[k]
+    rows = x.conj() @ (t.T @ x.T)  # Q^T = I - conj(V) T^T V^T
+    np.negative(rows, out=rows)
+    rows.ravel()[:: n + 1] += 1.0
+    return rows
+
+
 def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
-    """Eigendecompose the flattened superoperator into eigenmatrices.
+    """Eigendecompose the flattened superoperator, the N^2 x N^2 matrix C, into eigenmatrices.
+
+    A map built by `superop_from_kraus` from r < N^2 Kraus operators is solved through
+    the r x r Gram matrix G_ij = Tr(K^i(dag) K^j) of its Kraus stack.  With A the
+    N^2 x r matrix whose columns are the flattened K^j, C = A A(dag) and G = A(dag) A,
+    so an eigenvector w of G with eigenvalue lambda gives the eigenvector A w of C,
+    with the same eigenvalue.  These r columns, largest lambda first, are orthonormalized
+    by a Householder QR, whose unitary completes them with N^2 - r eigenmatrices of
+    eigenvalue 0.  G is positive semidefinite, so a Gram eigenvalue below 0 is roundoff
+    and is taken as 0.  Any other map, built from a tensor (indefinite ones included) or
+    from r >= N^2 Kraus operators, is solved as C itself.
 
     Raises ValidationError unless the map preserves hermiticity, i.e. its
-    flattened matrix is Hermitian (checked once, by `hermitian_eig`).
+    flattened matrix is Hermitian (checked once, by `hermitian_eig`); a map built from
+    Kraus operators preserves it by construction.
     """
-    eig = hermitian_eig(s.as_matrix())
-    order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
-    values = eig.eigenvalues[order]
-    matrices = eig.eigenvectors.T[order]  # row i: eigenvector column order[i]
+    n2 = s.dim * s.dim
+    ops = s.kraus_ops
+    if ops is not None and len(ops) < n2:
+        flat = ops.reshape(len(ops), n2)  # row j: K^j flattened, so A = flat^T
+        eig = hermitian_eig(flat.conj() @ flat.T)
+        values = np.zeros(n2)
+        np.maximum(eig.eigenvalues[::-1], 0.0, out=values[: len(ops)])
+        matrices = _completed_rows(flat.T @ eig.eigenvectors[:, ::-1])
+    else:
+        eig = hermitian_eig(s.as_matrix())
+        order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
+        values = eig.eigenvalues[order]
+        matrices = eig.eigenvectors.T[order]  # row i: eigenvector column order[i]
     for a in (values, matrices):
         a.setflags(write=False)  # built here, so the decomposition keeps them without a copy
     return EigenmatrixDecomposition(s.dim, values, matrices.reshape(-1, s.dim, s.dim))
@@ -603,12 +658,14 @@ def evolve_chunks(
     def spectra(block: slice) -> tuple[np.ndarray, np.ndarray]:
         """The eigenvalues and eigenvectors of the states of block, validated as a stack.
         Sample 0 is d0's matrix, exactly Hermitian, so a solve of it would repeat the one
-        d0's validation made: it is checked on d0's spectrum, and only the samples after
-        it are solved.  A failing state, sample 0 included, is named by a solve of it alone."""
+        d0's validation made: d0 passed every check at the same trace tolerance, so only
+        the floor is checked, on d0's smallest eigenvalue, and only the samples after it
+        are solved.  A failing state, sample 0 included, is named by a solve of it alone."""
         solved, parts = block, []
         try:
             if not block.start:
-                _validated(d0.matrix, psd_atol, eig=HermitianEig(d0.eigenvalues, d0.eigenvectors))
+                if not d0.eigenvalues[0] >= -psd_atol:  # DensityOperator's message, if a solve passes
+                    raise ValidationError(f"density is not positive: min eigenvalue = {d0.eigenvalues[0]:.3e}")
                 solved, parts = slice(1, block.stop), [stacked(d0)]
             if solved.start < solved.stop:
                 parts.append(DensityStack(matrices[solved], psd_atol))

@@ -4,7 +4,7 @@ Three commands: `demo` replays the worked examples with PASS/FAIL checks
 against pinned expected values, `evolve` integrates a scenario file and
 writes a trajectory CSV, `sample` draws seeded singlet coincidences and
 writes an event CSV.  Exit codes: 0 success, 2 usage or input error,
-3 numerical-invariant failure during integration.
+3 numerical-invariant failure during integration, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -605,11 +605,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help/--version exit 0; usage errors exit 2
         return int(exc.code or 0)
-    if args.command == "demo":
-        return cmd_demo(args.name)
-    if args.command == "evolve":
-        return cmd_evolve(args.scenario, args.out)
-    return cmd_sample(args.a, args.b, args.n, args.seed, args.out)  # a command is required
+    try:
+        if args.command == "demo":
+            return cmd_demo(args.name)
+        if args.command == "evolve":
+            return cmd_evolve(args.scenario, args.out)
+        return cmd_sample(args.a, args.b, args.n, args.seed, args.out)  # a command is required
+    except KeyboardInterrupt:  # Ctrl-C: `_write_output` has removed its temp file on the way out
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
 
 
 if __name__ == "__main__":

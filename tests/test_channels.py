@@ -230,6 +230,76 @@ class TestEigenmatrixDecomposition:
             assert np.sum(dec.eigenvalues > 1e-9) <= n * n
 
 
+def near_dependent_pair(rng: np.random.Generator, n: int, eps: float) -> KrausChannel:
+    """K1 and K2 = K1 + eps * noise, both times S^(-1/2) with S = K1(dag)K1 + K2(dag)K2 so
+    that they are complete; eps = 0 gives two equal operators, a Gram matrix of rank 1."""
+    k1 = random_complex(rng, (n, n))
+    pair = [k1, k1 + eps * random_complex(rng, (n, n))]
+    w, v = np.linalg.eigh(sum(k.conj().T @ k for k in pair))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return KrausChannel([k @ inv_sqrt for k in pair])
+
+
+GRAM_CASES = {
+    **{f"N{n}-r{r}": (n, r, None) for n in (2, 3, 4, 5) for r in range(1, n * n)},
+    **{f"near-{eps:g}": (3, 2, eps) for eps in (1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13, 0.0)},
+}
+
+
+def spy_eigensolves(monkeypatch) -> list:
+    """The shape of each matrix `channels.hermitian_eig` solves, in call order."""
+    shapes, solve = [], channels.hermitian_eig
+    monkeypatch.setattr(channels, "hermitian_eig", lambda a: shapes.append(np.shape(a)) or solve(a))
+    return shapes
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("case", list(GRAM_CASES))
+    def test_accuracy_against_lapack(self, case):
+        # Every rank 1 ... N^2 - 1 at N = 2 ... 5, and near-dependent pairs down to two
+        # equal operators: the spectrum, orthonormality, eigen-residuals and the Kraus
+        # round trip hold to 1e-13 (times |C| where C scales them).
+        n, r, eps = GRAM_CASES[case]
+        rng = np.random.default_rng(160 + 100 * n + r if eps is None else 170)
+        channel = random_kraus_channel(rng, n, r) if eps is None else near_dependent_pair(rng, n, eps)
+        s = superop_from_kraus(channel)
+        dec = eigenmatrix_decompose(s)
+        c = s.as_matrix()
+        scale = np.linalg.norm(c, 2)
+        e = dec.eigenmatrices.reshape(n * n, n * n)  # row i: E^i flattened
+        assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(c)[::-1])) <= 1e-13 * scale
+        assert np.max(np.abs(e.conj() @ e.T - np.eye(n * n))) <= 1e-13
+        assert np.max(np.abs(c @ e.T - e.T * dec.eigenvalues)) <= 1e-13 * scale
+        back = superop_from_kraus(kraus_from_decomposition(dec))
+        assert np.max(np.abs(back.tensor - s.tensor)) <= 1e-13
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (2, 3), (3, 2), (4, 4), (4, 15)])
+    def test_a_kraus_built_map_solves_one_r_by_r_gram_matrix(self, monkeypatch, n, r):
+        s = superop_from_kraus(random_kraus_channel(np.random.default_rng(180 + r), n, r))
+        shapes = spy_eigensolves(monkeypatch)
+        eigenmatrix_decompose(s)
+        assert shapes == [(r, r)]
+
+    @pytest.mark.parametrize("n, r", [(2, 4), (2, 5), (3, 9)])
+    def test_r_of_at_least_n_squared_solves_the_choi_matrix(self, monkeypatch, n, r):
+        s = superop_from_kraus(random_kraus_channel(np.random.default_rng(190 + r), n, r))
+        shapes = spy_eigensolves(monkeypatch)
+        dec = eigenmatrix_decompose(s)
+        assert shapes == [(n * n, n * n)]
+        assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(s.as_matrix())[::-1])) <= 1e-13 * n
+
+    def test_a_map_built_from_a_tensor_solves_the_choi_matrix(self, monkeypatch):
+        channel = random_kraus_channel(np.random.default_rng(195), 3, 2)
+        kraus_built = superop_from_kraus(channel)
+        s = Superoperator(3, kraus_built.tensor)
+        assert kraus_built.kraus_ops is channel.kraus_ops and s.kraus_ops is None  # kept without a copy
+        shapes = spy_eigensolves(monkeypatch)
+        from_tensor, from_kraus = eigenmatrix_decompose(s), eigenmatrix_decompose(kraus_built)
+        assert shapes == [(9, 9), (2, 2)]
+        assert np.max(np.abs(from_tensor.eigenvalues - from_kraus.eigenvalues)) <= 1e-13
+        assert np.max(np.abs(from_tensor.apply(np.eye(3)) - from_kraus.apply(np.eye(3)))) <= 1e-13
+
+
 class TestKrausRoundTrip:
     def test_identity_round_trip(self):
         s = superop_from_kraus(KrausChannel([np.eye(2)]))
@@ -908,6 +978,22 @@ class TestEvolveLindblad:
         with pytest.raises(IntegrationError, match=message) as info:
             evolve_lindblad(dephasing_generator(1.0), d0, t_end, 0.1)
         assert info.value.time == 0.0
+
+    def test_sample_0_is_held_to_the_floor_alone(self, monkeypatch):
+        # Sample 0 checks only d0's smallest eigenvalue against -10 MIN_EIGENVALUE_TOL, with
+        # no solve: exactly at the floor it passes, one ulp below it fails at t = 0 with
+        # the message of a solve of it alone.
+        floor = 10.0 * channels.MIN_EIGENVALUE_TOL
+        at, below = (DensityOperator(np.diag([1.0 + e, -e]), psd_atol=1e-3) for e in (floor, np.nextafter(floor, 1.0)))
+        assert at.eigenvalues[0] == -floor and below.eigenvalues[0] < -floor
+        calls = count_eigensolves(monkeypatch)
+        assert evolve_lindblad(dephasing_generator(1.0), at, 0.0, 0.1).states.eigenvalues[0, 0] == -floor
+        assert calls == []
+        message = r"^emitted state invalid \(density is not positive: min eigenvalue = -1\.000e-06\) at t=0$"
+        with pytest.raises(IntegrationError, match=message) as info:
+            evolve_lindblad(dephasing_generator(1.0), below, 0.0, 0.1)
+        assert info.value.time == 0.0
+        assert calls == [1]  # the failing sample 0, named by a solve of it alone
 
     def test_sample_0_keeps_the_spectrum_of_d0(self, monkeypatch):
         # A d0 whose spectrum comes from its construction (evolve_unitary keeps rho's

@@ -853,6 +853,30 @@ class TestStreamedEvolve:
         assert rated == [] and calls == [1, 1023, 476]  # rho0 as the scenario loads, then the two chunks after it
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_ctrl_c_mid_write_exits_130_leaving_no_file(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C while the temp file is open and its second row is being made: one
+        # stderr line, exit code 130 and an empty output directory.
+        scenario, out_dir = write_scenario(tmp_path / "s.json", rho0=_matrix(np.eye(2) / 2)), tmp_path / "out"
+        out_dir.mkdir()
+        rows, seen = rholab.cli.trajectory_rows, []
+
+        def interrupted(scenario):
+            made = iter(rows(scenario))
+            yield next(made)
+            seen.extend(p.name for p in out_dir.iterdir())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(rholab.cli, "_WRITE_BLOCK", 1)  # the first row is written before the second is made
+        monkeypatch.setattr(rholab.cli, "trajectory_rows", interrupted)
+        try:
+            code = main(["evolve", "--scenario", str(scenario), "--out", str(out_dir / "t.csv")])
+        except KeyboardInterrupt:  # not let through: it would end the test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+        assert seen == [f"t.csv.{os.getpid()}.tmp"]
+        assert list(out_dir.iterdir()) == []
+
     def test_peak_memory(self, tmp_path):
         # Only the run's states, times and raw traces (1.6 MB at 2 * 10^4 d = 2 samples)
         # are held for the whole run; spectra and rows are made and written a chunk at a
