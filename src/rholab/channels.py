@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, require_state, stacked
+from .density import DensityOperator, DensityStack, _checked, require_state
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .linalg import (
     HERMITIAN_ATOL,
+    HermitianEig,
     _Record,
     as_matrix,
     as_square,
@@ -75,10 +76,10 @@ MAX_SAMPLES = 10**5
 # Emitted states are validated a chunk at a time, with one eigensolve per chunk.  A
 # chunk holds CHUNK_ENTRIES matrix entries (64 KiB of complex128), so chunk_length(d)
 # states.  The solver holds the matrices still rotating, their eigenvectors, one rotation
-# and one product, one round's indices, and the eigenpairs of those that left; the
-# hermitized copy is made after it, next to the spectra.  The DensityStack of a full chunk
-# peaks near 4.1-4.4 times the chunk at every dimension (tracemalloc), a cost that does
-# not grow with the run:
+# and one product, one round's indices, and the eigenpairs of those that left; a
+# DensityStack makes its hermitized copy after it, next to the spectra (an evolved chunk,
+# stored Hermitian, makes none).  The DensityStack of a full chunk peaks near 4.1-4.4
+# times the chunk at every dimension (tracemalloc), a cost that does not grow with the run:
 #
 #     d                   16     8      4      3      2
 #     states per chunk    16     64     256    455    1024
@@ -137,8 +138,8 @@ class Superoperator(_Record):
 
     `kraus_ops` is the read-only (r, N, N) Kraus stack a map built by `superop_from_kraus`
     was built from, and None for a map built from a tensor.  `eigenmatrix_decompose`
-    solves the r x r Gram matrix of that stack when r < N^2, and the N^2 x N^2 flattened
-    tensor otherwise.
+    finds the range of the N^2 x N^2 flattened tensor from the flattened Kraus operators
+    when r < N^2, and from the flattened tensor otherwise, and solves the map there.
     """
 
     __slots__ = ("dim", "tensor", "kraus_ops")
@@ -210,23 +211,30 @@ class EigenmatrixDecomposition(_Record):
         return (self.eigenvalues[:, None, None] * terms).sum(0)
 
 
-def _completed_rows(x: np.ndarray) -> np.ndarray:
-    """The rows of Q^T for the n x n unitary Q of a Householder QR of the n x r matrix x,
-    r < n: row k is column k's part orthogonal to the columns before it, normalized (up
-    to a phase), and the last n - r rows complete the basis.  x is overwritten by the
-    reflectors v_k, so Q = H_0 ... H_(r-1) = I - V T V(dag) (the compact WY form of
-    LAPACK's zlarft) is one n x n product."""
-    n, r = x.shape
-    tau = np.zeros(r)
-    for k in range(r):
-        v = x[k:, k]  # the column below the rows done, reflected onto -phase(v_0) |v| e_0
-        norm = math.sqrt(np.vdot(v, v).real)
-        if norm:  # a zero column needs no reflection: tau_k = 0, H_k = I
-            head = abs(v[0])
-            v[0] += (v[0] / head if head else 1.0) * norm
-            tau[k] = 1.0 / (norm * (norm + head))  # 2 / |v|^2
-            x[k:, k + 1:] -= (tau[k] * v)[:, None] * (v.conj() @ x[k:, k + 1:])
-    x[np.triu_indices(r, 1)] = 0.0  # the part of R above the diagonal: v_k starts at row k
+def _range_basis(f: np.ndarray) -> tuple[np.ndarray, int]:
+    """A column-pivoted Householder QR of the n x c matrix f (Businger and Golub, 1965),
+    taken to f's numerical rank r: each step reflects the column of largest norm left onto
+    R's next diagonal entry, and the QR stops once no column left has a norm above
+    n eps |f|_F, roundoff of f.  f is overwritten.  Returns the rows of Q^T and r, for the
+    n x n unitary Q = H_0 ... H_(r-1) = I - V T V(dag) (the compact WY form of LAPACK's
+    zlarft): Q's first r columns span f's range and the rest its complement."""
+    n, c = f.shape
+    tol2 = (n * np.finfo(float).eps) ** 2 * np.vdot(f, f).real
+    tau = []
+    for r in range(c + 1):
+        norms = np.square(np.abs(f[r:, r:])).sum(0)
+        if not norms.size or norms.max() <= tol2:
+            break
+        j = int(norms.argmax())
+        if j:
+            f[:, [r, r + j]] = f[:, [r + j, r]]
+        v = f[r:, r]  # reflected onto -phase(v_0) |v| e_0
+        norm, head = math.sqrt(norms[j]), abs(v[0])
+        v[0] += (v[0] / head if head else 1.0) * norm
+        tau.append(1.0 / (norm * (norm + head)))  # 2 / |v|^2
+        f[r:, r + 1:] -= (tau[-1] * v)[:, None] * (v.conj() @ f[r:, r + 1:])
+        f[:r, r] = 0.0  # R's part: column r now holds v_r alone, from row r
+    x = f[:, :r]  # V
     gram = x.conj().T @ x
     t = np.zeros((r, r), dtype=complex)
     for k in range(r):
@@ -235,39 +243,52 @@ def _completed_rows(x: np.ndarray) -> np.ndarray:
     rows = x.conj() @ (t.T @ x.T)  # Q^T = I - conj(V) T^T V^T
     np.negative(rows, out=rows)
     rows.ravel()[:: n + 1] += 1.0
-    return rows
+    return rows, r
 
 
 def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
     """Eigendecompose the flattened superoperator, the N^2 x N^2 matrix C, into eigenmatrices.
 
-    A map built by `superop_from_kraus` from r < N^2 Kraus operators is solved through
-    the r x r Gram matrix G_ij = Tr(K^i(dag) K^j) of its Kraus stack.  With A the
-    N^2 x r matrix whose columns are the flattened K^j, C = A A(dag) and G = A(dag) A,
-    so an eigenvector w of G with eigenvalue lambda gives the eigenvector A w of C,
-    with the same eigenvalue.  These r columns, largest lambda first, are orthonormalized
-    by a Householder QR, whose unitary completes them with N^2 - r eigenmatrices of
-    eigenvalue 0.  G is positive semidefinite, so a Gram eigenvalue below 0 is roundoff
-    and is taken as 0.  Any other map, built from a tensor (indefinite ones included) or
-    from r >= N^2 Kraus operators, is solved as C itself.
+    C is factored as F F(dag), with F = A, the N^2 x m matrix whose columns are the
+    flattened K^j, for a map built by `superop_from_kraus` from m < N^2 Kraus operators,
+    and F = C for any other map.  F, scaled exactly by the power of two that brings its
+    largest entry into [1/2, 1), is reduced by a column-pivoted Householder QR to its
+    numerical rank r (`_range_basis`).  The first r columns Q_r of its unitary Q span C's
+    range, so C's eigenpairs of nonzero eigenvalue are those of the r x r matrix
+    S = Q_r(dag) C Q_r, with eigenvectors Q_r W (for F = A, S is B B(dag) with
+    B = Q_r(dag) A).  Q's other N^2 - r columns are eigenmatrices of eigenvalue 0, placed
+    between the positive and the negative eigenvalues.  A map of rank N^2 solves an
+    N^2 x N^2 S, and the zero map solves nothing.  A map built from fewer than N^2 Kraus
+    operators is positive semidefinite, so an eigenvalue of S below 0 is roundoff and is
+    taken as 0.
 
-    Raises ValidationError unless the map preserves hermiticity, i.e. its
-    flattened matrix is Hermitian (checked once, by `hermitian_eig`); a map built from
+    Raises ValidationError unless the map preserves hermiticity, i.e. its flattened matrix
+    is Hermitian (`require_hermitian`, as `hermitian_eig` checks it); a map built from
     Kraus operators preserves it by construction.
     """
     n2 = s.dim * s.dim
     ops = s.kraus_ops
-    if ops is not None and len(ops) < n2:
-        flat = ops.reshape(len(ops), n2)  # row j: K^j flattened, so A = flat^T
-        eig = hermitian_eig(flat.conj() @ flat.T)
-        values = np.zeros(n2)
-        np.maximum(eig.eigenvalues[::-1], 0.0, out=values[: len(ops)])
-        matrices = _completed_rows(flat.T @ eig.eigenvectors[:, ::-1])
-    else:
-        eig = hermitian_eig(s.as_matrix())
-        order = np.argsort(eig.eigenvalues, kind="stable")[::-1]
-        values = eig.eigenvalues[order]
-        matrices = eig.eigenvectors.T[order]  # row i: eigenvector column order[i]
+    kraus = ops is not None and len(ops) < n2
+    f = ops.reshape(len(ops), n2).T if kraus else require_hermitian(s.as_matrix())
+    f = f.copy()  # column j: K^j flattened, or C's
+    parts = f.view(float)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    np.ldexp(parts, -e, out=parts)  # exact: no column norm over- or underflows
+    rows, r = _range_basis(f.copy())  # rows: Q^T, so rows[:r] is Q_r^T
+    values, matrices = np.zeros(n2), rows  # Q's last N^2 - r columns: eigenvalue 0
+    if r:
+        top = rows[:r].conj() @ f  # Q_r(dag) F 2^-e
+        eig = hermitian_eig(top @ top.conj().T if kraus else top @ rows[:r].T)  # S 4^-e, or S 2^-e
+        with np.errstate(over="ignore"):
+            solved = np.ldexp(eig.eigenvalues[::-1], 2 * e if kraus else e)
+        if not np.isfinite(solved).all():  # S's are: scaled back, one passed the largest float
+            raise ArithmeticError("the map's eigenvalues are not finite")
+        if kraus:
+            np.maximum(solved, 0.0, out=solved)
+        vectors = eig.eigenvectors[:, ::-1].T @ rows[:r]  # row i: column i of Q_r W
+        positive = int((solved > 0.0).sum())
+        values = np.concatenate((solved[:positive], values[r:], solved[positive:]))
+        matrices = np.concatenate((vectors[:positive], rows[r:], vectors[positive:]))
     for a in (values, matrices):
         a.setflags(write=False)  # built here, so the decomposition keeps them without a copy
     return EigenmatrixDecomposition(s.dim, values, matrices.reshape(-1, s.dim, s.dim))
@@ -656,21 +677,22 @@ def evolve_chunks(
         return None
 
     def spectra(block: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues and eigenvectors of the states of block, validated as a stack.
-        Sample 0 is d0's matrix, exactly Hermitian, so a solve of it would repeat the one
-        d0's validation made: d0 passed every check at the same trace tolerance, so only
-        the floor is checked, on d0's smallest eigenvalue, and only the samples after it
-        are solved.  A failing state, sample 0 included, is named by a solve of it alone."""
+        """The eigenvalues and eigenvectors of the states of block, checked as a stack by
+        DensityStack's checks without its hermitized copy: the states are stored exactly
+        Hermitian.  Sample 0 is d0's matrix, so a solve of it would repeat the one d0's
+        validation made: d0 passed every check at the same trace tolerance, so only the
+        floor is checked, on d0's smallest eigenvalue, and only the samples after it are
+        solved.  A failing state, sample 0 included, is named by a solve of it alone."""
         solved, parts = block, []
         try:
             if not block.start:
                 if not d0.eigenvalues[0] >= -psd_atol:  # DensityOperator's message, if a solve passes
                     raise ValidationError(f"density is not positive: min eigenvalue = {d0.eigenvalues[0]:.3e}")
-                solved, parts = slice(1, block.stop), [stacked(d0)]
+                solved, parts = slice(1, block.stop), [HermitianEig(d0.eigenvalues[None], d0.eigenvectors[None])]
             if solved.start < solved.stop:
-                parts.append(DensityStack(matrices[solved], psd_atol))
+                parts.append(_checked(matrices[solved], psd_atol, stack=True)[1])
         except ValidationError as exc:  # name the first invalid state, checked alone
-            i, exc = first_failure(lambda m: DensityOperator(m, psd_atol), matrices[solved]) or (0, exc)
+            i, exc = first_failure(lambda m: _checked(m, psd_atol), matrices[solved]) or (0, exc)
             raise IntegrationError(f"emitted state invalid ({exc})", float(times[solved.start + i])) from exc
         if len(parts) == 1:
             return parts[0].eigenvalues, parts[0].eigenvectors

@@ -63,8 +63,8 @@ class DensityOperator(_Record):
     __slots__ = ("matrix", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrix, psd_atol: float = PSD_ATOL):
-        hermitized, eig = _validated(matrix, psd_atol)
-        self.__setstate__((hermitized, eig.eigenvalues, eig.eigenvectors))
+        m, eig = _checked(matrix, psd_atol)
+        self.__setstate__((_hermitized(m), eig.eigenvalues, eig.eigenvectors))
 
     @property
     def dim(self) -> int:
@@ -77,14 +77,15 @@ class DensityOperator(_Record):
         return f"DensityOperator(dim={self.dim})"
 
 
-def _validated(
+def _checked(
     matrix, psd_atol: float, stack: bool = False, eig: HermitianEig | None = None
 ) -> tuple[np.ndarray, HermitianEig]:
     """The density-operator checks, on one matrix or, with `stack`, on every
     matrix of a (B, n, n) stack at once: finite entries, unit trace,
     hermiticity (in `hermitian_eig`), a computable spectrum and the floor
-    -psd_atol on the smallest eigenvalue.  Returns the hermitized matrices,
-    read-only, and their spectra.  A failure raises ValidationError, with
+    -psd_atol on the smallest eigenvalue.  Returns the matrices as checked
+    (not hermitized: the constructors do that, with `_hermitized`) and the
+    spectra of their hermitized forms.  A failure raises ValidationError, with
     DensityOperator's message for one matrix; for a stack the message does
     not say which matrix failed (`first_failure` finds it).  With `eig`, the
     spectrum of the hermitized matrix as its construction gives it, nothing is
@@ -103,10 +104,15 @@ def _validated(
     min_eig = float(eig.eigenvalues[..., 0].min())
     if min_eig < -psd_atol:
         raise ValidationError(f"density is not positive: min eigenvalue = {min_eig:.3e}")
+    return m, eig
+
+
+def _hermitized(m: np.ndarray) -> np.ndarray:
+    """(m + m(dag)) / 2 of a matrix or of each matrix of a stack, read-only."""
     hermitized = m + m.conj().swapaxes(-1, -2)
     hermitized /= 2.0
     hermitized.setflags(write=False)
-    return hermitized, eig
+    return hermitized
 
 
 def _with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> DensityOperator:
@@ -115,8 +121,8 @@ def _with_spectrum(matrix, eigenvalues: np.ndarray, eigenvectors: np.ndarray) ->
     hermitized matrix, to roundoff.  It is checked as DensityOperator checks a
     matrix, except that no eigensolve runs: the hermiticity the solve checks
     is the construction's, and the floor is checked on the given eigenvalues."""
-    hermitized, eig = _validated(matrix, PSD_ATOL, eig=HermitianEig(eigenvalues, eigenvectors))
-    return DensityOperator._stored(hermitized, eig.eigenvalues, eig.eigenvectors)
+    m, eig = _checked(matrix, PSD_ATOL, eig=HermitianEig(eigenvalues, eigenvectors))
+    return DensityOperator._stored(_hermitized(m), eig.eigenvalues, eig.eigenvectors)
 
 
 class DensityStack(_Record, Sequence[DensityOperator]):
@@ -135,8 +141,8 @@ class DensityStack(_Record, Sequence[DensityOperator]):
     __slots__ = ("matrices", "eigenvalues", "eigenvectors")
 
     def __init__(self, matrices, psd_atol: float = PSD_ATOL):
-        hermitized, eig = _validated(matrices, psd_atol, stack=True)
-        self.__setstate__((hermitized, eig.eigenvalues, eig.eigenvectors))
+        m, eig = _checked(matrices, psd_atol, stack=True)
+        self.__setstate__((_hermitized(m), eig.eigenvalues, eig.eigenvectors))
 
     @property
     def dim(self) -> int:

@@ -96,23 +96,36 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def count_eigensolves(monkeypatch) -> list:
-    """Route every rholab module's binding of `hermitian_eig` through a spy;
-    the returned list gains one entry per call, the number of matrices it
-    solves: 1 for one matrix, B for a (B, n, n) stack."""
-    calls = []
+def _spy_on_eigensolves(monkeypatch, record) -> None:
+    """Route every rholab module's binding of `hermitian_eig` through a spy that calls
+    record(a) on each matrix or stack it is given, before solving it."""
     original = rholab.linalg.hermitian_eig
 
-    def counted(a, *args, **kwargs):
-        calls.append(len(a) if np.ndim(a) == 3 else 1)
+    def spied(a, *args, **kwargs):
+        record(a)
         return original(a, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "rholab" or name.startswith("rholab."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+                    monkeypatch.setattr(module, attr, spied)
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Spy on every rholab binding of `hermitian_eig`; the returned list gains one entry
+    per call, the number of matrices it solves: 1 for one matrix, B for a (B, n, n) stack."""
+    calls = []
+    _spy_on_eigensolves(monkeypatch, lambda a: calls.append(len(a) if np.ndim(a) == 3 else 1))
     return calls
+
+
+def spy_eigensolves(monkeypatch) -> list:
+    """Spy on every rholab binding of `hermitian_eig`; the returned list gains the shape
+    of each matrix or stack it solves, in call order."""
+    shapes = []
+    _spy_on_eigensolves(monkeypatch, lambda a: shapes.append(np.shape(a)))
+    return shapes
 
 
 def count_sweeps(monkeypatch) -> list:

@@ -47,6 +47,7 @@ from conftest import (
     random_complex,
     random_kraus_channel,
     random_unitary,
+    spy_eigensolves,
     time_limit,
 )
 
@@ -246,11 +247,16 @@ GRAM_CASES = {
 }
 
 
-def spy_eigensolves(monkeypatch) -> list:
-    """The shape of each matrix `channels.hermitian_eig` solves, in call order."""
-    shapes, solve = [], channels.hermitian_eig
-    monkeypatch.setattr(channels, "hermitian_eig", lambda a: shapes.append(np.shape(a)) or solve(a))
-    return shapes
+def indefinite_map(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
+    """A Hermitian N^2 x N^2 matrix sum_i w_i v_i v_i(dag) of rank r, from r random v_i and
+    weights of alternating sign, the first negative."""
+    v = random_complex(rng, (r, n * n))
+    w = rng.uniform(0.5, 2.0, size=r) * np.where(np.arange(r) % 2, 1.0, -1.0)
+    c = (v.T * w) @ v.conj()
+    return (c + c.conj().T) / 2.0
+
+
+TENSOR_CASES = {f"N{n}-r{r}": (n, r) for n in (2, 3, 4) for r in range(1, n * n)}
 
 
 class TestGramRoute:
@@ -288,16 +294,82 @@ class TestGramRoute:
         assert shapes == [(n * n, n * n)]
         assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(s.as_matrix())[::-1])) <= 1e-13 * n
 
-    def test_a_map_built_from_a_tensor_solves_the_choi_matrix(self, monkeypatch):
+    def test_a_low_rank_map_built_from_a_tensor_solves_its_range(self, monkeypatch):
         channel = random_kraus_channel(np.random.default_rng(195), 3, 2)
         kraus_built = superop_from_kraus(channel)
         s = Superoperator(3, kraus_built.tensor)
         assert kraus_built.kraus_ops is channel.kraus_ops and s.kraus_ops is None  # kept without a copy
         shapes = spy_eigensolves(monkeypatch)
         from_tensor, from_kraus = eigenmatrix_decompose(s), eigenmatrix_decompose(kraus_built)
-        assert shapes == [(9, 9), (2, 2)]
+        assert shapes == [(2, 2), (2, 2)]
         assert np.max(np.abs(from_tensor.eigenvalues - from_kraus.eigenvalues)) <= 1e-13
         assert np.max(np.abs(from_tensor.apply(np.eye(3)) - from_kraus.apply(np.eye(3)))) <= 1e-13
+
+    @pytest.mark.parametrize("case", list(TENSOR_CASES))
+    def test_tensor_accuracy_against_lapack(self, monkeypatch, case):
+        # Every rank 1 ... N^2 - 1 at N = 2 ... 4, weights of alternating sign (rank 1: one
+        # negative): the order, spectrum, orthonormality and eigen-residuals hold to 1e-13
+        # (times |C| where C scales them).  One r x r matrix is solved.
+        n, r = TENSOR_CASES[case]
+        c = indefinite_map(np.random.default_rng(200 + 10 * n + r), n, r)
+        shapes = spy_eigensolves(monkeypatch)
+        dec = eigenmatrix_decompose(Superoperator(n, c.reshape(n, n, n, n)))
+        assert shapes == [(r, r)]
+        scale = np.linalg.norm(c, 2)
+        e = dec.eigenmatrices.reshape(n * n, n * n)  # row i: E^i flattened
+        assert np.all(np.diff(dec.eigenvalues) <= 0.0)
+        assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(c)[::-1])) <= 1e-13 * scale
+        assert np.max(np.abs(e.conj() @ e.T - np.eye(n * n))) <= 1e-13
+        assert np.max(np.abs(c @ e.T - e.T * dec.eigenvalues)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_full_rank_map_built_from_a_tensor_solves_the_choi_matrix(self, monkeypatch, n):
+        c = random_hermitian(np.random.default_rng(210 + n), n * n)
+        shapes = spy_eigensolves(monkeypatch)
+        dec = eigenmatrix_decompose(Superoperator(n, c.reshape(n, n, n, n)))
+        assert shapes == [(n * n, n * n)]
+        assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(c)[::-1])) <= 1e-13 * np.linalg.norm(c, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_zero_map_solves_nothing(self, monkeypatch, n):
+        shapes = spy_eigensolves(monkeypatch)
+        dec = eigenmatrix_decompose(Superoperator(n, np.zeros((n, n, n, n))))
+        assert shapes == []
+        e = dec.eigenmatrices.reshape(n * n, n * n)
+        assert np.array_equal(dec.eigenvalues, np.zeros(n * n))
+        assert np.max(np.abs(e.conj() @ e.T - np.eye(n * n))) <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e307])
+    def test_the_spectrum_does_not_depend_on_the_scale_of_the_map(self, scale):
+        # C = vec(K) vec(K)(dag) times scale, exactly Hermitian.  At 1e-200 every entry of C
+        # was below the solver's absolute stop test, and its diagonal was returned as the
+        # spectrum: 2.11e-200 for 3.47e-200, and kernel eigenvalues near 1e-201.
+        v = random_complex(np.random.default_rng(0), (2, 2)).reshape(-1)
+        c = np.outer(v, v.conj()) * scale
+        c = c / 2 + c.conj().T / 2
+        dec = eigenmatrix_decompose(Superoperator(2, c.reshape(2, 2, 2, 2)))
+        expected = np.linalg.eigvalsh(c)[::-1]
+        assert np.max(np.abs(dec.eigenvalues - expected)) <= 1e-13 * expected[0]
+        e = dec.eigenmatrices.reshape(4, 4)
+        assert np.max(np.abs(e.conj() @ e.T - np.eye(4))) <= 1e-13
+
+    def test_a_spectrum_past_the_largest_float_raises(self):
+        # C = +-1e308 times the all-ones 4 x 4 matrix: its eigenvalue +-4e308 is not a float.
+        for sign in (1.0, -1.0):
+            c = np.full((4, 4), sign * 1e308 + 0j)
+            with pytest.raises(ArithmeticError, match="^the map's eigenvalues are not finite$"):
+                eigenmatrix_decompose(Superoperator(2, c.reshape(2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_full_rank_map_at_1e_minus_200_keeps_its_spectrum(self, n):
+        # A full-rank indefinite map solves an N^2 x N^2 S, scaled as a low-rank one is.
+        c = indefinite_map(np.random.default_rng(220 + n), n, n * n) * 1e-200
+        dec = eigenmatrix_decompose(Superoperator(n, c.reshape(n, n, n, n)))
+        scale = np.linalg.norm(c, 2)
+        e = dec.eigenmatrices.reshape(n * n, n * n)
+        assert np.max(np.abs(dec.eigenvalues - np.linalg.eigvalsh(c)[::-1])) <= 1e-13 * scale
+        assert np.max(np.abs(e.conj() @ e.T - np.eye(n * n))) <= 1e-13
+        assert np.max(np.abs(c @ e.T - e.T * dec.eigenvalues)) <= 1e-13 * scale
 
 
 class TestKrausRoundTrip:
@@ -898,8 +970,8 @@ class TestEvolveLindblad:
             run()
         assert calls == [1]  # samples 1-2 fail their finite check unsolved; sample 0 on d0's spectrum, 1 alone
         # A stack check that accepts every state leaves the drift failure to be reported.
-        unchecked = lambda m, psd_atol: SimpleNamespace(matrices=m, eigenvalues=m[..., 0].real, eigenvectors=m)  # noqa: E731
-        monkeypatch.setattr(channels, "DensityStack", unchecked)
+        unchecked = lambda m, psd_atol, stack: (m, SimpleNamespace(eigenvalues=m[..., 0].real, eigenvectors=m))  # noqa: E731
+        monkeypatch.setattr(channels, "_checked", unchecked)
         with pytest.raises(IntegrationError, match="^trace drift nan exceeds 1e-07 at t=1005$"):
             run()
 
