@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, _checked, require_state
+from .density import DensityOperator, DensityStack, _checked, _required, require_state
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -36,6 +36,7 @@ from .errors import (
 from .linalg import (
     HERMITIAN_ATOL,
     HermitianEig,
+    _complex_array,
     _Record,
     as_matrix,
     as_square,
@@ -134,23 +135,18 @@ def _require_dim(dim) -> None:
 
 
 class Superoperator(_Record):
-    """Linear map on density matrices via the rank-4 coefficient tensor.
+    """Linear map on density matrices via the rank-4 coefficient tensor, whose entries are
+    read as complex numbers and must be finite."""
 
-    `kraus_ops` is the read-only (r, N, N) Kraus stack a map built by `superop_from_kraus`
-    was built from, and None for a map built from a tensor.  `eigenmatrix_decompose`
-    finds the range of the N^2 x N^2 flattened tensor from the flattened Kraus operators
-    when r < N^2, and from the flattened tensor otherwise, and solves the map there.
-    """
-
-    __slots__ = ("dim", "tensor", "kraus_ops")
+    __slots__ = ("dim", "tensor")
 
     def __init__(self, dim: int, tensor):  # tensor: shape (N, N, N, N), indexed [m, k, n, l]
         _require_dim(dim)
-        t = np.asarray(tensor, dtype=complex)
+        t = _complex_array(tensor, "coefficient tensor entries")
         if t.shape != (dim, dim, dim, dim):
             raise ShapeError(f"coefficient tensor must have shape {(dim,) * 4}, got {t.shape}")
         as_matrix(t.reshape(dim * dim, dim * dim))  # entries must be finite
-        self.__setstate__((dim, t, None))
+        self.__setstate__((dim, t))
 
     def apply(self, rho) -> np.ndarray:
         return np.einsum("mknl,kl->mn", self.tensor, as_square(rho, self.dim))
@@ -171,12 +167,12 @@ class Superoperator(_Record):
 
 
 def superop_from_kraus(c: KrausChannel) -> Superoperator:
-    """Coefficient tensor M[m,k,n,l] = sum_j K^j_mk conj(K^j_nl), kept with the channel's
-    Kraus stack.  Both are finite and of the channel's dimension: a complete Kraus set
-    has no entry above 1 in modulus."""
-    tensor = np.einsum("jmk,jnl->mknl", c.kraus_ops, c.kraus_ops.conj())
+    """Coefficient tensor M[m,k,n,l] = sum_j K^j_mk conj(K^j_nl), finite and of the
+    channel's dimension: a complete Kraus set has no entry above 1 in modulus."""
+    ops = _required(c, KrausChannel).kraus_ops
+    tensor = np.einsum("jmk,jnl->mknl", ops, ops.conj())
     tensor.setflags(write=False)  # built here, so the superoperator keeps it without a copy
-    return Superoperator._stored(c.dim, tensor, c.kraus_ops)
+    return Superoperator._stored(c.dim, tensor)
 
 
 class EigenmatrixDecomposition(_Record):
@@ -197,7 +193,7 @@ class EigenmatrixDecomposition(_Record):
         values = np.asarray(eigenvalues)
         if values.shape != (len(matrices),):
             raise ShapeError(f"expected {len(matrices)} eigenvalues, got shape {values.shape}")
-        if not np.isfinite(values).all() or np.imag(values).any():
+        if values.dtype.kind not in "iufc" or not np.isfinite(values).all() or np.imag(values).any():
             raise ValidationError("eigenvalues must be finite real numbers")
         self.__setstate__((dim, np.real(values).astype(float, copy=False), matrices))
 
@@ -249,42 +245,32 @@ def _range_basis(f: np.ndarray) -> tuple[np.ndarray, int]:
 def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
     """Eigendecompose the flattened superoperator, the N^2 x N^2 matrix C, into eigenmatrices.
 
-    C is factored as F F(dag), with F = A, the N^2 x m matrix whose columns are the
-    flattened K^j, for a map built by `superop_from_kraus` from m < N^2 Kraus operators,
-    and F = C for any other map.  F, scaled exactly by the power of two that brings its
-    largest entry into [1/2, 1), is reduced by a column-pivoted Householder QR to its
-    numerical rank r (`_range_basis`).  The first r columns Q_r of its unitary Q span C's
-    range, so C's eigenpairs of nonzero eigenvalue are those of the r x r matrix
-    S = Q_r(dag) C Q_r, with eigenvectors Q_r W (for F = A, S is B B(dag) with
-    B = Q_r(dag) A).  Q's other N^2 - r columns are eigenmatrices of eigenvalue 0, placed
-    between the positive and the negative eigenvalues.  A map of rank N^2 solves an
-    N^2 x N^2 S, and the zero map solves nothing.  A map built from fewer than N^2 Kraus
-    operators is positive semidefinite, so an eigenvalue of S below 0 is roundoff and is
-    taken as 0.
+    C, scaled exactly by the power of two that brings its largest entry into [1/2, 1), is
+    reduced by a column-pivoted Householder QR to its numerical rank r (`_range_basis`).
+    The first r columns Q_r of its unitary Q span C's range, so C's eigenpairs of nonzero
+    eigenvalue are those of the r x r matrix S = Q_r(dag) C Q_r, with eigenvectors Q_r W.
+    Q's other N^2 - r columns are eigenmatrices of eigenvalue 0, placed between the
+    positive and the negative eigenvalues.  A map of rank N^2 solves an N^2 x N^2 S, and
+    the zero map solves nothing.  A map built from m Kraus operators has rank at most m, so
+    its S is at most m x m.
 
     Raises ValidationError unless the map preserves hermiticity, i.e. its flattened matrix
     is Hermitian (`require_hermitian`, as `hermitian_eig` checks it); a map built from
     Kraus operators preserves it by construction.
     """
-    n2 = s.dim * s.dim
-    ops = s.kraus_ops
-    kraus = ops is not None and len(ops) < n2
-    f = ops.reshape(len(ops), n2).T if kraus else require_hermitian(s.as_matrix())
-    f = f.copy()  # column j: K^j flattened, or C's
-    parts = f.view(float)
+    n2 = _required(s, Superoperator).dim ** 2
+    c = require_hermitian(s.as_matrix()).copy()
+    parts = c.view(float)
     e = math.frexp(float(np.abs(parts).max()))[1]
     np.ldexp(parts, -e, out=parts)  # exact: no column norm over- or underflows
-    rows, r = _range_basis(f.copy())  # rows: Q^T, so rows[:r] is Q_r^T
+    rows, r = _range_basis(c.copy())  # rows: Q^T, so rows[:r] is Q_r^T
     values, matrices = np.zeros(n2), rows  # Q's last N^2 - r columns: eigenvalue 0
     if r:
-        top = rows[:r].conj() @ f  # Q_r(dag) F 2^-e
-        eig = hermitian_eig(top @ top.conj().T if kraus else top @ rows[:r].T)  # S 4^-e, or S 2^-e
+        eig = hermitian_eig(rows[:r].conj() @ c @ rows[:r].T)  # S 2^-e
         with np.errstate(over="ignore"):
-            solved = np.ldexp(eig.eigenvalues[::-1], 2 * e if kraus else e)
+            solved = np.ldexp(eig.eigenvalues[::-1], e)
         if not np.isfinite(solved).all():  # S's are: scaled back, one passed the largest float
             raise ArithmeticError("the map's eigenvalues are not finite")
-        if kraus:
-            np.maximum(solved, 0.0, out=solved)
         vectors = eig.eigenvectors[:, ::-1].T @ rows[:r]  # row i: column i of Q_r W
         positive = int((solved > 0.0).sum())
         values = np.concatenate((solved[:positive], values[r:], solved[positive:]))
@@ -296,6 +282,7 @@ def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
 
 def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:
     """Kraus operators K^i = sqrt(lambda_i) E^i of a completely positive map."""
+    _required(e, EigenmatrixDecomposition)
     min_eig = float(np.min(e.eigenvalues))
     if min_eig < -CP_EIGENVALUE_TOL:
         raise NotCompletelyPositiveError(
@@ -369,7 +356,7 @@ def lindblad_apply(g: LindbladGenerator, d: DensityOperator) -> np.ndarray:
 
     with K the generator's `effective_hamiltonian`.  The output is Hermitian and traceless.
     """
-    return _generator_flow(g)(as_square(require_state(d).matrix, g.dim))
+    return _generator_flow(_required(g, LindbladGenerator))(as_square(require_state(d).matrix, g.dim))
 
 
 class Trajectory(_Record):
@@ -625,6 +612,7 @@ def evolve_chunks(
     sample's time: an invalid state when its chunk is reached; a drift failure once
     every chunk before it is validated, none of them yielded.
     """
+    _required(g, LindbladGenerator)
     require_state(d0)
     n_full, remainder = step_schedule(t_end, dt, sample_every)
     dt, sample_every = float(dt), int(sample_every)  # of any type step_schedule accepts
@@ -739,7 +727,7 @@ def generator_matrix(g: LindbladGenerator) -> np.ndarray:
     (A (x) B^T) vec(rho): entry [(m, n), (k, l)] is sum_j A_j[m, k] B_j^T[n, l] over
     the stacked pairs (K, I, L^1, ...) and (I, conj(K), conj(L^1), ...), one batched
     small product per (m, n) written straight into the (m, n, k, l) layout."""
-    n = g.dim
+    n = _required(g, LindbladGenerator).dim
     eye, k = np.eye(n)[None], g.effective_hamiltonian[None]
     left = np.concatenate([k, eye, g.jump_ops]).transpose(1, 2, 0)  # [m, k, j]
     right = np.concatenate([eye, k.conj(), g.jump_ops.conj()]).transpose(1, 0, 2)  # [n, j, l]

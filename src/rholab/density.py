@@ -201,12 +201,18 @@ def mixture_to_density(m: ProperMixture) -> DensityOperator:
 States = DensityOperator | Sequence[DensityOperator]  # one state, or a sequence of them
 
 
+def _required(value, cls: type):
+    """value if it is an instance of cls; anything else raises ValidationError naming both types."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def require_state(d) -> DensityOperator:
     """d, the input of a single-state entry point, if it is a DensityOperator; anything
     else, a matrix included, raises ValidationError."""
-    if not isinstance(d, DensityOperator):
-        raise ValidationError(f"expected a DensityOperator, got {type(d).__name__}")
-    return d
+    return _required(d, DensityOperator)
 
 
 def stacked(d: States) -> DensityStack:

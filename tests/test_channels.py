@@ -116,6 +116,11 @@ class TestSuperoperator:
             channels.EigenmatrixDecomposition(dim, np.zeros(4), np.eye(4).reshape(4, 2, 2))
         assert Superoperator(np.int64(2), np.zeros((2, 2, 2, 2))).dim == 2
 
+    @pytest.mark.parametrize("tensor", [[[[["a"]]]], [[1, 2], [3]]], ids=["string", "ragged"])
+    def test_entries_not_readable_as_complex_raise_validation_error(self, tensor):
+        with pytest.raises(ValidationError, match="^coefficient tensor entries must be numbers readable as complex"):
+            Superoperator(len(tensor), tensor)
+
     def test_from_kraus_identity(self):
         s = superop_from_kraus(KrausChannel([np.eye(2)]))
         rng = np.random.default_rng(122)
@@ -218,6 +223,11 @@ class TestEigenmatrixDecomposition:
         with pytest.raises(ValidationError, match="eigenvalues must be finite real numbers"):
             channels.EigenmatrixDecomposition(2, values, np.eye(4).reshape(4, 2, 2))
 
+    @pytest.mark.parametrize("values", [["a"], [None]], ids=["string", "None"])
+    def test_rejects_non_numeric_eigenvalues(self, values):
+        with pytest.raises(ValidationError, match="^eigenvalues must be finite real numbers$"):
+            channels.EigenmatrixDecomposition(1, values, [[[1.0]]])
+
     def test_stores_real_eigenvalues(self):
         values = np.array([2.0, 0, 0, 0], dtype=complex)
         dec = channels.EigenmatrixDecomposition(2, values, np.eye(4).reshape(4, 2, 2))
@@ -298,12 +308,20 @@ class TestGramRoute:
         channel = random_kraus_channel(np.random.default_rng(195), 3, 2)
         kraus_built = superop_from_kraus(channel)
         s = Superoperator(3, kraus_built.tensor)
-        assert kraus_built.kraus_ops is channel.kraus_ops and s.kraus_ops is None  # kept without a copy
         shapes = spy_eigensolves(monkeypatch)
         from_tensor, from_kraus = eigenmatrix_decompose(s), eigenmatrix_decompose(kraus_built)
         assert shapes == [(2, 2), (2, 2)]
         assert np.max(np.abs(from_tensor.eigenvalues - from_kraus.eigenvalues)) <= 1e-13
         assert np.max(np.abs(from_tensor.apply(np.eye(3)) - from_kraus.apply(np.eye(3)))) <= 1e-13
+
+    @pytest.mark.parametrize("n, r", [(2, 1), (2, 3), (3, 2), (4, 4), (4, 15), (3, 9)])
+    def test_a_kraus_built_map_decomposes_as_its_tensor_does(self, n, r):
+        # One route: how a map was built does not change a bit of its decomposition.
+        kraus_built = superop_from_kraus(random_kraus_channel(np.random.default_rng(230 + r), n, r))
+        from_kraus = eigenmatrix_decompose(kraus_built)
+        from_tensor = eigenmatrix_decompose(Superoperator(n, kraus_built.tensor))
+        assert np.array_equal(from_kraus.eigenvalues, from_tensor.eigenvalues)
+        assert np.array_equal(from_kraus.eigenmatrices, from_tensor.eigenmatrices)
 
     @pytest.mark.parametrize("case", list(TENSOR_CASES))
     def test_tensor_accuracy_against_lapack(self, monkeypatch, case):
@@ -1319,6 +1337,25 @@ class TestChunkLength:
         for attr in ("matrices", "eigenvalues", "eigenvectors"):
             assert getattr(shipped.states, attr).tobytes() == getattr(small.states, attr).tobytes(), attr
         assert np.array(shipped_rows).tobytes() == np.array(small_rows).tobytes()
+
+
+_STATE = DensityOperator(np.eye(2) / 2.0)
+
+WRONG_TYPE_CALLS = {
+    "eigenmatrix_decompose": (lambda: eigenmatrix_decompose(np.eye(4)), "a Superoperator, got ndarray"),
+    "superop_from_kraus": (lambda: superop_from_kraus([np.eye(2)]), "a KrausChannel, got list"),
+    "kraus_from_decomposition": (lambda: kraus_from_decomposition(np.eye(2)), "an EigenmatrixDecomposition, got ndarray"),
+    "lindblad_apply": (lambda: lindblad_apply(np.eye(2), _STATE), "a LindbladGenerator, got ndarray"),
+    "generator_matrix": (lambda: generator_matrix(None), "a LindbladGenerator, got NoneType"),
+    "lindblad_spectrum": (lambda: lindblad_spectrum(None), "a LindbladGenerator, got NoneType"),
+    "evolve_lindblad": (lambda: evolve_lindblad(None, _STATE, 1, 0.1), "a LindbladGenerator, got NoneType"),
+}
+
+
+@pytest.mark.parametrize("call, expected", WRONG_TYPE_CALLS.values(), ids=WRONG_TYPE_CALLS.keys())
+def test_an_argument_of_the_wrong_type_raises_validation_error(call, expected):
+    with pytest.raises(ValidationError, match=f"^expected {expected}$"):
+        call()
 
 
 class TestLindbladSpectrum:

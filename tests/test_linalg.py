@@ -664,12 +664,12 @@ class TestOwnership:
         monkeypatch.setattr(linalg, "frozen", spy)
         build()
         # 3 arrays of the density operator, 3 of the density stack, 3 of the generator, the
-        # caller's Kraus set as one stack, the superoperator's tensor and the channel's Kraus
-        # stack it keeps, its sorted eigenvalues and eigenmatrix stack, the stack of Kraus
-        # operators built from its spectrum, the Gram factor's coefficients and basis, and the
-        # Schmidt form's three arrays; and the eigenvalues and eigenvectors of the four spectra
-        # solved on the way (the superoperator's is that of its 2 x 2 Kraus Gram matrix).
-        assert len(stored) == 28
+        # caller's Kraus set as one stack, the superoperator's tensor, its sorted eigenvalues
+        # and eigenmatrix stack, the stack of Kraus operators built from its spectrum, the Gram
+        # factor's coefficients and basis, and the Schmidt form's three arrays; and the
+        # eigenvalues and eigenvectors of the four spectra solved on the way (the
+        # superoperator's is that of the 2 x 2 matrix its rank-2 Choi matrix reduces to).
+        assert len(stored) == 27
         assert all(np.shares_memory(out, a) for a, out in stored)
         spin_one = spin_one_set()
         constants = [
