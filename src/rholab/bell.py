@@ -18,7 +18,7 @@ import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
-from .linalg import _Record, _ValueRecord, is_finite_real, is_integer
+from .linalg import _Record, _ValueRecord, _required, is_finite_real, is_integer
 from .spin import SpinHalfBasis, UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -47,6 +47,7 @@ class DetectorPair(_ValueRecord):
 
 def pair_operator(p: DetectorPair) -> np.ndarray:
     """The product observable (sigma_1 . a)(sigma_2 . b) on the joint space."""
+    _required(p, DetectorPair)
     return np.kron(sigma_n(p.a), sigma_n(p.b))
 
 
@@ -110,6 +111,7 @@ def joint_outcome_probabilities(p: DetectorPair) -> np.ndarray:
     Row/column index 0 means outcome +1.  Computed as projector expectations
     on the singlet density via the local measurement machinery.
     """
+    _required(p, DetectorPair)
     a_plus, a_minus = sigma_n_eigenkets(p.a)
     b_plus, b_minus = sigma_n_eigenkets(p.b)
     probs = measurement_probabilities(
@@ -127,6 +129,7 @@ def sample_events(p: DetectorPair, n: int, seed: int) -> np.recarray:
     Raises ValidationError unless n and seed are integers (not bools) with
     1 <= n <= MAX_EVENTS and seed >= 0.
     """
+    _required(p, DetectorPair)
     for name, value in (("n", n), ("seed", seed)):
         if not is_integer(value):
             raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import DensityOperator, _with_spectrum, require_state
 from .errors import ShapeError, ValidationError
-from .linalg import (_Record, _ValueRecord, as_ket, as_kets, as_square, hermitian_eig, in_basis, is_integer,
+from .linalg import (_Record, _ValueRecord, _required, as_ket, as_kets, as_square, hermitian_eig, in_basis, is_integer,
                      max_deviation, pinch, require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
@@ -128,7 +128,7 @@ def schmidt(k: BipartiteKet) -> SchmidtForm:
     is the same number but avoids the sqrt(eps) noise floor of the squared
     form, keeping the rank threshold meaningful.
     """
-    c = k.coefficient_matrix()
+    c = _required(k, BipartiteKet).coefficient_matrix()
     v = hermitian_eig(c.conj().T @ c).eigenvectors
     images = c @ v
     sigma = np.linalg.norm(images, axis=0)
@@ -144,12 +144,14 @@ def schmidt(k: BipartiteKet) -> SchmidtForm:
 
 def partial_trace_b(op, space: BipartiteSpace) -> np.ndarray:
     """Trace out the b factor: (Tr^b op)_{mk} = sum_n op_{(m,n),(k,n)}."""
+    _required(space, BipartiteSpace)
     blocks = as_square(op, space.dim).reshape(space.dim_a, space.dim_b, space.dim_a, space.dim_b)
     return np.einsum("mnkn->mk", blocks)
 
 
 def partial_trace_a(op, space: BipartiteSpace) -> np.ndarray:
     """Trace out the a factor: (Tr^a op)_{nl} = sum_m op_{(m,n),(m,l)}."""
+    _required(space, BipartiteSpace)
     blocks = as_square(op, space.dim).reshape(space.dim_a, space.dim_b, space.dim_a, space.dim_b)
     return np.einsum("mnml->nl", blocks)
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .density import DensityOperator, DensityStack, _checked, _required, require_state
+from .density import DensityOperator, DensityStack, _checked, require_state
 from .errors import (
     IntegrationError,
     NotCompletelyPositiveError,
@@ -38,6 +38,7 @@ from .linalg import (
     HermitianEig,
     _complex_array,
     _Record,
+    _required,
     as_matrix,
     as_square,
     as_square_stack,

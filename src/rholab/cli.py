@@ -464,7 +464,12 @@ def trajectory_rows(scenario: Scenario) -> SampleStream:
 def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
     """Run write on a temp file beside path, then rename it over path, so
     readers never see a partial file.  On failure print one line to stderr
-    and return False."""
+    and return False.  An existing path that is not a regular file (a FIFO, a
+    device, a directory) is refused before the temp file is made: the rename
+    would replace it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        print(f"output error: cannot write {path}: not a regular file", file=sys.stderr)
+        return False
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:

@@ -27,6 +27,7 @@ from .errors import ShapeError, ValidationError
 from .linalg import (
     HermitianEig,
     _Record,
+    _required,
     apply_matrix_function,
     as_ket,
     as_matrix,
@@ -195,18 +196,11 @@ class ProperMixture(_Record):
 
 def mixture_to_density(m: ProperMixture) -> DensityOperator:
     """The density operator sum_k p_k |ket_k><ket_k| of a proper mixture."""
+    _required(m, ProperMixture)
     return DensityOperator((m.kets.T * m.weights) @ m.kets.conj())
 
 
 States = DensityOperator | Sequence[DensityOperator]  # one state, or a sequence of them
-
-
-def _required(value, cls: type):
-    """value if it is an instance of cls; anything else raises ValidationError naming both types."""
-    if not isinstance(value, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise ValidationError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
-    return value
 
 
 def require_state(d) -> DensityOperator:
@@ -291,7 +285,7 @@ def gram_factor(m: ProperMixture, basis) -> GramFactor:
 
     coeff[k, m] = sqrt(p_k) <basis_m | ket_k>, for all K kets as one product.
     """
-    b = require_basis(basis, m.dim)
+    b = require_basis(basis, _required(m, ProperMixture).dim)
     coeff = np.sqrt(m.weights)[:, None] * (m.kets @ b.conj())
     for a in (coeff, b):
         a.setflags(write=False)  # built here, so the factor keeps them without a copy
@@ -305,7 +299,7 @@ def remix(g: GramFactor, u) -> ProperMixture:
     the new weights are the squared row norms of u . coeff and the new kets
     the renormalized rows.  Rows with vanishing weight are dropped.
     """
-    u = as_square(u, g.num_terms)
+    u = as_square(u, _required(g, GramFactor).num_terms)
     require_basis(u.T, g.num_terms)  # a unitary's columns are an orthonormal basis
     mixed = u @ g.coeff
     weights = np.sum(np.abs(mixed) ** 2, axis=1)

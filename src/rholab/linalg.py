@@ -191,6 +191,14 @@ def first_failure(check: Callable, items: Iterable) -> tuple[int, ValidationErro
     return None
 
 
+def _required(value, cls: type):
+    """value if it is an instance of cls; anything else raises ValidationError naming both types."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIO" else "a"  # "a UnitVector3"
+        raise ValidationError(f"expected {article} {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def is_integer(x) -> bool:
     """Whether x is an integer: a numbers.Integral (numpy integers included) but not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)

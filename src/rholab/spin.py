@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .linalg import _Record, _ValueRecord, hermitian_eig, is_finite_real, is_integer
+from .linalg import _Record, _ValueRecord, _required, hermitian_eig, is_finite_real, is_integer
 
 UNIT_ATOL = 1e-12
 
@@ -125,7 +125,7 @@ def spin_half_basis() -> SpinHalfBasis:
 
 def sigma_n(n: UnitVector3) -> np.ndarray:
     """Spin measurement operator along n: [[nz, n_perp*], [n_perp, -nz]]."""
-    n_perp = n.nx + 1j * n.ny
+    n_perp = _required(n, UnitVector3).nx + 1j * n.ny
     return np.array([[n.nz, np.conj(n_perp)], [n_perp, -n.nz]], dtype=complex)
 
 
@@ -144,6 +144,7 @@ def sigma_n_eigenkets(n: UnitVector3) -> tuple[np.ndarray, np.ndarray]:
     which stays regular at the poles n_z = +-1 where the closed forms with
     1/(1 +- n_z) denominators blow up.
     """
+    _required(n, UnitVector3)
     theta = math.atan2(math.hypot(n.nx, n.ny), n.nz)
     phi = math.atan2(n.ny, n.nx)
     half = theta / 2.0

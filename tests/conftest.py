@@ -150,13 +150,18 @@ def count_sweeps(monkeypatch) -> list:
     return sweeps
 
 
-def traced_peak(call) -> int:
-    """The tracemalloc peak of call(), in bytes, after a first call that fills what is
-    filled once per process (the solver's tables, imports)."""
-    call()
+def peak_of(call) -> int:
+    """The tracemalloc peak of call(), in bytes."""
     tracemalloc.start()
     try:
         call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak of call(), in bytes, after a first call that fills what is
+    filled once per process (the solver's tables, imports)."""
+    call()
+    return peak_of(call)

@@ -1,12 +1,14 @@
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
 import re
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -37,7 +39,7 @@ from rholab import (
 )
 from rholab.bell import MAX_EVENTS
 from rholab.cli import EVENT_HEADER, TRAJECTORY_HEADER, main, load_scenario, trajectory_rows, ScenarioError
-from conftest import count_eigensolves, count_sweeps, time_limit
+from conftest import count_eigensolves, count_sweeps, peak_of, time_limit, traced_peak
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -157,9 +159,11 @@ class TestDemos:
         ["nonunique", "chsh", "ghz", "filter", "singlet", "spin1", "nocloning", "nosignal"],
     )
     def test_demo_passes(self, name, capsys):
-        assert main(["demo", name]) == 0
-        out = capsys.readouterr().out
-        assert "overall: PASS" in out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["demo", name]) == 0
+        out, err = capsys.readouterr()
+        assert "overall: PASS" in out and err == ""
         assert "FAIL" not in out.replace("PASS/FAIL", "")
 
     def test_chsh_prints_value(self, capsys):
@@ -251,10 +255,7 @@ class TestEvolve:
         out = tmp_path / "t.csv"
         result = run_cli_process(["evolve", "--scenario", str(scenario), "--out", str(out)])
         assert result.returncode == 3
-        lines = result.stderr.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("integration failure: ")
-        assert lines[0].endswith(" at t=635")
+        assert result.stderr == "integration failure: trace drift nan exceeds 1e-07 at t=635\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_overflowing_propagator_exits_3_without_warnings(self, tmp_path):
@@ -415,6 +416,19 @@ class TestEvolve:
         assert err.startswith("scenario error:") and "cap" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("case", ["over-the-cap", "bom"])
+    def test_a_rejected_scenario_exits_2_with_its_message(self, tmp_path, capsys, case):
+        if case == "bom":  # rejected as json.loads rejects it
+            path = tmp_path / "s.json"
+            path.write_bytes(b"\xef\xbb\xbf" + (REPO / "scenarios" / "dephasing.json").read_bytes())
+            message = "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        else:  # one step past the sample cap
+            path = dephasing_run(tmp_path, 10**5 + 1)
+            message = "100001 samples exceed the cap of 100000 samples"
+        assert main(["evolve", "--scenario", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr() == ("", f"scenario error: {message}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("name", ["dephasing", "precession", "amplitude_damping"])
     def test_shipped_trajectory_matches_pinned(self, tmp_path, name):
         out = tmp_path / f"{name}.csv"
@@ -528,8 +542,7 @@ class TestEvolve:
 
     def test_block_written_rows_equal_per_row_writes(self, tmp_path):
         # 2001 rows: one full block of the writer and a partial second.
-        scenario = json.loads((REPO / "scenarios" / "dephasing.json").read_text())
-        path = write_scenario(tmp_path / "s.json", **{**scenario, "dt": 0.001, "sample_every": 1})
+        path = shipped_run(tmp_path, "dephasing", dt=0.001, sample_every=1)
         out, expected = tmp_path / "t.csv", tmp_path / "expected.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -541,13 +554,14 @@ class TestEvolve:
             fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
         assert out.read_bytes() == expected.read_bytes()
 
-    def test_precession_runs_without_warnings(self, tmp_path):
+    def test_precession_runs_without_warnings(self, tmp_path, capsys):
         # The shipped precession run has no jump operators: its entropy rate is 0
         # exactly, with no rank-deficient warning though its state stays pure.
         out = tmp_path / "precession.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["evolve", "--scenario", str(REPO / "scenarios" / "precession.json"), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         _, rows = read_rows(out)
         assert len(rows) == 33 and all(row["entropy_production"] == 0.0 for row in rows)
 
@@ -698,28 +712,26 @@ class TestScenarioDocument:
         # 5,120 boxed floats in 2,560 [re, im] lists, peaked the load at 0.43 MB.  Each
         # matrix converted as it is parsed, the load peaks at 0.17 MB.
         path = ising_chain_scenario(tmp_path / "d16.json", seed=1)
-        load_scenario(str(path))  # imports and fills what is filled once per process
-        tracemalloc.start()
-        try:
-            load_scenario(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.22e6
+        assert traced_peak(lambda: load_scenario(str(path))) <= 0.22e6
         assert_read_as_json_load(path)
+
+
+def shipped_run(tmp_path, name: str, **overrides):
+    """The shipped scenario `name` with `overrides`, written to tmp_path / "s.json"."""
+    scenario = json.loads((REPO / "scenarios" / f"{name}.json").read_text())
+    return write_scenario(tmp_path / "s.json", **{**scenario, **overrides})
 
 
 def dephasing_run(tmp_path, samples: int):
     """The shipped dephasing scenario sampled at every step of dt = 1/1024 for `samples`
-    samples: at d = 2, chunks of 1024 states, one write block each."""
-    scenario = json.loads((REPO / "scenarios" / "dephasing.json").read_text())
-    scenario.update(t_end=(samples - 1) / 1024, dt=1 / 1024, sample_every=1)
-    return write_scenario(tmp_path / "s.json", **scenario)
+    samples: at d = 2, chunks of 1024 states, one write block each.  t_end and dt are
+    exact in binary."""
+    return shipped_run(tmp_path, "dephasing", t_end=(samples - 1) / 1024, dt=1 / 1024, sample_every=1)
 
 
 def d16_run(tmp_path):
-    """51 samples at d = 16, as in CI: rho0 = I/16, H = diag(0..15)/16 and one jump
-    operator 0.3 times the lower shift; chunks of 16 states."""
+    """51 samples at d = 16: rho0 = I/16, H = diag(0..15)/16 and one jump operator 0.3
+    times the lower shift; chunks of 16 states."""
     def m(a):
         return [[[float(x), 0.0] for x in row] for row in a]
 
@@ -880,18 +892,71 @@ class TestStreamedEvolve:
     def test_peak_memory(self, tmp_path):
         # Only the run's states, times and raw traces (1.6 MB at 2 * 10^4 d = 2 samples)
         # are held for the whole run; spectra and rows are made and written a chunk at a
-        # time.  Building every row and spectrum first peaked at 8.1 MB.
-        path, out = dephasing_run(tmp_path, 2 * 10**4), tmp_path / "t.csv"
+        # time.  Building every row and spectrum first peaked at 8.1 MB.  The run under
+        # tracemalloc writes the same bytes as the one before it.
+        path, out, traced = dephasing_run(tmp_path, 2 * 10**4), tmp_path / "t.csv", tmp_path / "traced.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0  # fills the solver's tables
-            tracemalloc.start()
-            try:
-                assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak <= 3.5e6
+            assert peak_of(lambda: main(["evolve", "--scenario", str(path), "--out", str(traced)])) <= 3.5e6
+        assert traced.read_bytes() == out.read_bytes()
+
+    def test_a_run_at_the_sample_cap(self, tmp_path):
+        # 10^5 samples, the cap, written as the header and one row per sample.  Only the
+        # run's states, times and raw traces (8 MB) are held for the whole run, so the
+        # peak is those plus one chunk's spectra and rows.  The sample times are running
+        # sums of dt, one step at a time, also where the intervals are propagated at once.
+        path, out = dephasing_run(tmp_path, 10**5), tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert peak_of(lambda: main(["evolve", "--scenario", str(path), "--out", str(out)])) <= 10e6
+        lines = out.read_bytes().splitlines()
+        assert lines[0].decode() == TRAJECTORY_HEADER and len(lines) == 10**5 + 1
+        assert lines[-1].split(b",")[0] == b"97.6552734375"  # 99999/1024
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.csv"]
+
+    @pytest.mark.parametrize("overrides, samples, last_t", [
+        # 4001 samples, four d = 2 chunks of at most 1024 states.  No hash is pinned,
+        # since the last bits differ across BLAS builds.
+        ({"dt": 0.001, "sample_every": 1}, 4001, None),
+        # Every partial sum of 1/1024 is exact, so it cannot tell the order of the sum;
+        # dt = 0.001 can.  10^5 steps, sampled every 1000: the last time is dt added
+        # one step at a time.
+        ({"t_end": 100, "dt": 0.001, "sample_every": 1000}, 101, list(itertools.accumulate([0.001] * 10**5))[-1]),
+    ], ids=["every-step", "10^5-steps"])
+    def test_a_long_amplitude_damping_run(self, tmp_path, overrides, samples, last_t):
+        path, out = shipped_run(tmp_path, "amplitude_damping", **overrides), tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--scenario", str(path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == TRAJECTORY_HEADER and len(lines) == samples + 1
+        if last_t is not None:
+            assert lines[-1].split(",")[0] == f"{last_t:.17g}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "t.csv"]
+
+    def test_a_d16_run(self, tmp_path, capsys):
+        # 51 samples, four chunks of at most 16 states, with nothing on stderr.  The
+        # scenario written with indent=2 writes the same bytes: the matrices are read
+        # one at a time as they are parsed, with whitespace wherever JSON allows it.  A
+        # run under tracemalloc writes them too; its peak is one 16-state chunk's
+        # eigensolve or jump rates on top of the run's arrays: 0.481 MB on Python 3.11
+        # with numpy 2.4, and 0.582 MB while the solver and the rate kernel held more
+        # copies of the chunk.
+        path, indented = d16_run(tmp_path), tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+        out = {name: tmp_path / f"{name}.csv" for name in ("t", "indented", "traced")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--scenario", str(path), "--out", str(out["t"])]) == 0
+            assert main(["evolve", "--scenario", str(indented), "--out", str(out["indented"])]) == 0
+            assert traced_peak(lambda: main(["evolve", "--scenario", str(path), "--out", str(out["traced"])])) <= 0.56e6
+        assert capsys.readouterr().err == ""
+        lines = out["t"].read_bytes().splitlines()
+        assert lines[0].decode() == TRAJECTORY_HEADER and len(lines) == 52
+        assert out["indented"].read_bytes() == out["t"].read_bytes() == out["traced"].read_bytes()
+        listing = ["indented.csv", "indented.json", "s.json", "t.csv", "traced.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
 class TestSample:
@@ -919,22 +984,25 @@ class TestSample:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_pinned_event_stream(self, tmp_path):
+    @pytest.mark.parametrize("b, n, seed, digest", [
         # Pinned from the singlet density validated by an eigensolve: its closed-form
         # spectrum leaves the matrix, so the joint law and the events, the same bytes.
+        ("0.6,0,0.8", 1000, 42, "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"),
+        # Pinned from the writer that wrote one row at a time; these span several blocks.
+        ("0.6,0,0.8", 5000, 42, "c24c3d54c0262a92cef4a6a932dde37d88c031c60b2c7089867ad145012c25a5"),
+        ("0.6,0,0.8", 100_000, 42, "4a055fdfdc65e875bc5acee50e9120d5878f732e2dd77998e715a232d288da7e"),
+        # Aligned detectors: a law with two zero-probability outcomes, whose cumulative
+        # entries tie.  Pinned from draws by Generator.choice, on numpy 1.24 and 2.x alike.
+        ("0,0,1", 100_000, 7, "9bc3b268f490a3c2423be7b0858dd819444e57456f73dd3210da437a0db5b705"),
+    ], ids=["1000", "5000", "100000", "100000-aligned"])
+    def test_pinned_event_stream(self, tmp_path, capsys, b, n, seed, digest):
         out = tmp_path / "events.csv"
-        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", "1000", "--seed", "42"]
-        assert main(args + ["--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "14d137955a16a2bea25fb14dbb7178239e837a7e048e5247c0e2508078723b7e"
-
-    def test_pinned_event_stream_across_write_blocks(self, tmp_path):
-        # Pinned from the writer that wrote one row at a time; 5000 rows span several blocks.
-        out = tmp_path / "events.csv"
-        args = ["sample", "--a", "0,0,1", "--b", "0.6,0,0.8", "--n", "5000", "--seed", "42"]
-        assert main(args + ["--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "c24c3d54c0262a92cef4a6a932dde37d88c031c60b2c7089867ad145012c25a5"
+        assert main(["sample", "--a", "0,0,1", "--b", b, "--n", str(n), "--seed", str(seed), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        data = out.read_bytes()
+        assert data.count(b"\n") == n + 3  # two header lines and a summary line
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert list(tmp_path.iterdir()) == [out]
 
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 5000])
     def test_block_written_rows_equal_per_event_rows(self, tmp_path, n):
@@ -1064,6 +1132,21 @@ def test_bad_input_exits_2_with_one_line(tmp_path, args, out_name):
     assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
     assert result.stderr.split(":", 1)[0] in ("input error", "scenario error", "output error")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+def test_an_out_that_is_not_a_regular_file_exits_2_leaving_it_as_it_was(tmp_path, capsys, command):
+    # Renaming the temp file over a FIFO, or a device node, would replace it.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    if command == "evolve":
+        args = ["evolve", "--scenario", str(write_scenario(tmp_path / "s.json", rho0=_matrix(np.eye(2) / 2)))]
+    else:
+        args = SAMPLE_ARGS
+    assert main(args + ["--out", str(fifo)]) == 2
+    assert capsys.readouterr() == ("", f"output error: cannot write {fifo}: not a regular file\n")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"] + ["s.json"] * (command == "evolve")
 
 
 def readme_cli_lines() -> list[str]:
