@@ -278,7 +278,7 @@ def eigenmatrix_decompose(s: Superoperator) -> EigenmatrixDecomposition:
         matrices = np.concatenate((vectors[:positive], rows[r:], vectors[positive:]))
     for a in (values, matrices):
         a.setflags(write=False)  # built here, so the decomposition keeps them without a copy
-    return EigenmatrixDecomposition(s.dim, values, matrices.reshape(-1, s.dim, s.dim))
+    return EigenmatrixDecomposition._stored(s.dim, values, matrices.reshape(-1, s.dim, s.dim))
 
 
 def kraus_from_decomposition(e: EigenmatrixDecomposition) -> KrausChannel:

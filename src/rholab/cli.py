@@ -462,19 +462,21 @@ def trajectory_rows(scenario: Scenario) -> SampleStream:
 
 
 def _write_output(path: str, write: Callable[[TextIO], None]) -> bool:
-    """Run write on a temp file beside path, then rename it over path, so
-    readers never see a partial file.  On failure print one line to stderr
-    and return False.  An existing path that is not a regular file (a FIFO, a
-    device, a directory) is refused before the temp file is made: the rename
-    would replace it."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    """Run write on a temp file beside the file path names, then rename it
+    over that file, so readers never see a partial file.  On failure print one
+    line to stderr and return False.  A symbolic link is resolved first, so the
+    link stays and its target is replaced.  An existing target that is not a
+    regular file (a FIFO, a device, a directory) is refused before the temp
+    file is made: the rename would replace it."""
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
         print(f"output error: cannot write {path}: not a regular file", file=sys.stderr)
         return False
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             write(fh)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         print(f"output error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return False

@@ -26,12 +26,14 @@ from rholab import (
 )
 from rholab.bipartite import SCHMIDT_RANK_TOL
 from rholab.density import _with_spectrum
+from rholab.linalg import pinch
 from conftest import (
     count_eigensolves,
     random_complex,
     random_density,
     random_ket,
     random_unitary,
+    traced_peak,
 )
 
 KETS = spin_half_basis()
@@ -417,6 +419,28 @@ class TestNoSignalling:
             before, after = no_signalling_check(d, [u[:, 0], u[:, 1]])
             worst = max(worst, float(np.max(np.abs(before - after))))
         assert worst < 1e-11
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_after_is_the_marginal_of_the_state_pinched_in_the_joint_basis(self, dim_a, dim_b):
+        # The reference pinches rho in B_a x I and traces out a.  Its four dim x dim
+        # products each round by up to about dim eps max|rho|, which sets the bound.
+        rng = np.random.default_rng(79 + 10 * dim_a + dim_b)
+        space = BipartiteSpace(dim_a, dim_b)
+        mask = np.kron(np.eye(dim_a), np.ones((dim_b, dim_b)))
+        for _ in range(20):
+            d = random_density(rng, space.dim)
+            u = random_unitary(rng, dim_a)
+            _, after = no_signalling_check(d, list(u.T))
+            expected = partial_trace_a(pinch(d.matrix, np.kron(u, np.eye(dim_b)), mask), space)
+            scale = np.abs(d.matrix).max()
+            assert np.abs(after - expected).max() <= 4 * space.dim * np.finfo(float).eps * scale
+
+    def test_builds_no_joint_basis(self):
+        # At d_a = d_b = 8 the measured state, or the basis B_a x I, is one 64 x 64 complex array.
+        rng = np.random.default_rng(80)
+        d = random_density(rng, 64)
+        basis = list(random_unitary(rng, 8).T)
+        assert traced_peak(lambda: no_signalling_check(d, basis)) <= 64 * 64 * 16
 
 
 class TestIndexConvention:

@@ -710,7 +710,7 @@ class TestScenarioDocument:
     def test_matrices_are_read_one_at_a_time(self, tmp_path):
         # The benchmark's d = 16 scenario is 43 KB of text; json.load's document of it,
         # 5,120 boxed floats in 2,560 [re, im] lists, peaked the load at 0.43 MB.  Each
-        # matrix converted as it is parsed, the load peaks at 0.17 MB.
+        # matrix converted as it is parsed, the load peaks at 0.165 MB (Python 3.11, numpy 2.4).
         path = ising_chain_scenario(tmp_path / "d16.json", seed=1)
         assert traced_peak(lambda: load_scenario(str(path))) <= 0.22e6
         assert_read_as_json_load(path)
@@ -940,7 +940,7 @@ class TestStreamedEvolve:
         # scenario written with indent=2 writes the same bytes: the matrices are read
         # one at a time as they are parsed, with whitespace wherever JSON allows it.  A
         # run under tracemalloc writes them too; its peak is one 16-state chunk's
-        # eigensolve or jump rates on top of the run's arrays: 0.481 MB on Python 3.11
+        # eigensolve or jump rates on top of the run's arrays: 0.480-0.481 MB on Python 3.11
         # with numpy 2.4, and 0.582 MB while the solver and the rate kernel held more
         # copies of the chunk.
         path, indented = d16_run(tmp_path), tmp_path / "indented.json"
@@ -1147,6 +1147,26 @@ def test_an_out_that_is_not_a_regular_file_exits_2_leaving_it_as_it_was(tmp_path
     assert capsys.readouterr() == ("", f"output error: cannot write {fifo}: not a regular file\n")
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"] + ["s.json"] * (command == "evolve")
+
+
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+def test_an_out_that_is_a_symbolic_link_replaces_its_target(tmp_path, capsys, command):
+    # Renaming the temp file over the link itself would turn it into a regular file
+    # and leave its target as it was.
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old")
+    link.symlink_to(target.name)
+    if command == "evolve":
+        args = ["evolve", "--scenario", str(write_scenario(tmp_path / "s.json", rho0=_matrix(np.eye(2) / 2)))]
+    else:
+        args = SAMPLE_ARGS
+    assert main(args + ["--out", str(link)]) == 0
+    assert main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    names = ["link.csv", "plain.csv", "target.csv"] + ["s.json"] * (command == "evolve")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 def readme_cli_lines() -> list[str]:
