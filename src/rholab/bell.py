@@ -18,7 +18,7 @@ import numpy as np
 
 from .bipartite import measurement_probabilities, singlet
 from .errors import ValidationError
-from .linalg import _kron, _Record, _ValueRecord, _required, is_finite_real, is_integer
+from .linalg import _Record, _ValueRecord, _required, is_finite_real, is_integer
 from .spin import SpinHalfBasis, UnitVector3, X_AXIS, Z_AXIS, sigma_n, sigma_n_eigenkets, spin_half_basis
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -48,7 +48,7 @@ class DetectorPair(_ValueRecord):
 def pair_operator(p: DetectorPair) -> np.ndarray:
     """The product observable (sigma_1 . a)(sigma_2 . b) on the joint space."""
     _required(p, DetectorPair)
-    return _kron(sigma_n(p.a), sigma_n(p.b))
+    return np.kron(sigma_n(p.a), sigma_n(p.b))
 
 
 def singlet_correlation(p: DetectorPair) -> float:
@@ -75,7 +75,7 @@ def joint_up_probability(alpha: float) -> float:
     b = UnitVector3(math.sin(alpha), 0.0, math.cos(alpha))
     kets = spin_half_basis()
     b_plus, _ = sigma_n_eigenkets(b)
-    phi = _kron(kets.z_plus, b_plus)
+    phi = np.kron(kets.z_plus, b_plus)
     overlap = np.vdot(singlet().amplitudes, phi)
     return float(abs(overlap) ** 2)
 
@@ -200,7 +200,7 @@ def _three_spin_operator(label: str) -> np.ndarray:
 
     op = pauli(label[0])
     for axis in label[1:]:
-        op = _kron(op, pauli(axis))
+        op = np.kron(op, pauli(axis))
     return op
 
 
@@ -247,8 +247,8 @@ class NoCloningReport(_Record):
 
 def _clone_linearly(ket: np.ndarray, kets: SpinHalfBasis) -> np.ndarray:
     """Image of |ket>|blank> under the linear extension of basis cloning, in the z basis of kets."""
-    out = ket[0] * _kron(kets.z_plus, kets.z_plus)
-    out = out + ket[1] * _kron(kets.z_minus, kets.z_minus)
+    out = ket[0] * np.kron(kets.z_plus, kets.z_plus)
+    out = out + ket[1] * np.kron(kets.z_minus, kets.z_minus)
     return out
 
 
@@ -256,12 +256,12 @@ def no_cloning_demo() -> NoCloningReport:
     kets = spin_half_basis()
     basis_fidelities = []
     for basis_ket in (kets.z_plus, kets.z_minus):
-        target = _kron(basis_ket, basis_ket)
+        target = np.kron(basis_ket, basis_ket)
         out = _clone_linearly(basis_ket, kets)
         basis_fidelities.append(float(abs(np.vdot(target, out)) ** 2))
 
     out = _clone_linearly(kets.x_plus, kets)
-    target = _kron(kets.x_plus, kets.x_plus)
+    target = np.kron(kets.x_plus, kets.x_plus)
     fidelity = float(abs(np.vdot(target, out)) ** 2)
     for a in (out, target):
         a.setflags(write=False)  # built here, so the report keeps them without a copy

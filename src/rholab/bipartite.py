@@ -3,9 +3,9 @@ local measurement on two-factor systems.
 
 Index convention: a bipartite amplitude vector stores C[m, n] at flat index
 m * dim_b + n, i.e. row-major with the a-factor index major.  This pins the
-column (0, 1, 0, 0)^T for |z+>|z->, and the Kronecker product of two 1-D kets
-reproduces it.  An operator on the joint space, viewed as the factor tensor
-(dim_a, dim_b, dim_a, dim_b), holds op_{(m,n),(k,l)} at [m, n, k, l].
+column (0, 1, 0, 0)^T for |z+>|z->, and np.kron on 1-D arrays reproduces it.
+An operator on the joint space, viewed as the factor tensor (dim_a, dim_b,
+dim_a, dim_b), holds op_{(m,n),(k,l)} at [m, n, k, l].
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .density import DensityOperator, _with_spectrum, require_state
 from .errors import ShapeError, ValidationError
-from .linalg import (_kron, _Record, _ValueRecord, _required, as_ket, as_kets, as_square, hermitian_eig, in_basis,
-                     is_integer, max_deviation, pinch, require_basis, require_finite, require_unit_ket)
+from .linalg import (_Record, _ValueRecord, _required, as_ket, as_kets, as_square, hermitian_eig, in_basis, is_integer,
+                     max_deviation, pinch, require_basis, require_finite, require_unit_ket)
 
 # Singular values below this count as zero when deciding Schmidt rank;
 # separates genuine rank from eigensolver noise at this scale.
@@ -63,17 +63,13 @@ class BipartiteKet(_Record):
         eigenvalue <k|k> on u = k/|k| and 0 on the other columns of the
         Householder reflector H = I - 2 v v^dag/|v|^2, v = u + phase(u_n) e_n
         (phase 1 where u_n = 0), which maps u to -phase(u_n) e_n; column n, a
-        multiple of u, is replaced by u.  H is built in place in the outer
-        product's array, 0 - x and then +1 on the diagonal, which is I - x bit for
-        bit without an identity temporary."""
+        multiple of u, is replaced by u."""
         k = self.amplitudes
         norm2 = np.vdot(k, k).real
         u = k / math.sqrt(norm2)
         v = u.copy()
         v[-1] += u[-1] / abs(u[-1]) if u[-1] else 1.0
-        vectors = np.outer(v, v.conj() * (2.0 / np.vdot(v, v).real))
-        np.subtract(0.0, vectors, out=vectors)
-        vectors.ravel()[:: k.size + 1] += 1.0
+        vectors = np.eye(k.size, dtype=complex) - np.outer(v, v.conj() * (2.0 / np.vdot(v, v).real))
         vectors[:, -1] = u
         values = np.zeros(k.size)
         values[-1] = norm2
@@ -86,7 +82,7 @@ def product_state(a_ket, b_ket) -> BipartiteKet:
     """The product state with coefficients C[m, n] = A_m B_n."""
     a = require_unit_ket(a_ket, "factor ket a")
     b = require_unit_ket(b_ket, "factor ket b")
-    return BipartiteKet(BipartiteSpace(a.size, b.size), _kron(a, b))
+    return BipartiteKet(BipartiteSpace(a.size, b.size), np.kron(a, b))
 
 
 def singlet() -> BipartiteKet:
@@ -238,7 +234,7 @@ def local_measurement(d: DensityOperator, basis_a=None, basis_b=None) -> Density
     space = _infer_space(d, basis_a, basis_b)
     ua, mask_a = _factor_frame(basis_a, space.dim_a)
     ub, mask_b = _factor_frame(basis_b, space.dim_b)
-    return DensityOperator(pinch(d.matrix, _kron(ua, ub), _kron(mask_a, mask_b)))
+    return DensityOperator(pinch(d.matrix, np.kron(ua, ub), np.kron(mask_a, mask_b)))
 
 
 def measurement_probabilities(d: DensityOperator, basis_a, basis_b) -> np.ndarray:
@@ -248,7 +244,7 @@ def measurement_probabilities(d: DensityOperator, basis_a, basis_b) -> np.ndarra
     diagonal of rho in the basis B_a x B_b (`in_basis`); no measured state is built.
     """
     space = _infer_space(d, basis_a, basis_b)
-    u = _kron(require_basis(basis_a, space.dim_a), require_basis(basis_b, space.dim_b))
+    u = np.kron(require_basis(basis_a, space.dim_a), require_basis(basis_b, space.dim_b))
     return np.diagonal(in_basis(d.matrix, u)).real.reshape(space.dim_a, space.dim_b)
 
 

@@ -284,20 +284,11 @@ def trace(a) -> complex:
     return complex(np.trace(as_square(a)))
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two 1-D or two 2-D arrays, unchecked: the one product
-    of rholab's tensor factors.  It is the broadcast multiply that numpy's kron performs,
-    without its shape handling, so its entries, signed zeros too, equal numpy's bit for bit."""
-    if a.ndim == 1:
-        return (a[:, None] * b).reshape(-1)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices: each entry of a multiplies the whole of b
-    (`_kron`).  A product that overflows raises ValidationError."""
+    """Kronecker product: each entry of a multiplies the whole of b.  A product
+    that overflows raises ValidationError."""
     a, b = as_matrix(a), as_matrix(b)
-    return require_finite(lambda: _kron(a, b), "Kronecker product")
+    return require_finite(lambda: np.kron(a, b), "Kronecker product")
 
 
 def dyad(psi, phi) -> np.ndarray:

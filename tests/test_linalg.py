@@ -226,43 +226,6 @@ class TestKron:
         assert np.array_equal(out[:2, 2:], 2 * b)
 
 
-def _signed(rng, shape, dtype):
-    """Random entries with some zeros of either sign, so that signed zeros reach the products."""
-    x = rng.normal(size=shape) if dtype is float else random_complex(rng, shape)
-    x[rng.random(shape) < 0.3] = 0.0
-    x[rng.random(shape) < 0.2] *= -1.0
-    return x
-
-
-KRON_CASES = {
-    "kets-2-3": ((2,), (3,), complex, complex),
-    "kets-4-4": ((4,), (4,), complex, complex),
-    "ket-real-by-complex": ((3,), (2,), float, complex),
-    "matrices-2x3-3x2": ((2, 3), (3, 2), complex, complex),
-    "matrices-3x2-4x4": ((3, 2), (4, 4), complex, complex),
-    "matrices-4x4-2x3": ((4, 4), (2, 3), complex, complex),
-    "complex-by-real": ((2, 2), (3, 3), complex, float),
-}
-
-
-class TestKronBits:
-    # linalg._kron stands in for np.kron everywhere in rholab, so it must give the same
-    # bits, signed zeros included, on every numpy version CI runs.
-    @pytest.mark.parametrize("shape_a, shape_b, dtype_a, dtype_b", KRON_CASES.values(), ids=KRON_CASES.keys())
-    def test_equals_numpy_kron_bit_for_bit(self, shape_a, shape_b, dtype_a, dtype_b):
-        rng = np.random.default_rng(len(shape_a) * 100 + shape_a[0] * 10 + shape_b[0])
-        for _ in range(5):
-            a, b = _signed(rng, shape_a, dtype_a), _signed(rng, shape_b, dtype_b)
-            out, expected = linalg._kron(a, b), np.kron(a, b)
-            assert out.dtype == expected.dtype and out.shape == expected.shape
-            assert out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 2), (4, 4)])
-    def test_masks_equal_numpy_kron_bit_for_bit(self, dim_a, dim_b):
-        for a, b in [(np.eye(dim_a), np.ones((dim_b, dim_b))), (np.eye(dim_a), -np.eye(dim_b))]:
-            assert linalg._kron(a, b).tobytes() == np.kron(a, b).tobytes()
-
-
 class TestHermitianEig:
     def test_sigma_z(self):
         eig = hermitian_eig(pauli("z"))
